@@ -59,7 +59,7 @@ def run_scenario(name, designs, model, args, out_dir):
             replicates=args.reps,
             seed=args.seed,
         )
-        results[design_id] = mc_risk(plan, threads=args.threads)
+        results[design_id] = mc_risk(plan)
     elapsed = time.perf_counter() - t0
     path = out_dir / f"risk_{name}.csv"
     write_risk_csv(path, results, seed=args.seed)
@@ -75,7 +75,6 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=300, help="replicates per design")
     ap.add_argument("--n", type=int, default=120, help="sample size per replicate")
     ap.add_argument("--seed", type=int, default=7, help="master seed")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads")
     ap.add_argument("--out-dir", type=Path, default=Path("study_out"),
                     help="directory for risk CSVs")
     args = ap.parse_args()

@@ -32,7 +32,6 @@ from .models import (
     RegressionModel,
     UniformModel,
     UniformVariant,
-    sample_errors,
 )
 from .hellinger import (
     EpsilonLadder,
@@ -126,7 +125,6 @@ __all__ = [
     "r_beta",
     "realize_design",
     "residuals",
-    "sample_errors",
     "smith_fit",
     "solve_lp",
     "symmetrize",

@@ -318,7 +318,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             replicates=args.reps,
             seed=args.seed,
         )
-        results[name] = mc_risk(plan, threads=args.threads)
+        results[name] = mc_risk(plan)
     write_risk_csv(args.out, results, args.seed)
     elapsed = time.perf_counter() - t0
     print(
@@ -395,7 +395,6 @@ _DEFAULTS: dict[str, dict[str, object]] = {
         "beta": 1.0,
         "family": "gamma",
         "sigma": 1.0,
-        "threads": 1,
         "out": "risk.csv",
     },
     "bound": {},
@@ -482,7 +481,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
     p.add_argument("--reps", type=int, help="Monte Carlo replicates")
     p.add_argument("--seed", type=int,
                    help=f"base seed (default ${SEED_ENV} or 0)")
-    p.add_argument("--threads", type=int, help="worker threads (default 1)")
     p.add_argument("--out", help="risk CSV path (default risk.csv)")
     flag_maps["simulate"] = _flag_map(p)
 

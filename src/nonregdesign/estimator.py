@@ -6,10 +6,14 @@ observations:
 
     max sum_i f(x_i)' theta   s.t.   f(x_i)' theta <= y_i   for all i,
 
-with f(x) = (1, x, ..., x^p) and all coefficients free.  For exponential
-errors (alpha = 1) this is exactly the maximum-likelihood estimator: the
-log-likelihood is sum_i (f(x_i)' theta - y_i) on the feasible set.  Its
-componentwise error decays at the non-regular rate n^(-1/alpha).
+with f(x) = (1, x, ..., x^p) and all coefficients free.  Only the lowest
+observation at each distinct x can bind, so the program reduces to one row
+per distinct x_k with right-hand side min_{i: x_i = x_k} y_i, and an
+objective sum_k n_k f(x_k)' theta that weights each point by its count n_k.
+For exponential errors (alpha = 1) this is exactly the maximum-likelihood
+estimator: the log-likelihood is sum_i (f(x_i)' theta - y_i) on the
+feasible set.  Its componentwise error decays at the non-regular rate
+n^(-1/alpha).
 
 Maximizing the intercept alone (the location-case form of this estimator)
 does not generalize: with a support point at x = 0 the intercept is pinned
@@ -84,18 +88,26 @@ def smith_fit(data: Dataset) -> np.ndarray:
 
     Maximizes the sum of fitted values subject to the fit lying below every
     observation, which is the MLE under exponential (alpha = 1) errors.
-    Returns the coefficient vector theta_hat of length degree+1.  The fit
-    satisfies the envelope property: every residual y_i - f(x_i)'theta_hat
-    is at least -ENVELOPE_TOL.
+    The program is solved on the K distinct x values: one row
+    f(x_k)'theta <= min_{i: x_i = x_k} y_i per point, and the objective
+    sum_k n_k f(x_k)'theta with n_k the count at x_k.  Returns the
+    coefficient vector theta_hat of length degree+1.  The fit satisfies the
+    envelope property: every residual y_i - f(x_i)'theta_hat is at least
+    -ENVELOPE_TOL.
     """
-    f = data.design_matrix()
     y = np.asarray(data.ys)
+    support, which, counts = np.unique(
+        np.asarray(data.xs), return_inverse=True, return_counts=True
+    )
+    floor = np.full(support.size, np.inf)
+    np.minimum.at(floor, which, y)
     p1 = data.degree + 1
+    f = np.vander(support, p1, increasing=True)
     lp = LinearProgram(
-        f.sum(axis=0),
+        counts @ f,
         f,
-        y,
-        [Sense.LE] * data.n,
+        floor,
+        [Sense.LE] * support.size,
         [Domain.FREE] * p1,
         maximize=True,
     )
@@ -105,11 +117,11 @@ def smith_fit(data: Dataset) -> np.ndarray:
         raise EstimationError(f"envelope fit failed: {exc}") from exc
     if sol.status is not LpStatus.OPTIMAL:
         # Defensive: the program is always feasible (a low constant fit) and
-        # bounded (multipliers lambda_i = 1 certify the dual), so any other
+        # bounded (multipliers lambda_k = n_k certify the dual), so any other
         # status signals a numerical failure, not a property of the data.
         raise EstimationError(f"envelope fit returned status {sol.status.value}")
     theta = np.asarray(sol.x, dtype=float)
-    resid = y - f @ theta
+    resid = y - data.design_matrix() @ theta
     worst = float(resid.min())
     if worst < -ENVELOPE_TOL:
         raise EstimationError(f"envelope violated by {-worst:.3e}")

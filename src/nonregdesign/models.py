@@ -146,22 +146,6 @@ class ErrorModel:
         return rng.exponential(scale=self.sigma, size=n)
 
 
-def density_p0(model: ErrorModel, y):
-    """Functional alias for :meth:`ErrorModel.density`."""
-    return model.density(y)
-
-
-def small_y_constant(model: ErrorModel) -> float:
-    """Functional alias for :meth:`ErrorModel.small_y_constant`."""
-    return model.small_y_constant()
-
-
-def sample_errors(model: ErrorModel, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` iid errors from a fresh generator seeded with ``seed``."""
-    rng = np.random.default_rng(seed)
-    return model.sample(n, rng)
-
-
 class UniformVariant(enum.Enum):
     """The uniform families with parameter-dependent support."""
 
@@ -273,9 +257,3 @@ class RegressionModel:
         """Regression mean ``g(x, theta) = f(x)' theta``."""
         f = self.regressor(x)
         return f @ np.asarray(self.theta)
-
-
-def mean_and_regressor(model: RegressionModel, x: float) -> tuple[float, np.ndarray]:
-    """Return ``(g(x, theta), f(x))`` at a single design point."""
-    f = model.regressor(float(x))
-    return float(f @ np.asarray(model.theta)), f

@@ -4,15 +4,14 @@ A :class:`SimPlan` pins everything needed to reproduce a study: the design
 (realized to exact integer counts by largest-remainder rounding), the
 regression model, the replicate count, and a seed.  Replicate ``r`` draws
 its errors from an independent substream derived from ``(seed, r)``, so
-results are bit-for-bit reproducible regardless of execution order or
-thread count.  Risk is the vector of componentwise mean squared errors of
-the fitted coefficients; the total risk is their sum.
+results are bit-for-bit reproducible regardless of execution order.  Risk
+is the vector of componentwise mean squared errors of the fitted
+coefficients; the total risk is their sum.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,28 +100,22 @@ def _replicate_sq_errors(
     return diff * diff
 
 
-def mc_risk(plan: SimPlan, threads: int = 1) -> RiskEstimate:
+def mc_risk(plan: SimPlan) -> RiskEstimate:
     """Monte Carlo risk of the envelope estimator under the plan's design.
 
     Replicates use independent, replicate-indexed substreams, so any
-    execution order (or thread count) yields the identical estimate.  A
-    replicate whose fit fails is recorded; more than 1% failures aborts
-    with a diagnostic rather than returning silently biased risk.
+    execution order yields the identical estimate.  A replicate whose fit
+    fails is recorded; more than 1% failures aborts with a diagnostic
+    rather than returning silently biased risk.
     """
     counts = realize_design(plan.design, plan.n)
     # Sorted covariates make the estimate invariant under relabeling of the
     # design's points: the r-th error draw always meets the same x.
     xs_rep = np.sort(np.repeat(plan.design.xs, counts))
     theta = np.asarray(plan.model.theta)
-
-    def work(r: int) -> np.ndarray | None:
-        return _replicate_sq_errors(plan, xs_rep, theta, r)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(plan.replicates)))
-    else:
-        results = [work(r) for r in range(plan.replicates)]
+    results = [
+        _replicate_sq_errors(plan, xs_rep, theta, r) for r in range(plan.replicates)
+    ]
 
     failed = [r for r, sq in enumerate(results) if sq is None]
     n_fail = len(failed)

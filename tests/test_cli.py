@@ -239,15 +239,6 @@ class TestSimulate:
         assert code == 2
         assert "bestest" in err
 
-    def test_threads_do_not_change_output(self, capsys, tmp_path):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        run(capsys, *self.BASE, "--designs", "optimal", "--seed", "5",
-            "--out", str(serial))
-        run(capsys, *self.BASE, "--designs", "optimal", "--seed", "5",
-            "--threads", "3", "--out", str(threaded))
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_quadratic_named_designs(self, capsys, tmp_path):
         out_path = tmp_path / "risk.csv"
         code, _, _ = run(capsys, "simulate", "--degree", "2", "--alpha", "1",
@@ -333,7 +324,7 @@ class TestParserContract:
         "pi-curve": ["--A", "--alphas", "--out", "--config"],
         "simulate": ["--degree", "--A", "--alpha", "--family", "--sigma",
                      "--n", "--theta", "--designs", "--reps", "--seed",
-                     "--threads", "--out", "--config"],
+                     "--out", "--config"],
         "bound": ["--alpha", "--info", "--fisher", "--dpsi", "--config"],
         "e-optimal": ["--degree", "--A", "--grid-size", "--gap-tol",
                       "--max-cuts", "--out-dir", "--config"],

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonregdesign.design import Design
+from lp_oracle import enumerate_vertices
+from nonregdesign.design import Design, uniform_design
 from nonregdesign.estimator import (
     Dataset,
     EstimationError,
@@ -12,7 +13,7 @@ from nonregdesign.estimator import (
     smith_fit,
 )
 from nonregdesign.models import ErrorFamily, ErrorModel, RegressionModel
-from nonregdesign.sim import SimPlan, mc_risk
+from nonregdesign.sim import SimPlan, mc_risk, realize_design
 
 
 def simulated_dataset(rng, xs, theta, beta=1.0):
@@ -130,6 +131,61 @@ class TestSmithFit:
             errs.append(smith_fit(Dataset(xs, y, 2)) - theta)
         mse = (np.array(errs) ** 2).mean(axis=0)
         assert mse[1] < 0.01  # slope recovered, not defaulted to zero
+
+    @staticmethod
+    def repeated_x_data(design, n, theta, seed):
+        """Sorted covariates with repeats, as mc_risk builds them, plus the
+        distinct points and the smallest observation at each."""
+        xs = np.sort(np.repeat(design.xs, realize_design(design, n)))
+        rng = np.random.default_rng(seed)
+        f = np.vander(xs, len(theta), increasing=True)
+        y = f @ np.asarray(theta) + rng.exponential(1.0, xs.size)
+        support = np.unique(xs)
+        minima = np.array([y[xs == x].min() for x in support])
+        return Dataset(xs, y, len(theta) - 1), support, minima
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "design,theta",
+        [
+            (Design([(-1.0, 0.5), (1.0, 0.5)], 1.0), (6.0, 0.5)),
+            (Design([(-2.0, 0.2), (0.0, 0.6), (2.0, 0.2)], 2.0), (2.0, 4.0, 0.8)),
+        ],
+        ids=["linear-two-point", "quadratic-three-point"],
+    )
+    def test_repeated_x_square_design_interpolates_point_minima(
+        self, design, theta, seed
+    ):
+        # K = degree + 1 distinct points: the fit is the polynomial through
+        # the smallest observation at each point
+        data, support, minima = self.repeated_x_data(design, 120, theta, seed)
+        want = np.linalg.solve(np.vander(support, len(theta), increasing=True), minima)
+        np.testing.assert_allclose(smith_fit(data), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "design,theta",
+        [
+            (uniform_design(1.0, 15), (6.0, 0.5)),
+            (uniform_design(2.0, 5), (2.0, 4.0, 0.8)),
+            (
+                Design([(-1.0, 0.25), (0.1, 0.5), (0.5, 0.1), (1.0, 0.15)], 1.0),
+                (6.0, 0.5),
+            ),
+        ],
+        ids=["linear-uniform15", "quadratic-uniform5", "linear-uneven-counts"],
+    )
+    def test_repeated_x_objective_matches_vertex_enumeration(
+        self, design, theta, seed
+    ):
+        # K > degree + 1: the optimal face can be an edge, so compare the
+        # summed fit with the best vertex of the distinct-point rows, not theta
+        data, support, minima = self.repeated_x_data(design, 120, theta, seed)
+        rows = np.vander(support, len(theta), increasing=True)
+        c = data.design_matrix().sum(axis=0)
+        best = max(float(c @ v) for v in enumerate_vertices(rows, minima))
+        got = float(c @ smith_fit(data))
+        assert got == pytest.approx(best, rel=1e-9, abs=1e-9)
 
     def test_convergence_rate_doubling_study(self):
         # risk at n=120 over risk at n=240 should be near 2^(2/alpha) = 4

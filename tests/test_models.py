@@ -12,10 +12,6 @@ from nonregdesign.models import (
     RegressionModel,
     UniformModel,
     UniformVariant,
-    density_p0,
-    mean_and_regressor,
-    sample_errors,
-    small_y_constant,
     uniform_support,
 )
 
@@ -47,22 +43,22 @@ class TestErrorModelDomain:
 class TestDensity:
     def test_exponential_rate_one_at_origin(self):
         m = ErrorModel(ErrorFamily.EXPONENTIAL, 1.0, 1.0)
-        assert density_p0(m, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert m.density(0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_negative_argument_gives_zero(self):
         m = ErrorModel(ErrorFamily.GAMMA, 1.5, 1.0)
-        assert density_p0(m, -0.3) == 0.0
+        assert m.density(-0.3) == 0.0
 
     def test_gamma_small_y_constant(self):
         # c = 1 / (beta * Gamma(beta) * sigma**beta)
         m = ErrorModel(ErrorFamily.GAMMA, 1.5, 1.0)
-        assert small_y_constant(m) == pytest.approx(
+        assert m.small_y_constant() == pytest.approx(
             1.0 / (1.5 * special.gamma(1.5)), rel=1e-14
         )
 
     def test_weibull_small_y_constant(self):
         m = ErrorModel(ErrorFamily.WEIBULL, 1.5, 2.0)
-        assert small_y_constant(m) == pytest.approx(2.0**-1.5, rel=1e-14)
+        assert m.small_y_constant() == pytest.approx(2.0**-1.5, rel=1e-14)
 
     def test_gamma_beta_one_matches_exponential(self):
         g = ErrorModel(ErrorFamily.GAMMA, 1.0, 2.0)
@@ -118,14 +114,14 @@ class TestSampling:
     def test_samples_non_negative(self, family):
         beta = 1.0 if family is ErrorFamily.EXPONENTIAL else 1.5
         m = ErrorModel(family, beta, 2.0)
-        x = sample_errors(m, 10_000, seed=123)
+        x = m.sample(10_000, np.random.default_rng(123))
         assert x.shape == (10_000,)
         assert np.all(x >= 0.0)
 
     def test_deterministic_given_seed(self):
         m = ErrorModel(ErrorFamily.GAMMA, 1.5, 1.0)
-        a = sample_errors(m, 100, seed=7)
-        b = sample_errors(m, 100, seed=7)
+        a = m.sample(100, np.random.default_rng(7))
+        b = m.sample(100, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -138,7 +134,7 @@ class TestSampling:
     )
     def test_ks_against_reference_cdf(self, family, beta, sigma, dist):
         m = ErrorModel(family, beta, sigma)
-        x = sample_errors(m, 100_000, seed=20240901)
+        x = m.sample(100_000, np.random.default_rng(20240901))
         ks = stats.kstest(x, dist.cdf).statistic
         assert ks < 0.01
 
@@ -181,13 +177,14 @@ class TestRegressionModel:
         return RegressionModel(degree, A, theta, err)
 
     def test_mean_and_regressor_quadratic(self):
-        g, f = mean_and_regressor(self.make(), 0.5)
+        model = self.make()
+        g, f = model.mean(0.5), model.regressor(0.5)
         assert g == pytest.approx(4.2, abs=1e-12)
         np.testing.assert_allclose(f, [1.0, 0.5, 0.25])
 
     def test_point_outside_interval_rejected(self):
         with pytest.raises(ValueError):
-            mean_and_regressor(self.make(A=1.0), 1.5)
+            self.make(A=1.0).regressor(1.5)
 
     def test_theta_length_checked(self):
         err = ErrorModel(ErrorFamily.EXPONENTIAL, 1.0, 1.0)
@@ -210,7 +207,7 @@ class TestRegressionModel:
     @settings(max_examples=50, deadline=None)
     def test_mean_is_inner_product(self, x):
         model = self.make()
-        g, f = mean_and_regressor(model, x)
+        g, f = model.mean(x), model.regressor(x)
         assert g == pytest.approx(float(f @ np.asarray(model.theta)), abs=1e-12)
 
 

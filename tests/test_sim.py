@@ -141,11 +141,6 @@ class TestMcRisk:
         b = mc_risk(small_plan())
         assert a == b
 
-    def test_thread_count_does_not_change_estimate(self):
-        serial = mc_risk(small_plan())
-        threaded = mc_risk(small_plan(), threads=3)
-        assert serial == threaded
-
     def test_invariant_under_point_relabeling(self):
         base = mc_risk(small_plan())
         relabeled = Design(A=1.0, points=((1.0, 0.5), (-1.0, 0.5)))
