@@ -10,14 +10,18 @@ and the design criterion is the direction-free value J_xi = inf_{|u|=1} J_xi(u),
 a concave function of the weights.  The optimizer is a Kelley cutting-plane
 scheme on the weight simplex over a candidate grid: each master step solves a
 small LP (max t s.t. every accumulated cut exceeds t), and each separation
-step finds the worst direction of the current design by a dense hemisphere
-scan with a derivative-free polish.  At alpha = 2 the same machinery
-maximizes the minimum eigenvalue of the moment matrix, i.e. E-optimality,
-which serves as the regular comparator.
+step finds the worst direction of the current design.  That sphere minimum
+is exact where its location is known: at alpha = 2 it is the smallest
+eigenvalue of the moment matrix, and at alpha <= 1 (d = 2, 3) it lies on a
+kink ray, so enumerating those rays finds it.  Only 1 < alpha < 2, or
+d >= 4, falls back to a dense hemisphere scan with a derivative-free polish.
+At alpha = 2 the cutting-plane solver maximizes the minimum eigenvalue,
+i.e. E-optimality, which serves as the regular comparator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +36,7 @@ from .lp import Domain, LinearProgram, LpStatus, Sense, solve_lp
 _WEIGHT_TOL = 1e-10
 _BALANCE_TOL = 1e-8
 _DISTINCT_TOL = 1e-12
+_TIE_RTOL = 1e-12  # sphere minimizers this close in value count as tied
 
 
 @dataclass(frozen=True)
@@ -174,36 +179,43 @@ def _directional_batch(
     return j_tilde * (np.abs(us @ f.T) ** alpha @ ws)
 
 
+@functools.lru_cache(maxsize=32)
 def sphere_grid(d: int, config: SphereSearchConfig) -> np.ndarray:
-    """Quasi-uniform unit vectors covering one hemisphere."""
+    """Quasi-uniform unit vectors covering one hemisphere.
+
+    Cached per (d, config); the returned array is shared and read-only.
+    """
     if d == 2:
         n = max(8, int(round(180.0 / config.angular_step_deg)))
         angles = np.arange(n) * (math.pi / n)
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    n = config.hemisphere_points
-    if d == 3:
+        grid = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    elif d == 3:
         # golden-angle spiral on the upper hemisphere
+        n = config.hemisphere_points
         i = np.arange(n)
         z = (i + 0.5) / n
         phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    # d >= 4: low-discrepancy normals, normalized, canonical hemisphere
-    m = int(math.ceil(math.log2(n + 2)))
-    raw = _qmc.Sobol(d, scramble=False).random_base2(m)
-    g = _norm.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    g = (g[norms > 1e-9] / norms[norms > 1e-9, None])[:n]
-    flip = np.sign(g[:, 0])
-    flip[flip == 0.0] = 1.0
-    return g * flip[:, None]
+        grid = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    else:
+        # d >= 4: low-discrepancy normals, normalized, canonical hemisphere
+        n = config.hemisphere_points
+        m = int(math.ceil(math.log2(n + 2)))
+        raw = _qmc.Sobol(d, scramble=False).random_base2(m)
+        g = _norm.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12))
+        norms = np.linalg.norm(g, axis=1)
+        g = (g[norms > 1e-9] / norms[norms > 1e-9, None])[:n]
+        flip = np.sign(g[:, 0])
+        flip[flip == 0.0] = 1.0
+        grid = g * flip[:, None]
+    grid.flags.writeable = False
+    return grid
 
 
 def _canonical_sign(u: np.ndarray) -> np.ndarray:
-    for v in u:
-        if v != 0.0:
-            return u if v > 0.0 else -u
-    return u
+    """Flip u, or each row of u, so that its first nonzero entry is positive."""
+    first = np.take_along_axis(u, np.argmax(u != 0.0, axis=-1)[..., None], axis=-1)
+    return np.where(first < 0.0, -u, u)
 
 
 def _argmin_lex(values: np.ndarray, us: np.ndarray) -> int:
@@ -275,30 +287,39 @@ def min_over_sphere(
     return _canonical_sign(best_u), best_val
 
 
-def _moment_matrix(design: Design, degree: int) -> np.ndarray:
-    f = regressor_matrix(design.xs, degree)
-    return f.T @ (design.ws[:, None] * f)
+def _moment_matrix(f: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """F'WF for regressor rows f and weights ws."""
+    return f.T @ (ws[:, None] * f)
 
 
-def _kink_candidates(f: np.ndarray, alpha: float) -> np.ndarray | None:
+def _kink_candidates(
+    f: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact null directions of the regressor rows, where |f'u|^alpha kinks.
 
-    For alpha <= 1 the directional objective is non-differentiable on the
-    hyperplanes f(x_i)'u = 0 and its sphere minima sit on their pairwise
-    intersections; grid-plus-polish alone lands within grid resolution of
-    those points but not on them.  Returns unit candidates for d in {2, 3},
-    None otherwise (higher d needs (d-1)-fold intersections, out of scope).
+    For alpha <= 1 the sphere minimum of sum_i w_i |f(x_i)'u|^alpha lies on
+    these rays.  Fix the sign of every f(x_i)'u: along any great-circle arc
+    inside such a region, or along a null circle f(x_i)'u = 0 between two
+    intersections, the objective is a sum of terms c_i |cos(t - phi_i)|^alpha,
+    each concave in t when alpha <= 1.  So no interior point of a region or
+    of a kink arc is a strict minimum, and the minimum sits on a null
+    direction (d = 2) or on a pairwise intersection f(x_i) x f(x_j) (d = 3).
+    Returns (rays, rows) for d in {2, 3}: unit candidates and, per ray, the
+    indices of the d - 1 rows it annihilates.  None otherwise: alpha > 1 has
+    interior minima, and higher d needs (d-1)-fold intersections.
     """
     if alpha > 1.0:
         return None
     d = f.shape[1]
     if d == 2:
         cand = np.stack([-f[:, 1], f[:, 0]], axis=1)
+        rows = np.arange(f.shape[0])[:, None]
     elif d == 3:
         i, j = np.triu_indices(f.shape[0], k=1)
         if i.size == 0:
             return None
         cand = np.cross(f[i], f[j])
+        rows = np.stack([i, j], axis=1)
     else:
         return None
     norms = np.linalg.norm(cand, axis=1)
@@ -309,7 +330,57 @@ def _kink_candidates(f: np.ndarray, alpha: float) -> np.ndarray | None:
         keep = norms > 1e-12 * np.maximum(scale, 1.0)
     if not np.any(keep):
         return None
-    return cand[keep] / norms[keep, None]
+    return cand[keep] / norms[keep, None], rows[keep]
+
+
+def _sphere_min(
+    f: np.ndarray,
+    ws: np.ndarray,
+    alpha: float,
+    j_tilde: float,
+    config: SphereSearchConfig | None,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, float, InfoMethod]:
+    """min_{|u|=1} j_tilde * sum_i w_i |f_i'u|^alpha, exactly where possible.
+
+    At alpha = 2 the minimum is j_tilde * lambda_min(F'WF); ``eig`` is its
+    ``eigh`` when the caller already has it.  At alpha <= 1 with d in {2, 3}
+    it is the smallest value over the kink rays of ``_kink_candidates``.
+    Otherwise grid-plus-polish ``min_over_sphere`` estimates it.
+
+    Returns (ties, value, method).  The rows of ``ties`` are minimizers,
+    the reported direction first: an orthonormal basis of the lambda_min
+    eigenspace at alpha = 2, every kink ray within 1e-12 relative of the
+    minimum at alpha <= 1, and the one polished direction otherwise.
+    """
+    if alpha == 2.0:
+        if eig is None:
+            eig = np.linalg.eigh(_moment_matrix(f, ws))
+        vals, vecs = eig
+        tied = vals <= vals[0] + _TIE_RTOL * abs(vals[-1])
+        ties = _canonical_sign(vecs[:, tied].T)
+        return ties, float(j_tilde * vals[0]), InfoMethod.EIGENVALUE
+    kinks = _kink_candidates(f, alpha)
+    if kinks is not None:
+        rays, rows = kinks
+        rays = _canonical_sign(rays)
+        proj = np.abs(rays @ f.T)
+        # zero by construction: keeps rounding residue out of |.|^alpha
+        np.put_along_axis(proj, rows, 0.0, axis=1)
+        vals = j_tilde * (proj**alpha @ ws)
+        best = _argmin_lex(vals, rays)
+        tied = np.flatnonzero(vals <= vals[best] * (1.0 + _TIE_RTOL))
+        order = np.concatenate([[best], tied[tied != best]])
+        return rays[order], float(vals[best]), InfoMethod.KINK_ENUMERATION
+
+    def objective(u):
+        return float(j_tilde * (ws @ np.abs(f @ u) ** alpha))
+
+    def batch(us):
+        return _directional_batch(f, ws, us, alpha, j_tilde)
+
+    u, value = min_over_sphere(objective, f.shape[1], config, batch_objective=batch)
+    return u[None, :], value, InfoMethod.SPHERE_SEARCH
 
 
 def design_info(
@@ -323,15 +394,17 @@ def design_info(
 
     A design whose support cannot identify all degree+1 coefficients has a
     direction annihilating every support point; its information is exactly 0
-    and the result carries the degeneracy flag.
+    and the result carries the degeneracy flag.  Otherwise ``method`` names
+    the sphere-minimum path: EIGENVALUE (alpha = 2), KINK_ENUMERATION
+    (alpha <= 1, degree <= 2) or SPHERE_SEARCH (grid plus polish).
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     if j_tilde <= 0.0:
         raise ValueError("j_tilde must be positive")
-    d = degree + 1
-    m = _moment_matrix(design, degree)
-    eigvals, eigvecs = np.linalg.eigh(m)
+    f = regressor_matrix(design.xs, degree)
+    ws = design.ws
+    eigvals, eigvecs = np.linalg.eigh(_moment_matrix(f, ws))
     if eigvals[0] <= 1e-13 * max(1.0, eigvals[-1]):
         u0 = _canonical_sign(eigvecs[:, 0])
         return InfoResult(
@@ -341,24 +414,12 @@ def design_info(
             method=InfoMethod.SPHERE_SEARCH,
             degenerate=True,
         )
-    f = regressor_matrix(design.xs, degree)
-    ws = design.ws
-
-    def objective(u):
-        return float(j_tilde * (ws @ np.abs(f @ u) ** alpha))
-
-    def batch(us):
-        return _directional_batch(f, ws, us, alpha, j_tilde)
-
-    u_star, value = min_over_sphere(
-        objective, d, config, batch_objective=batch,
-        extra_candidates=_kink_candidates(f, alpha),
-    )
+    ties, value, method = _sphere_min(f, ws, alpha, j_tilde, config, (eigvals, eigvecs))
     return InfoResult(
         alpha=alpha,
         J=value,
-        direction=tuple(u_star),
-        method=InfoMethod.SPHERE_SEARCH,
+        direction=tuple(ties[0]),
+        method=method,
         degenerate=False,
     )
 
@@ -394,9 +455,10 @@ def direction_free_info_psi(
             out = np.where(du < 1e-9, np.inf, num / du**alpha)
         return out
 
+    kinks = _kink_candidates(f, alpha)
     _, value = min_over_sphere(
         objective, d, config, batch_objective=batch,
-        extra_candidates=_kink_candidates(f, alpha),
+        extra_candidates=None if kinks is None else kinks[0],
     )
     if not np.isfinite(value):
         raise ValueError("every direction was skipped; d_psi is numerically zero")
@@ -706,37 +768,26 @@ def _three_point_inner(a: float, alpha: float, config: SphereSearchConfig):
     """f(pi) = inf_u [ pi |u_1|^alpha + (1-pi)/2 (|f(A)'u|^alpha + |f(-A)'u|^alpha) ].
 
     Returns a map pi -> (f(pi), slope).  Each u gives a function affine in
-    pi, and f is their pointwise minimum, so the slope of the active affine
-    piece at the sphere minimizer u*, |u*_1|^alpha - (|f(A)'u*|^alpha +
-    |f(-A)'u*|^alpha) / 2, is a supergradient of f at pi.
+    pi with slope sum_i c_i |f(x_i)'u|^alpha, c = (1, -1/2, -1/2) on the rows
+    f(0), f(A), f(-A), and f is their pointwise minimum, so the slope at a
+    sphere minimizer is a supergradient of f at pi.  When several directions
+    attain the minimum, the slope is the smallest over all of them: at
+    alpha = 2, lambda_min(V'SV) with V spanning the lambda_min eigenspace and
+    S = sum_i c_i f(x_i) f(x_i)'; otherwise the minimum over the tied kink
+    rays.  That makes the slope a function of pi, not of which tied
+    minimizer the oracle reports.
     """
     rows = regressor_matrix(np.array([0.0, a, -a]), 2)
-    f_a, f_ma = rows[1], rows[2]
-    kinks = _kink_candidates(rows, alpha)
+    c = np.array([1.0, -0.5, -0.5])
+    s = _moment_matrix(rows, c)
 
     def f_of_pi(pi: float) -> tuple[float, float]:
-        def objective(u):
-            return float(
-                pi * abs(u[0]) ** alpha
-                + 0.5
-                * (1.0 - pi)
-                * (abs(f_a @ u) ** alpha + abs(f_ma @ u) ** alpha)
-            )
-
-        def batch(us):
-            return (
-                pi * np.abs(us[:, 0]) ** alpha
-                + 0.5
-                * (1.0 - pi)
-                * (np.abs(us @ f_a) ** alpha + np.abs(us @ f_ma) ** alpha)
-            )
-
-        u, value = min_over_sphere(
-            objective, 3, config, batch_objective=batch, extra_candidates=kinks
-        )
-        slope = abs(u[0]) ** alpha - 0.5 * (
-            abs(f_a @ u) ** alpha + abs(f_ma @ u) ** alpha
-        )
+        ws = np.array([pi, 0.5 * (1.0 - pi), 0.5 * (1.0 - pi)])
+        ties, value, _ = _sphere_min(rows, ws, alpha, 1.0, config)
+        if alpha == 2.0:
+            slope = np.linalg.eigvalsh(ties @ s @ ties.T)[0]
+        else:
+            slope = np.min(_directional_batch(rows, c, ties, alpha, 1.0))
         return value, float(slope)
 
     return f_of_pi
@@ -754,9 +805,12 @@ def pi_curve(
     of functions affine in pi) by bisection on the sign of the supergradient,
     the slope of the affine piece active at the sphere minimizer: a positive
     slope moves the lower end, a zero or negative one the upper end, so exact
-    ties resolve toward the smaller pi.  Bisection stops once the bracket is
-    at most ``pi_tol`` wide and reports its midpoint.  Returns
-    (alpha, pi, f(pi)) rows.
+    ties resolve toward the smaller pi.  Where several directions attain the
+    sphere minimum (a double eigenvalue at alpha = 2, tied kink rays at
+    alpha <= 1), the smallest of their slopes decides, so the result does
+    not depend on which minimizer the oracle returns.  Bisection stops once
+    the bracket is at most ``pi_tol`` wide and reports its midpoint.
+    Returns (alpha, pi, f(pi)) rows.
     """
     if a <= 0.0:
         raise ValueError("A must be positive")

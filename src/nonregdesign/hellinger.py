@@ -71,7 +71,9 @@ class InfoMethod(enum.Enum):
     CLOSED_FORM = "closed_form"
     QUADRATURE = "quadrature"
     LIMIT_FIT = "limit_fit"
-    SPHERE_SEARCH = "sphere_search"
+    SPHERE_SEARCH = "sphere_search"  # hemisphere grid plus Nelder-Mead polish
+    KINK_ENUMERATION = "kink_enumeration"  # exact: minimum over the kink rays
+    EIGENVALUE = "eigenvalue"  # exact: lambda_min of the moment matrix
 
 
 @dataclass(frozen=True)

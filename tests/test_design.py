@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonregdesign.design as design_module
 from nonregdesign.design import (
     CuttingPlaneConfig,
     Design,
     SphereSearchConfig,
+    _three_point_inner,
     default_grid,
     design_info,
     design_info_directional,
@@ -19,9 +21,11 @@ from nonregdesign.design import (
     optimize_design_cutting_plane,
     pi_curve,
     regressor_matrix,
+    sphere_grid,
     symmetrize,
     uniform_design,
 )
+from nonregdesign.hellinger import InfoMethod
 
 # Lighter sphere search for the bulk randomized suites; the kink-direction
 # candidates keep alpha <= 1 minima exact even on the coarse grid.
@@ -262,6 +266,118 @@ class TestDesignInfo:
         res = design_info(TWO_POINT, 1.0, 1.0, 1)
         attained = design_info_directional(TWO_POINT, np.asarray(res.direction), 1.0, 1.0, 1)
         assert attained == pytest.approx(res.J, rel=1e-12)
+
+
+def _kink_oracle(f, ws, alpha):
+    """Smallest criterion value over the null directions of the rows (d = 2)
+    or their pairwise cross products (d = 3), from numpy alone.  The rows a
+    ray annihilates are left out of its sum, so rounding residue does not
+    enter |.|^alpha."""
+    n = len(f)
+    if f.shape[1] == 2:
+        rays = [(np.array([-f[k, 1], f[k, 0]]), {k}) for k in range(n)]
+    else:
+        rays = [
+            (np.cross(f[i], f[j]), {i, j}) for i in range(n) for j in range(i + 1, n)
+        ]
+    best = math.inf
+    for u, zero in rays:
+        u = u / np.linalg.norm(u)
+        value = sum(ws[k] * abs(f[k] @ u) ** alpha for k in range(n) if k not in zero)
+        best = min(best, value)
+    return best
+
+
+def _grid_oracle(f, ws, alpha):
+    """Smallest criterion value over a dense angle (d = 2) or lat-long (d = 3) grid."""
+    if f.shape[1] == 2:
+        t = np.linspace(0.0, math.pi, 20001)
+        us = np.stack([np.cos(t), np.sin(t)], axis=1)
+    else:
+        th, ph = np.meshgrid(
+            np.linspace(0.0, 0.5 * math.pi, 241),
+            np.linspace(0.0, 2.0 * math.pi, 960, endpoint=False),
+        )
+        us = np.stack(
+            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
+        ).reshape(-1, 3)
+    return float(np.min(np.abs(us @ f.T) ** alpha @ ws))
+
+
+class TestExactSphereOracle:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    def test_kink_enumeration_matches_independent_oracles(self, degree, alpha):
+        rng = np.random.default_rng(400 + 10 * degree + int(10 * alpha))
+        for _ in range(6):
+            d = random_balanced_design(rng, a=1.5)
+            f = np.vander(d.xs, degree + 1, increasing=True)
+            res = design_info(d, alpha, 1.0, degree)
+            assert res.method is InfoMethod.KINK_ENUMERATION
+            assert res.J == pytest.approx(_kink_oracle(f, d.ws, alpha), rel=1e-12)
+            assert res.J <= _grid_oracle(f, d.ws, alpha) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_alpha2_is_lambda_min(self, degree):
+        rng = np.random.default_rng(500 + degree)
+        for _ in range(10):
+            d = random_balanced_design(rng, a=1.5)
+            f = np.vander(d.xs, degree + 1, increasing=True)
+            res = design_info(d, 2.0, 1.0, degree)
+            assert res.method is InfoMethod.EIGENVALUE
+            lam = np.linalg.eigvalsh(f.T @ (d.ws[:, None] * f))[0]
+            assert res.J == pytest.approx(lam, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha,degree,method",
+        [
+            (0.5, 1, InfoMethod.KINK_ENUMERATION),
+            (1.0, 2, InfoMethod.KINK_ENUMERATION),
+            (2.0, 1, InfoMethod.EIGENVALUE),
+            (2.0, 2, InfoMethod.EIGENVALUE),
+            (1.5, 1, InfoMethod.SPHERE_SEARCH),
+            (1.5, 2, InfoMethod.SPHERE_SEARCH),
+        ],
+    )
+    def test_method_names_the_path(self, alpha, degree, method):
+        assert design_info(THREE_POINT_06, alpha, 1.0, degree, LIGHT).method is method
+
+    def test_degenerate_design_keeps_sphere_search_label(self):
+        res = design_info(Design(A=1.0, points=((0.0, 1.0),)), 2.0, 1.0, 1)
+        assert res.degenerate and res.method is InfoMethod.SPHERE_SEARCH
+
+    def test_exact_paths_skip_the_grid_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("min_over_sphere called")
+
+        monkeypatch.setattr(design_module, "min_over_sphere", refuse)
+        for degree in (1, 2):
+            for alpha in (0.5, 1.0, 2.0):
+                design_info(THREE_POINT_06, alpha, 1.0, degree)
+        for alpha in (1.0, 2.0):
+            ((_, pi, f),) = pi_curve(2.0, [alpha])
+            assert 0.0 < pi < 1.0 and f > 0.0
+        with pytest.raises(AssertionError, match="min_over_sphere"):
+            design_info(THREE_POINT_06, 1.5, 1.0, 2)
+
+    @pytest.mark.parametrize(
+        "a,alpha,pi,value",
+        [(2.0, 2.0, 13.0 / 16.0, 0.75), (1.0, 1.0, 0.5, 2.0 ** -1.5)],
+    )
+    def test_tied_minimizers_report_the_smallest_slope(self, a, alpha, pi, value):
+        # At these pi the sphere minimum is attained by several directions
+        # whose slopes straddle 0 (pi is the maximizer of the concave f), so
+        # the smallest slope must be <= 0 whichever minimizer comes first.
+        f_val, slope = _three_point_inner(a, alpha, SphereSearchConfig())(pi)
+        assert f_val == pytest.approx(value, rel=1e-12)
+        assert slope <= 0.0
+
+    def test_sphere_grid_is_cached_and_read_only(self):
+        g = sphere_grid(3, LIGHT)
+        assert sphere_grid(3, LIGHT) is g
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 0.0
 
 
 class TestDirectionFreePsi:
