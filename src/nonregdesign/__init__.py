@@ -60,6 +60,7 @@ from .design import (
     Design,
     DesignSolution,
     SphereSearchConfig,
+    StopReason,
     default_grid,
     design_info,
     e_optimal_design,
@@ -102,6 +103,7 @@ __all__ = [
     "SimPlan",
     "SimulationError",
     "SphereSearchConfig",
+    "StopReason",
     "UniformModel",
     "UniformVariant",
     "fisher_lower_bound",

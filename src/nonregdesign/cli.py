@@ -4,19 +4,20 @@ Subcommands
 -----------
 info        Hellinger information of a location or uniform family.
 rbeta       Information integral r(beta) of the one-sided location model.
-design-opt  Max-min optimal design via the cutting-plane solver.
+design-opt  Max-min optimal symmetric design via the cutting-plane solver.
 pi-curve    Weight-at-zero curve for the symmetric three-point design.
 simulate    Monte Carlo risk of the envelope estimator under named designs.
 bound       Minimax risk lower bound from an information value.
 e-optimal   E-optimal (minimum-eigenvalue) comparator design.
 
-Exit codes: 0 success, 2 validation error, 3 solver gap above tolerance,
-4 simulation failure.  Floats are printed with 12 significant digits and
-output files depend only on flags and seed, so reruns are byte-for-byte
-identical.  ``--config FILE`` supplies a JSON object whose keys mirror the
-long flags ('-' or '_' spelled either way); explicit flags override the
-file and unknown keys are rejected.  The ``NONREGDESIGN_SEED`` environment
-variable supplies the default seed.
+Exit codes: 0 success, 2 validation error, 3 design solver stopped before
+its gap met the tolerance (at the cut cap, or on a repeated cut at grid
+resolution; stderr names which), 4 simulation failure.  Floats are printed
+with 12 significant digits and output files depend only on flags and seed,
+so reruns are byte-for-byte identical.  ``--config FILE`` supplies a JSON
+object whose keys mirror the long flags ('-' or '_' spelled either way);
+explicit flags override the file and unknown keys are rejected.  The
+``NONREGDESIGN_SEED`` environment variable supplies the default seed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .design import (
     CuttingPlaneConfig,
     Design,
     DesignSolution,
+    StopReason,
     default_grid,
     e_optimal_design,
     optimize_design_cutting_plane,
@@ -164,10 +166,10 @@ def _finish_design_command(sol: DesignSolution, out_dir: str, gap_tol: float) ->
             "summary": summary_path,
         }
     )
-    if sol.gap > gap_tol * max(1.0, abs(sol.info)):
+    if sol.stop is not StopReason.CONVERGED:
         print(
-            f"error: solver gap {sol.gap:.3e} exceeds tolerance "
-            f"{gap_tol:.3e} at the cut cap",
+            f"error: solver stopped on {sol.stop.value} before converging: "
+            f"gap {sol.gap:.3e}, relative tolerance {gap_tol:.3e}",
             file=sys.stderr,
         )
         return EXIT_GAP
@@ -228,7 +230,6 @@ def _cmd_design_opt(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         j_tilde=j_tilde,
         degree=args.degree,
-        symmetric_only=bool(args.symmetric),
         config=config,
     )
     return _finish_design_command(sol, args.out_dir, config.gap_tol)
@@ -387,7 +388,6 @@ _DEFAULTS: dict[str, dict[str, object]] = {
         "gap_tol": 1e-5,
         "max_cuts": 500,
         "out_dir": ".",
-        "symmetric": False,
     },
     "pi-curve": {"A": "1,1.5,2", "alphas": "1:2:0.05"},
     "simulate": {
@@ -446,7 +446,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
     p.add_argument("--beta", help="beta value or comma list in [1, 2)")
     flag_maps["rbeta"] = _flag_map(p)
 
-    p = add("design-opt", "max-min optimal design (cutting-plane solver)")
+    p = add("design-opt", "max-min optimal symmetric design (cutting-plane solver)")
     p.add_argument("--degree", type=int, help="polynomial degree (1 or 2)")
     p.add_argument("--A", type=float, help="design interval half-width")
     p.add_argument("--alpha", type=float, help="regularity index in (0, 2]")
@@ -455,8 +455,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
     p.add_argument("--grid-size", type=int, help="candidate grid size (default 101)")
     p.add_argument("--gap-tol", type=float, help="relative gap tolerance (default 1e-5)")
     p.add_argument("--max-cuts", type=int, help="cutting-plane cap (default 500)")
-    p.add_argument("--symmetric", action="store_true", default=None,
-                   help="optimize over symmetric designs only")
     p.add_argument("--out-dir", help="directory for design.json and summary.csv")
     flag_maps["design-opt"] = _flag_map(p)
 

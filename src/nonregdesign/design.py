@@ -7,10 +7,14 @@ is the weighted power sum
     J_xi(u) = J_tilde * sum_i w_i |f(x_i)' u|^alpha,      f(x) = (1, x, ..., x^p),
 
 and the design criterion is the direction-free value J_xi = inf_{|u|=1} J_xi(u),
-a concave function of the weights.  The optimizer is a Kelley cutting-plane
-scheme on the weight simplex over a candidate grid: each master step solves a
-small LP (max t s.t. every accumulated cut exceeds t), and each separation
-step finds the worst direction of the current design.  That sphere minimum
+a concave function of the weights.  It is also unchanged by the reflection
+x -> -x, so symmetrizing a design never lowers it and the optimum over
+balanced designs is attained by a symmetric one.  The optimizer therefore
+searches symmetric designs only: a Kelley cutting-plane scheme on the
+simplex of weights at 0 and on the +-x pairs of a symmetric candidate grid.
+Each master step solves a small LP (max t s.t. every accumulated cut
+exceeds t), and each separation step finds the worst direction of the
+current design.  That sphere minimum
 is exact where its location is known: at alpha = 2 it is the smallest
 eigenvalue of the moment matrix, and at alpha <= 1 (d = 2, 3) it lies on a
 kink ray, so enumerating those rays finds it.  Only 1 < alpha < 2, or
@@ -21,6 +25,7 @@ i.e. E-optimality, which serves as the regular comparator.
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from dataclasses import dataclass, field
@@ -37,6 +42,9 @@ _WEIGHT_TOL = 1e-10
 _BALANCE_TOL = 1e-8
 _DISTINCT_TOL = 1e-12
 _TIE_RTOL = 1e-12  # sphere minimizers this close in value count as tied
+_DROP_SLACK_FACTOR = 10.0  # cuts slack by this many gap tolerances age out
+_DROP_PATIENCE = 5  # consecutive slack iterations before a cut is dropped
+_PI_TOL = 1e-5  # final bracket width of the pi_curve bisection
 
 
 @dataclass(frozen=True)
@@ -127,15 +135,21 @@ class SphereSearchConfig:
 
 @dataclass(frozen=True)
 class CuttingPlaneConfig:
-    gap_tol: float = 1e-5  # relative
+    gap_tol: float = 1e-5  # relative to the master bound
     max_cuts: int = 500
-    drop_slack_factor: float = 10.0
-    drop_patience: int = 5
     sphere: SphereSearchConfig = field(default_factory=SphereSearchConfig)
 
     def __post_init__(self) -> None:
         if self.gap_tol <= 0.0 or self.max_cuts < 4:
             raise ValueError("bad cutting-plane configuration")
+
+
+class StopReason(enum.Enum):
+    """Why the cutting-plane loop stopped."""
+
+    CONVERGED = "converged"  # gap within gap_tol of the master bound
+    MAX_CUTS = "max_cuts"  # cut cap reached first
+    REPEATED_CUT = "repeated_cut"  # oracle direction already cut: grid resolution
 
 
 @dataclass(frozen=True)
@@ -145,6 +159,7 @@ class DesignSolution:
     worst_direction: tuple[float, ...]
     cuts_used: int
     gap: float
+    stop: StopReason
 
 
 def regressor_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
@@ -507,6 +522,7 @@ def default_grid(A: float, size: int = 101) -> np.ndarray:
 
 
 def _validate_grid(grid: np.ndarray) -> tuple[np.ndarray, float]:
+    """Check a candidate grid; return its positive half and A."""
     grid = np.unique(np.asarray(grid, dtype=float))
     if grid.size > 201:
         raise ValueError(f"candidate grid size {grid.size} exceeds 201")
@@ -517,7 +533,9 @@ def _validate_grid(grid: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("grid must include both endpoints -A and A")
     if not np.any(np.abs(grid) < 1e-12):
         raise ValueError("grid must include 0")
-    return grid, a
+    if np.max(np.abs(grid + grid[::-1])) > 1e-12 * a:
+        raise ValueError("grid must be symmetric about 0")
+    return grid[grid >= 1e-12], a
 
 
 def _seed_directions(d: int) -> list[np.ndarray]:
@@ -542,9 +560,9 @@ def _design_from_weights(
 
 
 def _solve_master(
-    phi: np.ndarray, xs_vars: np.ndarray, balance: bool, strict: bool = True
+    phi: np.ndarray, strict: bool = True
 ) -> tuple[np.ndarray, float] | None:
-    """max t s.t. phi_u . w >= t per cut, w in the (balanced) simplex."""
+    """max t s.t. phi_u . w >= t per cut, w in the simplex."""
     n_cuts, g = phi.shape
     n = g + 1  # weights + t
     rows = []
@@ -557,10 +575,6 @@ def _solve_master(
     rows.append(np.concatenate([np.ones(g), [0.0]]))
     rhs.append(1.0)
     senses.append(Sense.EQ)
-    if balance:
-        rows.append(np.concatenate([xs_vars, [0.0]]))
-        rhs.append(0.0)
-        senses.append(Sense.EQ)
     domains = [Domain.NON_NEGATIVE] * g + [Domain.FREE]
     c = np.zeros(n)
     c[-1] = 1.0
@@ -574,7 +588,7 @@ def _solve_master(
 
 
 def _solve_tiebreak(
-    phi: np.ndarray, xs_vars: np.ndarray, balance: bool, t_target: float
+    phi: np.ndarray, xs_vars: np.ndarray, t_target: float
 ) -> np.ndarray | None:
     """Among weight vectors with all cuts >= t_target, maximize spread.
 
@@ -588,10 +602,6 @@ def _solve_tiebreak(
     rows.append(np.ones(g))
     rhs.append(1.0)
     senses.append(Sense.EQ)
-    if balance:
-        rows.append(xs_vars)
-        rhs.append(0.0)
-        senses.append(Sense.EQ)
     lp = LinearProgram(
         xs_vars**2, np.array(rows), np.array(rhs), senses, maximize=True
     )
@@ -606,93 +616,77 @@ def optimize_design_cutting_plane(
     alpha: float,
     j_tilde: float,
     degree: int,
-    symmetric_only: bool = False,
     config: CuttingPlaneConfig | None = None,
 ) -> DesignSolution:
-    """Maximize the design information over weights on a candidate grid.
+    """Maximize the design information over symmetric designs on a grid.
 
-    Kelley's method on the weight simplex: the master LP maximizes the worst
-    accumulated cut, the separation oracle is the sphere minimizer at the
-    incumbent design.  Cuts slack for several consecutive iterations are
-    dropped to keep the LPs small.  With ``symmetric_only`` the variables
-    are weights on {0} and +-x pairs, making balance automatic.
+    The criterion is concave in the weights and unchanged by x -> -x, so
+    symmetrizing never lowers it and symmetric designs attain the optimum
+    over all balanced ones.  The variables are therefore the weight at 0
+    and the weights of the +-x pairs of ``grid``, which must be symmetric
+    about 0.  Kelley's method on that simplex: the master LP maximizes the
+    worst accumulated cut, the separation oracle is the sphere minimizer at
+    the incumbent design, and cuts slack for several consecutive iterations
+    are dropped to keep the LPs small.  The loop stops once the gap falls
+    within ``config.gap_tol`` of the master bound, at ``config.max_cuts``,
+    or when the oracle returns a direction already cut; ``stop`` says which.
+
+    The optimal design does not depend on ``j_tilde``, so the solve runs at
+    unit scale and only the reported ``info`` and ``gap`` are multiplied by
+    it.  Returned designs list their points in ascending x.
     """
     config = config or CuttingPlaneConfig()
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     if j_tilde <= 0.0:
         raise ValueError("j_tilde must be positive")
-    grid, a = _validate_grid(np.asarray(grid, dtype=float))
+    pos, a = _validate_grid(grid)
     d = degree + 1
+    var_xs = np.concatenate([[0.0], pos])
+    f_pos = regressor_matrix(var_xs, degree)
+    f_neg = regressor_matrix(-var_xs, degree)
+    xs_full = np.concatenate([-pos[::-1], var_xs])
 
-    if symmetric_only:
-        pos = grid[grid > 1e-15]
-        var_xs = np.concatenate([[0.0], pos])
-        f_pos = regressor_matrix(var_xs, degree)
-        f_neg = regressor_matrix(-var_xs, degree)
+    def cut_row(u: np.ndarray) -> np.ndarray:
+        return 0.5 * (np.abs(f_pos @ u) ** alpha + np.abs(f_neg @ u) ** alpha)
 
-        def cut_row(u: np.ndarray) -> np.ndarray:
-            return (
-                0.5
-                * j_tilde
-                * (np.abs(f_pos @ u) ** alpha + np.abs(f_neg @ u) ** alpha)
-            )
+    def to_design(w: np.ndarray) -> Design:
+        ws_full = np.concatenate([0.5 * w[:0:-1], w[:1], 0.5 * w[1:]])
+        return _design_from_weights(xs_full, ws_full, a)
 
-        def to_design(w: np.ndarray) -> Design:
-            pts: list[tuple[float, float]] = []
-            for x, wt in zip(var_xs, w):
-                if x == 0.0:
-                    pts.append((0.0, wt))
-                else:
-                    pts.append((x, 0.5 * wt))
-                    pts.append((-x, 0.5 * wt))
-            xs_full = np.array([p[0] for p in pts])
-            ws_full = np.array([p[1] for p in pts])
-            return _design_from_weights(xs_full, ws_full, a)
-
-        balance = False
-    else:
-        var_xs = grid
-        f_grid = regressor_matrix(var_xs, degree)
-
-        def cut_row(u: np.ndarray) -> np.ndarray:
-            return j_tilde * np.abs(f_grid @ u) ** alpha
-
-        def to_design(w: np.ndarray) -> Design:
-            return _design_from_weights(var_xs, w, a)
-
-        balance = True
+    def unit_info(design: Design) -> tuple[float, np.ndarray]:
+        res = design_info(design, alpha, 1.0, degree, config.sphere)
+        return res.J, np.asarray(res.direction, dtype=float)
 
     cuts: list[np.ndarray] = [np.asarray(u, float) for u in _seed_directions(d)]
     phi_rows: list[np.ndarray] = [cut_row(u) for u in cuts]
     slack_runs: list[int] = [0 for _ in cuts]
 
     best: tuple[float, Design, np.ndarray, np.ndarray] | None = None
-    t_upper = math.inf
-    gap_abs = math.inf
     while True:
         phi = np.array(phi_rows)
-        w, t_upper = _solve_master(phi, var_xs, balance)
+        w, t_upper = _solve_master(phi)
         incumbent = to_design(w)
-        res = design_info(incumbent, alpha, j_tilde, degree, config.sphere)
-        val = res.J
-        u_star = np.asarray(res.direction, dtype=float)
+        val, u_star = unit_info(incumbent)
         if best is None or val > best[0]:
             best = (val, incumbent, u_star, w)
-        tol_abs = config.gap_tol * max(1.0, abs(t_upper))
-        gap_abs = max(t_upper - best[0], 0.0)
-        if gap_abs <= tol_abs or len(cuts) >= config.max_cuts:
+        tol = config.gap_tol * t_upper
+        if t_upper - best[0] <= tol:
+            stop = StopReason.CONVERGED
+            break
+        if len(cuts) >= config.max_cuts:
+            stop = StopReason.MAX_CUTS
             break
         # cut management: age out persistently slack cuts
         slack = phi @ w - t_upper
-        thresh = config.drop_slack_factor * tol_abs
+        thresh = _DROP_SLACK_FACTOR * tol
         for k in range(len(cuts)):
             slack_runs[k] = slack_runs[k] + 1 if slack[k] > thresh else 0
         if len(cuts) > d + 1:
             keep = [
                 k
                 for k in range(len(cuts))
-                if slack_runs[k] < config.drop_patience or k >= len(cuts) - (d + 1)
+                if slack_runs[k] < _DROP_PATIENCE or k >= len(cuts) - (d + 1)
             ]
             if len(keep) < len(cuts):
                 cuts = [cuts[k] for k in keep]
@@ -700,47 +694,44 @@ def optimize_design_cutting_plane(
                 slack_runs = [slack_runs[k] for k in keep]
         # separation: add the worst direction of the incumbent
         if any(abs(float(u_star @ u)) > 1.0 - 1e-12 for u in cuts):
-            break  # direction already cut: grid resolution limit reached
+            stop = StopReason.REPEATED_CUT  # grid resolution limit reached
+            break
         cuts.append(u_star)
         phi_rows.append(cut_row(u_star))
         slack_runs.append(0)
 
     val, incumbent, u_star, w_inc = best
+    # The tie-break and condense steps accept a candidate only if its
+    # verified information is at least min(val, t_upper - tol): a converged
+    # gap stays within tolerance, and an unconverged one never widens.
     # Tie-break: the optimum can be a large flat face (piecewise-linear
     # criterion), so maximize the spread sum w_i x_i^2 over designs whose
     # *verified* information stays within tolerance — itself a small
     # cutting-plane loop, since the cut polytope overestimates that face.
-    tol_abs = config.gap_tol * max(1.0, abs(t_upper))
     t_target = val - 1e-9 * max(1.0, abs(val))
     tie_phi = list(phi_rows)
     tie_cuts = list(cuts)
     for _ in range(50):
-        w_tie = _solve_tiebreak(np.array(tie_phi), var_xs, balance, t_target)
+        w_tie = _solve_tiebreak(np.array(tie_phi), var_xs, t_target)
         if w_tie is None:
             break
         cand = to_design(w_tie)
-        res = design_info(cand, alpha, j_tilde, degree, config.sphere)
-        if res.J >= val - tol_abs:
-            incumbent = cand
-            val = res.J
-            u_star = np.asarray(res.direction, dtype=float)
-            w_inc = w_tie
+        cand_val, cand_u = unit_info(cand)
+        if cand_val >= min(val, t_upper - tol):
+            incumbent, val, u_star, w_inc = cand, cand_val, cand_u, w_tie
             break
-        u_new = np.asarray(res.direction, dtype=float)
-        if any(abs(float(u_new @ u)) > 1.0 - 1e-12 for u in tie_cuts):
+        if any(abs(float(cand_u @ u)) > 1.0 - 1e-12 for u in tie_cuts):
             break
-        tie_cuts.append(u_new)
-        tie_phi.append(cut_row(u_new))
+        tie_cuts.append(cand_u)
+        tie_phi.append(cut_row(cand_u))
     # Condense: drop near-zero weights and re-solve the master on the kept
     # support (the accumulated cuts pin the active directions), accepting the
-    # smaller design only if its re-verified information is within tolerance.
+    # smaller design under the same rule.
     for floor in (1e-6, 1e-4, 1e-3):
         keep = w_inc > floor
         if int(keep.sum()) < d or bool(keep.all()):
             continue
-        restricted = _solve_master(
-            np.array(tie_phi)[:, keep], var_xs[keep], balance, strict=False
-        )
+        restricted = _solve_master(np.array(tie_phi)[:, keep], strict=False)
         if restricted is None:
             continue
         w_full = np.zeros_like(w_inc)
@@ -748,19 +739,16 @@ def optimize_design_cutting_plane(
         cand = to_design(w_full)
         if len(cand.points) >= len(incumbent.points):
             continue
-        res = design_info(cand, alpha, j_tilde, degree, config.sphere)
-        if res.J >= val - tol_abs:
-            incumbent = cand
-            val = res.J
-            u_star = np.asarray(res.direction, dtype=float)
-            w_inc = w_full
-    gap_abs = max(t_upper - val, 0.0)
+        cand_val, cand_u = unit_info(cand)
+        if cand_val >= min(val, t_upper - tol):
+            incumbent, val, u_star, w_inc = cand, cand_val, cand_u, w_full
     return DesignSolution(
         design=incumbent,
-        info=val,
+        info=j_tilde * val,
         worst_direction=tuple(u_star),
         cuts_used=len(cuts),
-        gap=gap_abs,
+        gap=j_tilde * max(t_upper - val, 0.0),
+        stop=stop,
     )
 
 
@@ -797,7 +785,6 @@ def pi_curve(
     a: float,
     alphas,
     config: SphereSearchConfig | None = None,
-    pi_tol: float = 1e-5,
 ) -> list[tuple[float, float, float]]:
     """Optimal weight at zero for the symmetric three-point quadratic design.
 
@@ -809,7 +796,7 @@ def pi_curve(
     sphere minimum (a double eigenvalue at alpha = 2, tied kink rays at
     alpha <= 1), the smallest of their slopes decides, so the result does
     not depend on which minimizer the oracle returns.  Bisection stops once
-    the bracket is at most ``pi_tol`` wide and reports its midpoint.
+    the bracket is at most 1e-5 wide and reports its midpoint.
     Returns (alpha, pi, f(pi)) rows.
     """
     if a <= 0.0:
@@ -821,7 +808,7 @@ def pi_curve(
             raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
         f_of_pi = _three_point_inner(a, float(alpha), config)
         lo, hi = 0.0, 1.0
-        while hi - lo > pi_tol:
+        while hi - lo > _PI_TOL:
             mid = 0.5 * (lo + hi)
             if f_of_pi(mid)[1] > 0.0:
                 lo = mid
@@ -841,11 +828,11 @@ def e_optimal_design(
     """Maximize lambda_min of the moment matrix (the regular comparator).
 
     E-optimality is exactly the alpha = 2 case of the information criterion,
-    so this reuses the cutting-plane solver in symmetric mode.
+    so this is the cutting-plane solver at alpha = 2 on ``default_grid``.
     """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
     grid = default_grid(a, grid_size)
     return optimize_design_cutting_plane(
-        grid, alpha=2.0, j_tilde=1.0, degree=degree, symmetric_only=True, config=config
+        grid, alpha=2.0, j_tilde=1.0, degree=degree, config=config
     )

@@ -112,6 +112,13 @@ class TestDesignOpt:
         assert "gap" in err
         assert (tmp_path / "design.json").exists()  # partial result still written
 
+    def test_gap_error_names_the_stop_reason(self, capsys, tmp_path):
+        code, _, err = run(capsys, "design-opt", "--degree", "2", "--A", "1",
+                           "--alpha", "1", "--max-cuts", "8",
+                           "--out-dir", str(tmp_path))
+        assert code == 3
+        assert "max_cuts" in err
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -312,6 +319,18 @@ class TestEOptimal:
         weights = {p["x"]: p["w"] for p in design["points"]}
         assert weights[0.0] == pytest.approx(0.8125, abs=1e-3)
 
+    def test_quadratic_a1_converges(self, capsys, tmp_path):
+        # the tie-break once accepted a candidate up to one tolerance below the
+        # incumbent, leaving a final gap above gap_tol after a converged loop
+        code, out, err = run(capsys, "e-optimal", "--degree", "2", "--A", "1",
+                             "--out-dir", str(tmp_path))
+        assert code == 0, err
+        summary = json.loads(out)
+        assert summary["gap"] <= 1e-5 * (summary["info"] + summary["gap"])
+        design = json.loads((tmp_path / "design.json").read_text())
+        weights = {p["x"]: p["w"] for p in design["points"]}
+        assert weights[0.0] == pytest.approx(0.6, abs=1e-3)
+
 
 class TestParserContract:
     SPEC_FLAGS = {
@@ -319,7 +338,7 @@ class TestParserContract:
                  "--direction", "--config"],
         "rbeta": ["--beta", "--config"],
         "design-opt": ["--degree", "--A", "--alpha", "--jtilde", "--grid-size",
-                       "--gap-tol", "--max-cuts", "--symmetric", "--out-dir",
+                       "--gap-tol", "--max-cuts", "--out-dir",
                        "--config"],
         "pi-curve": ["--A", "--alphas", "--out", "--config"],
         "simulate": ["--degree", "--A", "--alpha", "--family", "--sigma",

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -11,6 +12,7 @@ from nonregdesign.design import (
     CuttingPlaneConfig,
     Design,
     SphereSearchConfig,
+    StopReason,
     _three_point_inner,
     default_grid,
     design_info,
@@ -542,11 +544,6 @@ class TestCuttingPlaneSolver:
         assert sol.cuts_used <= 8
         assert sol.gap > 1e-4
 
-    def test_symmetric_only_agrees_with_general_alpha2(self):
-        free = optimize_design_cutting_plane(default_grid(1.0), 2.0, 1.0, 2)
-        sym = optimize_design_cutting_plane(default_grid(1.0), 2.0, 1.0, 2, symmetric_only=True)
-        assert sym.info == pytest.approx(free.info, rel=1e-4)
-
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="0"):
             optimize_design_cutting_plane(np.array([-1.0, -0.5, 0.5, 1.0]), 1.0, 1.0, 1)
@@ -554,12 +551,89 @@ class TestCuttingPlaneSolver:
             optimize_design_cutting_plane(np.array([-1.0, 0.0, 0.5]), 1.0, 1.0, 1)
         with pytest.raises(ValueError, match="201"):
             optimize_design_cutting_plane(np.linspace(-1, 1, 251), 1.0, 1.0, 1)
+        with pytest.raises(ValueError, match="symmetric"):
+            optimize_design_cutting_plane(np.array([-1.0, -0.4, 0.0, 0.5, 1.0]), 1.0, 1.0, 1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             optimize_design_cutting_plane(default_grid(1.0), 2.4, 1.0, 1)
         with pytest.raises(ValueError):
             optimize_design_cutting_plane(default_grid(1.0), 1.0, -1.0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _solve(degree: int, a: float, alpha: float):
+    return optimize_design_cutting_plane(default_grid(a), alpha, 1.0, degree)
+
+
+def random_grid_design(rng: np.random.Generator, grid: np.ndarray) -> Design:
+    """Random balanced, generally asymmetric design supported on grid points."""
+    xs = rng.choice(grid, size=int(rng.integers(2, 6)), replace=False)
+    ws = rng.dirichlet(np.ones(xs.size))
+    m = float(xs @ ws)
+    if m == 0.0:
+        return Design(list(zip(xs, ws)), float(grid[-1]))
+    # mix in a grid point on the other side of 0 that brings the mean to 0
+    x_b = float(rng.choice(grid[grid * m < 0.0]))
+    lam = m / (m - x_b)
+    pts = [(x, (1.0 - lam) * w) for x, w in zip(xs, ws)] + [(x_b, lam)]
+    return Design(design_module._merge_points(pts), float(grid[-1]))
+
+
+class TestSymmetricFormulation:
+    CASES = [(1, 1.0, 1.4), (2, 1.0, 1.0), (2, 2.0, 1.0), (2, 1.0, 2.0), (2, 2.0, 0.5)]
+
+    @pytest.mark.parametrize("degree,a,alpha", CASES)
+    def test_designs_are_symmetric_and_ascending(self, degree, a, alpha):
+        sol = _solve(degree, a, alpha)
+        xs = sol.design.xs
+        assert np.all(np.diff(xs) > 0.0)
+        np.testing.assert_array_equal(xs, -xs[::-1])
+        np.testing.assert_array_equal(sol.design.ws, sol.design.ws[::-1])
+        assert sol.stop is StopReason.CONVERGED
+
+    @pytest.mark.parametrize("a", [1.5, 2.0])
+    def test_alpha05_quadratic_converges(self, a):
+        # both inputs once stopped the general-weight formulation (all grid
+        # weights plus a balance row) with an LP failure: an unbounded master
+        # at A = 1.5 and a negative basic variable at A = 2
+        sol = _solve(2, a, 0.5)
+        assert sol.stop is StopReason.CONVERGED
+        assert sol.gap <= 1e-5 * (sol.info + sol.gap)
+        recomputed = design_info(sol.design, 0.5, 1.0, 2)
+        assert recomputed.method is InfoMethod.KINK_ENUMERATION
+        assert recomputed.J == pytest.approx(sol.info, rel=1e-12)
+        (_, _, f_three) = pi_curve(a, [0.5])[0]
+        assert sol.info >= f_three
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_symmetric_optimum_bounds_asymmetric_designs(self, alpha):
+        # complete class: no balanced design on the grid beats the symmetric
+        # optimum's upper bound; the oracle is exact at these alpha
+        a = 2.0
+        grid = default_grid(a)
+        sol = _solve(2, a, alpha)
+        rng = np.random.default_rng(int(alpha * 10) + 500)
+        n_asym = 0
+        for _ in range(25):
+            d = random_grid_design(rng, grid)
+            n_asym += not np.allclose(np.sort(d.xs), -np.sort(d.xs)[::-1])
+            assert design_info(d, alpha, 1.0, 2).J <= sol.info + sol.gap
+        assert n_asym >= 20
+
+    @pytest.mark.parametrize("a,general_info", [(1.0, 0.3760762690), (2.0, 0.7079246266)])
+    def test_alpha1_quadratic_info_not_below_general_weights(self, a, general_info):
+        # values the general-weight formulation reached on the same grids
+        assert _solve(2, a, 1.0).info >= general_info * (1.0 - 1e-9)
+
+    def test_scale_enters_only_the_report(self):
+        grid = default_grid(1.0, 21)
+        sol1 = optimize_design_cutting_plane(grid, 1.3, 1.0, 2)
+        sol2 = optimize_design_cutting_plane(grid, 1.3, 3.7, 2)
+        assert sol1.design == sol2.design
+        assert sol1.worst_direction == sol2.worst_direction
+        assert sol2.info == 3.7 * sol1.info
+        assert sol2.gap == 3.7 * sol1.gap
 
 
 class TestPiCurve:
