@@ -59,7 +59,6 @@ from .design import (
     CuttingPlaneConfig,
     Design,
     DesignSolution,
-    SphereSearchConfig,
     StopReason,
     default_grid,
     design_info,
@@ -102,7 +101,6 @@ __all__ = [
     "RiskEstimate",
     "SimPlan",
     "SimulationError",
-    "SphereSearchConfig",
     "StopReason",
     "UniformModel",
     "UniformVariant",

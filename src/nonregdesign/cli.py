@@ -222,7 +222,14 @@ def _cmd_rbeta(args: argparse.Namespace) -> int:
 
 def _cmd_design_opt(args: argparse.Namespace) -> int:
     _require(args, "degree", "A", "alpha")
-    j_tilde = args.jtilde if args.jtilde is not None else _default_j_tilde(args.alpha)
+    j_tilde = args.jtilde
+    if j_tilde is None:
+        if args.alpha < 1.0:
+            raise ValueError(
+                f"--alpha {args.alpha:g} needs --jtilde: the default information "
+                "scale exists only for alpha in [1, 2]"
+            )
+        j_tilde = _default_j_tilde(args.alpha)
     config = CuttingPlaneConfig(gap_tol=args.gap_tol, max_cuts=args.max_cuts)
     grid = default_grid(args.A, args.grid_size)
     sol = optimize_design_cutting_plane(
@@ -451,7 +458,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
     p.add_argument("--A", type=float, help="design interval half-width")
     p.add_argument("--alpha", type=float, help="regularity index in (0, 2]")
     p.add_argument("--jtilde", type=float,
-                   help="information scale (default: location model at beta=alpha)")
+                   help="information scale (default, for alpha in [1, 2] only: "
+                   "location model at beta=alpha)")
     p.add_argument("--grid-size", type=int, help="candidate grid size (default 101)")
     p.add_argument("--gap-tol", type=float, help="relative gap tolerance (default 1e-5)")
     p.add_argument("--max-cuts", type=int, help="cutting-plane cap (default 500)")

@@ -18,7 +18,9 @@ current design.  That sphere minimum
 is exact where its location is known: at alpha = 2 it is the smallest
 eigenvalue of the moment matrix, and at alpha <= 1 (d = 2, 3) it lies on a
 kink ray, so enumerating those rays finds it.  Only 1 < alpha < 2, or
-d >= 4, falls back to a dense hemisphere scan with a derivative-free polish.
+d >= 4, falls back to a dense hemisphere scan with a derivative-free polish,
+at fixed settings: 0.05-degree steps at d = 2, 20,000 hemisphere points at
+d >= 3, then five Nelder-Mead starts of at most 200 iterations at tol 1e-10.
 At alpha = 2 the cutting-plane solver maximizes the minimum eigenvalue,
 i.e. E-optimality, which serves as the regular comparator.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
@@ -45,6 +47,13 @@ _TIE_RTOL = 1e-12  # sphere minimizers this close in value count as tied
 _DROP_SLACK_FACTOR = 10.0  # cuts slack by this many gap tolerances age out
 _DROP_PATIENCE = 5  # consecutive slack iterations before a cut is dropped
 _PI_TOL = 1e-5  # final bracket width of the pi_curve bisection
+# Grid-plus-polish sphere search (1 < alpha < 2, or d >= 4).  The objective
+# kinks wherever f(x_i)'u = 0, so a dense grid guards against missed kink
+# minima before the polish; these sizes also fix where the polish lands.
+_GRID_STEP_DEG = 0.05  # d = 2
+_HEMISPHERE_POINTS = 20_000  # d >= 3
+_POLISH_ITERS = 200
+_POLISH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,8 @@ class Design:
 
     points: tuple[tuple[float, float], ...]
     A: float
-    max_support: int
 
-    def __init__(self, points, A, max_support=None, *, require_balance=True) -> None:
+    def __init__(self, points, A, *, require_balance=True) -> None:
         pts = tuple((float(x), float(w)) for x, w in points)
         A = float(A)
         if A <= 0.0:
@@ -81,13 +89,8 @@ class Design:
             gaps = np.diff(np.sort(xs))
             if np.any(gaps <= _DISTINCT_TOL):
                 raise ValueError("support points must be distinct")
-        if max_support is None:
-            max_support = len(pts)
-        if len(pts) > max_support:
-            raise ValueError(f"support size {len(pts)} exceeds {max_support}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "max_support", int(max_support))
 
     @property
     def xs(self) -> np.ndarray:
@@ -114,30 +117,9 @@ class Design:
 
 
 @dataclass(frozen=True)
-class SphereSearchConfig:
-    """Hemisphere grid + polish settings for the nonsmooth sphere minimum.
-
-    The directional objective has kinks wherever f(x_i)'u = 0, so a dense
-    coarse grid guards against missed kink minima before the local polish.
-    """
-
-    angular_step_deg: float = 0.05  # d = 2
-    hemisphere_points: int = 20_000  # d >= 3
-    polish_iters: int = 200
-    tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.angular_step_deg <= 0.0 or self.hemisphere_points < 8:
-            raise ValueError("grid resolution out of range")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class CuttingPlaneConfig:
     gap_tol: float = 1e-5  # relative to the master bound
     max_cuts: int = 500
-    sphere: SphereSearchConfig = field(default_factory=SphereSearchConfig)
 
     def __post_init__(self) -> None:
         if self.gap_tol <= 0.0 or self.max_cuts < 4:
@@ -164,6 +146,8 @@ class DesignSolution:
 
 def regressor_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
     """Rows f(x_i)' = (1, x_i, ..., x_i^degree)."""
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     return np.vander(xs, degree + 1, increasing=True)
 
@@ -194,19 +178,19 @@ def _directional_batch(
     return j_tilde * (np.abs(us @ f.T) ** alpha @ ws)
 
 
-@functools.lru_cache(maxsize=32)
-def sphere_grid(d: int, config: SphereSearchConfig) -> np.ndarray:
+@functools.cache
+def sphere_grid(d: int) -> np.ndarray:
     """Quasi-uniform unit vectors covering one hemisphere.
 
-    Cached per (d, config); the returned array is shared and read-only.
+    Cached per d; the returned array is shared and read-only.
     """
     if d == 2:
-        n = max(8, int(round(180.0 / config.angular_step_deg)))
+        n = int(round(180.0 / _GRID_STEP_DEG))
         angles = np.arange(n) * (math.pi / n)
         grid = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     elif d == 3:
         # golden-angle spiral on the upper hemisphere
-        n = config.hemisphere_points
+        n = _HEMISPHERE_POINTS
         i = np.arange(n)
         z = (i + 0.5) / n
         phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
@@ -214,7 +198,7 @@ def sphere_grid(d: int, config: SphereSearchConfig) -> np.ndarray:
         grid = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     else:
         # d >= 4: low-discrepancy normals, normalized, canonical hemisphere
-        n = config.hemisphere_points
+        n = _HEMISPHERE_POINTS
         m = int(math.ceil(math.log2(n + 2)))
         raw = _qmc.Sobol(d, scramble=False).random_base2(m)
         g = _norm.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12))
@@ -246,7 +230,6 @@ def _argmin_lex(values: np.ndarray, us: np.ndarray) -> int:
 def min_over_sphere(
     objective,
     d: int,
-    config: SphereSearchConfig | None = None,
     batch_objective=None,
     extra_candidates=None,
 ) -> tuple[np.ndarray, float]:
@@ -260,8 +243,7 @@ def min_over_sphere(
     """
     if not 2 <= d <= 6:
         raise ValueError(f"sphere dimension {d} outside supported range 2..6")
-    config = config or SphereSearchConfig()
-    us = sphere_grid(d, config)
+    us = sphere_grid(d)
     if extra_candidates is not None and len(extra_candidates):
         extra = np.atleast_2d(np.asarray(extra_candidates, dtype=float))
         extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
@@ -289,9 +271,9 @@ def min_over_sphere(
             us[i],
             method="Nelder-Mead",
             options={
-                "maxiter": config.polish_iters,
-                "xatol": config.tol,
-                "fatol": config.tol,
+                "maxiter": _POLISH_ITERS,
+                "xatol": _POLISH_TOL,
+                "fatol": _POLISH_TOL,
             },
         )
         if np.isfinite(res.fun) and res.fun < best_val:
@@ -353,7 +335,6 @@ def _sphere_min(
     ws: np.ndarray,
     alpha: float,
     j_tilde: float,
-    config: SphereSearchConfig | None,
     eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, InfoMethod]:
     """min_{|u|=1} j_tilde * sum_i w_i |f_i'u|^alpha, exactly where possible.
@@ -394,17 +375,11 @@ def _sphere_min(
     def batch(us):
         return _directional_batch(f, ws, us, alpha, j_tilde)
 
-    u, value = min_over_sphere(objective, f.shape[1], config, batch_objective=batch)
+    u, value = min_over_sphere(objective, f.shape[1], batch_objective=batch)
     return u[None, :], value, InfoMethod.SPHERE_SEARCH
 
 
-def design_info(
-    design: Design,
-    alpha: float,
-    j_tilde: float,
-    degree: int,
-    config: SphereSearchConfig | None = None,
-) -> InfoResult:
+def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> InfoResult:
     """Direction-free design information inf_u J_xi(u) with its minimizer.
 
     A design whose support cannot identify all degree+1 coefficients has a
@@ -429,7 +404,7 @@ def design_info(
             method=InfoMethod.SPHERE_SEARCH,
             degenerate=True,
         )
-    ties, value, method = _sphere_min(f, ws, alpha, j_tilde, config, (eigvals, eigvecs))
+    ties, value, method = _sphere_min(f, ws, alpha, j_tilde, (eigvals, eigvecs))
     return InfoResult(
         alpha=alpha,
         J=value,
@@ -440,12 +415,7 @@ def design_info(
 
 
 def direction_free_info_psi(
-    design: Design,
-    d_psi,
-    alpha: float,
-    j_tilde: float,
-    degree: int,
-    config: SphereSearchConfig | None = None,
+    design: Design, d_psi, alpha: float, j_tilde: float, degree: int
 ) -> float:
     """inf_u J_xi(u) / ||D_psi u||^alpha, skipping near-null D_psi directions."""
     d_psi = np.atleast_2d(np.asarray(d_psi, dtype=float))
@@ -472,7 +442,7 @@ def direction_free_info_psi(
 
     kinks = _kink_candidates(f, alpha)
     _, value = min_over_sphere(
-        objective, d, config, batch_objective=batch,
+        objective, d, batch_objective=batch,
         extra_candidates=None if kinks is None else kinks[0],
     )
     if not np.isfinite(value):
@@ -501,7 +471,7 @@ def symmetrize(design: Design) -> Design:
     half = [(x, 0.5 * w) for x, w in design.points]
     half += [(-x, 0.5 * w) for x, w in design.points]
     merged = _merge_points(half)
-    return Design(merged, design.A, max_support=max(design.max_support, len(merged)))
+    return Design(merged, design.A)
 
 
 def uniform_design(A: float, k: int) -> Design:
@@ -556,7 +526,7 @@ def _design_from_weights(
     xs_k = xs[keep]
     ws_k = ws[keep]
     ws_k = ws_k / ws_k.sum()
-    return Design(list(zip(xs_k, ws_k)), a, max_support=max(len(xs_k), 1))
+    return Design(list(zip(xs_k, ws_k)), a)
 
 
 def _solve_master(
@@ -655,7 +625,7 @@ def optimize_design_cutting_plane(
         return _design_from_weights(xs_full, ws_full, a)
 
     def unit_info(design: Design) -> tuple[float, np.ndarray]:
-        res = design_info(design, alpha, 1.0, degree, config.sphere)
+        res = design_info(design, alpha, 1.0, degree)
         return res.J, np.asarray(res.direction, dtype=float)
 
     cuts: list[np.ndarray] = [np.asarray(u, float) for u in _seed_directions(d)]
@@ -752,7 +722,7 @@ def optimize_design_cutting_plane(
     )
 
 
-def _three_point_inner(a: float, alpha: float, config: SphereSearchConfig):
+def _three_point_inner(a: float, alpha: float):
     """f(pi) = inf_u [ pi |u_1|^alpha + (1-pi)/2 (|f(A)'u|^alpha + |f(-A)'u|^alpha) ].
 
     Returns a map pi -> (f(pi), slope).  Each u gives a function affine in
@@ -771,7 +741,7 @@ def _three_point_inner(a: float, alpha: float, config: SphereSearchConfig):
 
     def f_of_pi(pi: float) -> tuple[float, float]:
         ws = np.array([pi, 0.5 * (1.0 - pi), 0.5 * (1.0 - pi)])
-        ties, value, _ = _sphere_min(rows, ws, alpha, 1.0, config)
+        ties, value, _ = _sphere_min(rows, ws, alpha, 1.0)
         if alpha == 2.0:
             slope = np.linalg.eigvalsh(ties @ s @ ties.T)[0]
         else:
@@ -781,11 +751,7 @@ def _three_point_inner(a: float, alpha: float, config: SphereSearchConfig):
     return f_of_pi
 
 
-def pi_curve(
-    a: float,
-    alphas,
-    config: SphereSearchConfig | None = None,
-) -> list[tuple[float, float, float]]:
+def pi_curve(a: float, alphas) -> list[tuple[float, float, float]]:
     """Optimal weight at zero for the symmetric three-point quadratic design.
 
     For each alpha, maximizes the concave map pi -> f(pi) (a pointwise min
@@ -801,12 +767,11 @@ def pi_curve(
     """
     if a <= 0.0:
         raise ValueError("A must be positive")
-    config = config or SphereSearchConfig()
     out = []
     for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
         if not 0.0 < alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-        f_of_pi = _three_point_inner(a, float(alpha), config)
+        f_of_pi = _three_point_inner(a, float(alpha))
         lo, hi = 0.0, 1.0
         while hi - lo > _PI_TOL:
             mid = 0.5 * (lo + hi)

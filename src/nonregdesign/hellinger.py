@@ -34,6 +34,13 @@ from scipy.optimize import least_squares as _least_squares
 
 from .models import ErrorModel, UniformModel, UniformVariant, uniform_support
 
+# location_hellinger_sq raises once its summed quadrature error estimate
+# exceeds max(_LOCATION_ATOL, _LOCATION_RTOL * h)
+_LOCATION_ATOL = 1e-12
+_LOCATION_RTOL = 1e-6
+# ladder fits with a larger max log-residual drop their two largest rungs
+_LADDER_RESIDUAL_TOL = 1e-3
+
 __all__ = [
     "DensitySpec",
     "EpsilonLadder",
@@ -265,9 +272,7 @@ def uniform_info(model: UniformModel, direction=None) -> InfoResult:
 # ---------------------------------------------------------------------------
 
 
-def location_hellinger_sq(
-    model: ErrorModel, eps: float, atol: float = 1e-12, rtol: float = 1e-6
-) -> float:
+def location_hellinger_sq(model: ErrorModel, eps: float) -> float:
     """h(theta, theta + eps) for the location family ``y = theta + e``.
 
     By shift invariance the distance depends only on ``|eps|``.  The
@@ -311,7 +316,7 @@ def location_hellinger_sq(
     v, err = _quad(integrand, knots[-1], np.inf, atol=0.0, rtol=1e-11)
     total += v
     total_err += err
-    if total_err > max(atol, rtol * abs(total)):
+    if total_err > max(_LOCATION_ATOL, _LOCATION_RTOL * abs(total)):
         raise QuadratureError(
             f"quadrature error {total_err:.3e} too large for h = {total:.6e}"
         )
@@ -450,7 +455,6 @@ def estimate_alpha_and_J(
     theta,
     direction=None,
     ladder: EpsilonLadder | None = None,
-    residual_tol: float = 1e-3,
 ) -> InfoResult:
     """Fit ``(alpha, J)`` from ``h(theta, theta + eps*u)`` on an eps ladder.
 
@@ -465,7 +469,7 @@ def estimate_alpha_and_J(
     fitted exponent is too close to 2 (the correction term degenerates into
     the constant) and abandoned if the nonlinear fit fails to reduce the
     residual, falling back to the linear fit with its two largest rungs
-    dropped when the residual exceeds ``residual_tol``.  Raises
+    dropped when the largest log residual exceeds 1e-3.  Raises
     :class:`NonIdentifiableError` when h vanishes on the ladder; when every
     rung is positive but below ``1e-12`` the result is returned with
     ``degenerate=True`` (indistinguishable from a non-identifiable
@@ -516,7 +520,7 @@ def estimate_alpha_and_J(
     refined = _corrected_ladder_fit(log_eps, log_h, slope, intercept, max_resid)
     if refined is not None:
         slope, intercept, max_resid = refined
-    elif max_resid > residual_tol and len(eps) >= 5:
+    elif max_resid > _LADDER_RESIDUAL_TOL and len(eps) >= 5:
         slope, intercept, max_resid = fit(log_eps[2:], log_h[2:])
 
     dir_out = None if direction is None else tuple(float(x) for x in u)

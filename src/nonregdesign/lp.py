@@ -24,6 +24,8 @@ import numpy as np
 
 MAX_VARS = 500
 MAX_ROWS = 2000
+_PIVOT_TOL = 1e-10  # smallest pivot element and reduced cost acted upon
+_FEAS_TOL = 1e-8  # row and sign violation allowed in a reported optimum
 
 
 class Sense(enum.Enum):
@@ -108,8 +110,8 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _choose_entering(red: np.ndarray, allowed: np.ndarray, tol: float, bland: bool):
-    candidates = np.where(allowed & (red < -tol))[0]
+def _choose_entering(red: np.ndarray, allowed: np.ndarray, bland: bool):
+    candidates = np.where(allowed & (red < -_PIVOT_TOL))[0]
     if candidates.size == 0:
         return None
     if bland:
@@ -117,11 +119,11 @@ def _choose_entering(red: np.ndarray, allowed: np.ndarray, tol: float, bland: bo
     return int(candidates[np.argmin(red[candidates])])
 
 
-def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int, m: int, tol: float):
+def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int, m: int):
     a = T[:m, col]
     rhs = T[:m, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(a > tol, rhs / a, np.inf)
+        ratios = np.where(a > _PIVOT_TOL, rhs / a, np.inf)
     best = np.min(ratios)
     if not np.isfinite(best):
         return None
@@ -135,7 +137,6 @@ def _run_simplex(
     basis: np.ndarray,
     cost: np.ndarray,
     allowed: np.ndarray,
-    pivot_tol: float,
     max_pivots: int,
 ) -> tuple[str, int]:
     """Optimise ``cost`` over the canonical tableau in place.
@@ -151,10 +152,10 @@ def _run_simplex(
     bland = False
     pivots = 0
     while True:
-        col = _choose_entering(red, allowed, pivot_tol, bland)
+        col = _choose_entering(red, allowed, bland)
         if col is None:
             return "optimal", pivots
-        row = _choose_leaving(T, basis, col, m, pivot_tol)
+        row = _choose_leaving(T, basis, col, m)
         if row is None:
             return "unbounded", pivots
         _pivot(T, basis, row, col)
@@ -172,15 +173,10 @@ def _run_simplex(
             raise LpError(f"pivot cap {max_pivots} exceeded; possible cycling")
 
 
-def solve_lp(
-    lp: LinearProgram,
-    pivot_tol: float = 1e-10,
-    feas_tol: float = 1e-8,
-    max_pivots: int | None = None,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
     """Solve the program; statuses are Optimal, Infeasible, or Unbounded.
 
-    On Optimal the returned point satisfies every row within ``feas_tol``
+    On Optimal the returned point satisfies every row within 1e-8
     (verified, not assumed) and the reported objective is exact for the
     returned point.
     """
@@ -273,10 +269,10 @@ def solve_lp(
         cost1[n_struct + n_slack :] = 1.0
         cost1 = cost1[:-1]
         allowed = np.ones(n_total, dtype=bool)
-        status, piv = _run_simplex(T, basis, cost1, allowed, pivot_tol, max_pivots)
+        status, piv = _run_simplex(T, basis, cost1, allowed, max_pivots)
         iterations += piv
         phase1_obj = float(cost1[basis] @ T[:, -1])
-        if status != "optimal" or phase1_obj > feas_tol:
+        if status != "optimal" or phase1_obj > _FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, None, None, iterations)
         # drive remaining artificials out of the basis (they sit at zero)
         drop_rows = []
@@ -284,7 +280,7 @@ def solve_lp(
             if art_mask[basis[i]]:
                 pivot_col = None
                 for j in range(n_struct + n_slack):
-                    if abs(T[i, j]) > pivot_tol:
+                    if abs(T[i, j]) > _PIVOT_TOL:
                         pivot_col = j
                         break
                 if pivot_col is None:
@@ -302,7 +298,7 @@ def solve_lp(
     cost2 = np.zeros(n_total)
     cost2[:n_struct] = c_std
     allowed = ~art_mask
-    status, piv = _run_simplex(T, basis, cost2, allowed, pivot_tol, max_pivots)
+    status, piv = _run_simplex(T, basis, cost2, allowed, max_pivots)
     iterations += piv
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, iterations)
@@ -326,11 +322,11 @@ def solve_lp(
     resid = lp.A @ x - lp.b
     for i, s in enumerate(lp.senses):
         ok = (
-            resid[i] <= feas_tol
+            resid[i] <= _FEAS_TOL
             if s is Sense.LE
-            else resid[i] >= -feas_tol
+            else resid[i] >= -_FEAS_TOL
             if s is Sense.GE
-            else abs(resid[i]) <= feas_tol
+            else abs(resid[i]) <= _FEAS_TOL
         )
         if not ok:
             raise LpError(
@@ -338,7 +334,7 @@ def solve_lp(
                 "numerical breakdown"
             )
     for j in range(n):
-        if lp.domains[j] is Domain.NON_NEGATIVE and x[j] < -feas_tol:
+        if lp.domains[j] is Domain.NON_NEGATIVE and x[j] < -_FEAS_TOL:
             raise LpError(f"variable {j} negative at {x[j]:.3e}")
 
     objective = float(lp.c @ x)

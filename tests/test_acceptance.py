@@ -14,7 +14,6 @@ import pytest
 from nonregdesign.bounds import FiniteModelPair, fisher_lower_bound, two_point_risk_check
 from nonregdesign.design import (
     Design,
-    SphereSearchConfig,
     default_grid,
     design_info,
     e_optimal_design,
@@ -44,12 +43,6 @@ from nonregdesign.models import (
 from nonregdesign.sim import SimPlan, mc_risk, unif_mle_mse
 
 from lp_oracle import oracle_solve, random_boxed_lp
-
-# light sphere settings for the bulk property suites; the dominance and
-# concavity inequalities are insensitive to the exact inner minimizer as
-# long as both sides use the same one
-LIGHT = SphereSearchConfig(angular_step_deg=0.2, hemisphere_points=4000,
-                           polish_iters=120)
 
 PI_ALPHAS = np.round(np.arange(1.0, 2.0 + 1e-9, 0.05), 10)
 PI_A_VALUES = (1.0, 1.5, 2.0)
@@ -210,16 +203,16 @@ def test_criterion_07_symmetrization_and_concavity():
         alpha = float(rng.uniform(0.3, 2.0))
         k = int(rng.integers(2, 6))
         d1 = _random_balanced_design(rng, a, k)
-        j1 = design_info(d1, alpha, 1.0, degree, LIGHT).J
-        j_sym = design_info(symmetrize(d1), alpha, 1.0, degree, LIGHT).J
+        j1 = design_info(d1, alpha, 1.0, degree).J
+        j_sym = design_info(symmetrize(d1), alpha, 1.0, degree).J
         worst_sym = min(worst_sym, j_sym - j1)
         assert j_sym >= j1 - 1e-6, (
             f"trial {trial}: symmetrization lowered the information by "
             f"{j1 - j_sym:.2e}"
         )
         d2 = _random_balanced_design(rng, a, int(rng.integers(2, 6)))
-        j2 = design_info(d2, alpha, 1.0, degree, LIGHT).J
-        j_mix = design_info(_mix_designs(d1, d2, 0.5), alpha, 1.0, degree, LIGHT).J
+        j2 = design_info(d2, alpha, 1.0, degree).J
+        j_mix = design_info(_mix_designs(d1, d2, 0.5), alpha, 1.0, degree).J
         margin = j_mix - 0.5 * (j1 + j2)
         worst_conc = min(worst_conc, margin)
         assert margin >= -1e-6, (

@@ -150,6 +150,31 @@ class TestDesignOpt:
         assert code == 2
         assert "--alpha" in err
 
+    def test_alpha_below_one_needs_jtilde(self, capsys):
+        code, _, err = run(capsys, "design-opt", "--degree", "2", "--A", "2",
+                           "--alpha", "0.5")
+        assert code == 2
+        assert "--jtilde" in err
+
+    def test_alpha_below_one_with_jtilde(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "design-opt", "--degree", "1", "--A", "1",
+                         "--alpha", "0.5", "--jtilde", "1",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+
+    def test_alpha_below_one_jtilde_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jtilde": 1, "out-dir": str(tmp_path / "out")}))
+        code, _, _ = run(capsys, "design-opt", "--config", str(cfg),
+                         "--degree", "1", "--A", "1", "--alpha", "0.5")
+        assert code == 0
+
+    def test_degree_below_one(self, capsys, tmp_path):
+        code, _, err = run(capsys, "design-opt", "--degree", "0", "--A", "2",
+                           "--alpha", "1", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "degree" in err
+
     def test_idempotent_outputs(self, capsys, tmp_path):
         args = ("design-opt", "--degree", "1", "--A", "1", "--alpha", "1",
                 "--out-dir", str(tmp_path))

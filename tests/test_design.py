@@ -11,7 +11,6 @@ import nonregdesign.design as design_module
 from nonregdesign.design import (
     CuttingPlaneConfig,
     Design,
-    SphereSearchConfig,
     StopReason,
     _three_point_inner,
     default_grid,
@@ -28,10 +27,6 @@ from nonregdesign.design import (
     uniform_design,
 )
 from nonregdesign.hellinger import InfoMethod
-
-# Lighter sphere search for the bulk randomized suites; the kink-direction
-# candidates keep alpha <= 1 minima exact even on the coarse grid.
-LIGHT = SphereSearchConfig(angular_step_deg=0.2, hemisphere_points=4000, polish_iters=120)
 
 TWO_POINT = Design(A=1.0, points=((-1.0, 0.5), (1.0, 0.5)))
 THREE_POINT_06 = Design(A=1.0, points=((-1.0, 0.2), (0.0, 0.6), (1.0, 0.2)))
@@ -88,10 +83,6 @@ class TestDesignType:
         with pytest.raises(ValueError, match="positive"):
             Design(A=0.0, points=((0.0, 1.0),))
 
-    def test_max_support_cap(self):
-        with pytest.raises(ValueError, match="support size"):
-            Design(A=1.0, points=((-1.0, 0.5), (1.0, 0.5)), max_support=1)
-
     def test_json_round_trip(self):
         d = Design(A=2.0, points=((-2.0, 0.25), (0.0, 0.5), (2.0, 0.25)))
         payload = json.loads(json.dumps(d.as_json_dict()))
@@ -122,12 +113,6 @@ class TestGridsAndConfigs:
             default_grid(1.0, 2)
         with pytest.raises(ValueError):
             default_grid(1.0, 301)
-
-    def test_sphere_config_validation(self):
-        with pytest.raises(ValueError):
-            SphereSearchConfig(angular_step_deg=0.0)
-        with pytest.raises(ValueError):
-            SphereSearchConfig(tol=0.0)
 
     def test_cutting_plane_config_validation(self):
         with pytest.raises(ValueError):
@@ -258,7 +243,7 @@ class TestDesignInfo:
     def test_info_below_any_direction(self):
         rng = np.random.default_rng(5)
         d = random_balanced_design(rng, a=1.5)
-        res = design_info(d, 1.5, 1.0, 2, LIGHT)
+        res = design_info(d, 1.5, 1.0, 2)
         for _ in range(25):
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
@@ -342,7 +327,7 @@ class TestExactSphereOracle:
         ],
     )
     def test_method_names_the_path(self, alpha, degree, method):
-        assert design_info(THREE_POINT_06, alpha, 1.0, degree, LIGHT).method is method
+        assert design_info(THREE_POINT_06, alpha, 1.0, degree).method is method
 
     def test_degenerate_design_keeps_sphere_search_label(self):
         res = design_info(Design(A=1.0, points=((0.0, 1.0),)), 2.0, 1.0, 1)
@@ -370,16 +355,20 @@ class TestExactSphereOracle:
         # At these pi the sphere minimum is attained by several directions
         # whose slopes straddle 0 (pi is the maximizer of the concave f), so
         # the smallest slope must be <= 0 whichever minimizer comes first.
-        f_val, slope = _three_point_inner(a, alpha, SphereSearchConfig())(pi)
+        f_val, slope = _three_point_inner(a, alpha)(pi)
         assert f_val == pytest.approx(value, rel=1e-12)
         assert slope <= 0.0
 
     def test_sphere_grid_is_cached_and_read_only(self):
-        g = sphere_grid(3, LIGHT)
-        assert sphere_grid(3, LIGHT) is g
-        assert not g.flags.writeable
-        with pytest.raises(ValueError):
-            g[0, 0] = 0.0
+        # 0.05-degree steps at d = 2 and 20,000 points at d = 3: these sizes
+        # fix where the 1 < alpha < 2 polish lands, so the pins depend on them
+        for d, size in [(2, 3600), (3, 20_000)]:
+            g = sphere_grid(d)
+            assert g.shape == (size, d)
+            assert sphere_grid(d) is g
+            assert not g.flags.writeable
+            with pytest.raises(ValueError):
+                g[0, 0] = 0.0
 
 
 class TestDirectionFreePsi:
@@ -387,8 +376,8 @@ class TestDirectionFreePsi:
         rng = np.random.default_rng(11)
         for degree in (1, 2):
             d = random_balanced_design(rng, a=1.0, k=degree + 3)
-            base = design_info(d, 1.5, 1.3, degree, LIGHT).J
-            via_psi = direction_free_info_psi(d, np.eye(degree + 1), 1.5, 1.3, degree, LIGHT)
+            base = design_info(d, 1.5, 1.3, degree).J
+            via_psi = direction_free_info_psi(d, np.eye(degree + 1), 1.5, 1.3, degree)
             assert via_psi == pytest.approx(base, rel=1e-9)
 
     def test_slope_functional_linear_two_point(self):
@@ -399,7 +388,7 @@ class TestDirectionFreePsi:
         rng = np.random.default_rng(23)
         for _ in range(5):
             d = random_balanced_design(rng, a=1.2)
-            via_psi = direction_free_info_psi(d, np.eye(3), 2.0, 2.1, 2, LIGHT)
+            via_psi = direction_free_info_psi(d, np.eye(3), 2.0, 2.1, 2)
             f = regressor_matrix(d.xs, 2)
             lam = np.linalg.eigvalsh((f * d.ws[:, None]).T @ f)[0]
             assert via_psi == pytest.approx(2.1 * lam, rel=1e-8)
@@ -446,8 +435,8 @@ class TestSymmetrize:
         worst = np.inf
         for _ in range(35):
             d = random_balanced_design(rng, a=1.0, k=degree + 3)
-            base = design_info(d, alpha, 1.0, degree, LIGHT).J
-            dominated = design_info(symmetrize(d), alpha, 1.0, degree, LIGHT).J
+            base = design_info(d, alpha, 1.0, degree).J
+            dominated = design_info(symmetrize(d), alpha, 1.0, degree).J
             worst = min(worst, dominated - base)
             assert dominated >= base - 1e-6
 
@@ -459,13 +448,13 @@ class TestConcavity:
         for _ in range(25):
             d1 = random_balanced_design(rng, a=1.0, k=degree + 3)
             d2 = random_balanced_design(rng, a=1.0, k=degree + 3)
-            j1 = design_info(d1, alpha, 1.0, degree, LIGHT).J
-            j2 = design_info(d2, alpha, 1.0, degree, LIGHT).J
+            j1 = design_info(d1, alpha, 1.0, degree).J
+            j2 = design_info(d2, alpha, 1.0, degree).J
             for w in (0.25, 0.5, 0.75):
                 pts = [(x, w * wt) for x, wt in d1.points]
                 pts += [(x, (1.0 - w) * wt) for x, wt in d2.points]
                 mix = Design(pts, 1.0)
-                j_mix = design_info(mix, alpha, 1.0, degree, LIGHT).J
+                j_mix = design_info(mix, alpha, 1.0, degree).J
                 assert j_mix >= w * j1 + (1.0 - w) * j2 - 1e-6
 
 
@@ -543,6 +532,12 @@ class TestCuttingPlaneSolver:
         sol = optimize_design_cutting_plane(default_grid(1.0, 41), 1.0, 1.0, 2, config=cfg)
         assert sol.cuts_used <= 8
         assert sol.gap > 1e-4
+
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match="degree"):
+            design_info(TWO_POINT, 1.0, 1.0, 0)
+        with pytest.raises(ValueError, match="degree"):
+            optimize_design_cutting_plane(default_grid(1.0, 11), 1.0, 1.0, 0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="0"):
