@@ -33,6 +33,7 @@ import numpy as np
 
 from .bounds import BoundInput, fisher_lower_bound, epsilon_diagnostic, minimax_lower_bound
 from .design import (
+    _GRID_SIZE,
     CuttingPlaneConfig,
     Design,
     DesignSolution,
@@ -94,8 +95,10 @@ def _parse_alpha_grid(text) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
         if step <= 0.0 or stop < start:
             raise ValueError("--alphas: need step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        return np.linspace(start, stop, count)
+        steps = (stop - start) / step
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(f"--alphas: step {step:g} does not divide stop - start")
+        return np.linspace(start, stop, int(round(steps)) + 1)
     return np.array(_parse_floats(text, "--alphas"))
 
 
@@ -340,6 +343,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     _require(args, "alpha")
     if (args.info is None) == (args.fisher is None):
         raise ValueError("provide exactly one of --info and --fisher")
+    if args.dpsi is not None and args.fisher is None:
+        raise ValueError("--dpsi applies only with --fisher")
     if args.fisher is not None:
         if args.alpha != 2.0:
             raise ValueError("--fisher: the Fisher-matrix path requires --alpha 2")
@@ -386,16 +391,14 @@ _HANDLERS = {
     "e-optimal": _cmd_e_optimal,
 }
 
+_CUTS = CuttingPlaneConfig()
+_DESIGN_DEFAULTS = {"grid_size": _GRID_SIZE, "gap_tol": _CUTS.gap_tol,
+                    "max_cuts": _CUTS.max_cuts, "out_dir": "."}
 # hard defaults applied after the config file is merged; None means required
 _DEFAULTS: dict[str, dict[str, object]] = {
     "info": {"sigma": 1.0},
     "rbeta": {},
-    "design-opt": {
-        "grid_size": 101,
-        "gap_tol": 1e-5,
-        "max_cuts": 500,
-        "out_dir": ".",
-    },
+    "design-opt": _DESIGN_DEFAULTS,
     "pi-curve": {"A": "1,1.5,2", "alphas": "1:2:0.05"},
     "simulate": {
         "A": 1.0,
@@ -405,12 +408,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
         "out": "risk.csv",
     },
     "bound": {},
-    "e-optimal": {
-        "grid_size": 101,
-        "gap_tol": 1e-5,
-        "max_cuts": 500,
-        "out_dir": ".",
-    },
+    "e-optimal": _DESIGN_DEFAULTS,
 }
 
 

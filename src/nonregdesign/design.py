@@ -37,7 +37,7 @@ from scipy.optimize import minimize as _nm_minimize
 from scipy.stats import norm as _norm
 from scipy.stats import qmc as _qmc
 
-from .hellinger import InfoMethod, InfoResult
+from .hellinger import InfoMethod, InfoResult, _check_unit
 from .lp import Domain, LinearProgram, LpStatus, Sense, solve_lp
 
 _WEIGHT_TOL = 1e-10
@@ -47,6 +47,7 @@ _TIE_RTOL = 1e-12  # sphere minimizers this close in value count as tied
 _DROP_SLACK_FACTOR = 10.0  # cuts slack by this many gap tolerances age out
 _DROP_PATIENCE = 5  # consecutive slack iterations before a cut is dropped
 _PI_TOL = 1e-5  # final bracket width of the pi_curve bisection
+_GRID_SIZE = 101  # default candidate grid of design-opt and e_optimal_design
 # Grid-plus-polish sphere search (1 < alpha < 2, or d >= 4).  The objective
 # kinks wherever f(x_i)'u = 0, so a dense grid guards against missed kink
 # minima before the polish; these sizes also fix where the polish lands.
@@ -150,13 +151,6 @@ def regressor_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
         raise ValueError(f"degree must be at least 1, got {degree}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     return np.vander(xs, degree + 1, increasing=True)
-
-
-def _check_unit(u: np.ndarray) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, got norm {np.linalg.norm(u)}")
-    return u
 
 
 def design_info_directional(
@@ -482,7 +476,7 @@ def uniform_design(A: float, k: int) -> Design:
     return Design([(float(x), 1.0 / k) for x in xs], A)
 
 
-def default_grid(A: float, size: int = 101) -> np.ndarray:
+def default_grid(A: float, size: int = _GRID_SIZE) -> np.ndarray:
     """Equally spaced candidate grid on [-A, A]; odd size keeps 0 on it."""
     if size < 3 or size > 201:
         raise ValueError("grid size must lie in [3, 201]")
@@ -788,7 +782,7 @@ def e_optimal_design(
     a: float,
     degree: int,
     config: CuttingPlaneConfig | None = None,
-    grid_size: int = 101,
+    grid_size: int = _GRID_SIZE,
 ) -> DesignSolution:
     """Maximize lambda_min of the moment matrix (the regular comparator).
 

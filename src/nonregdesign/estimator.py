@@ -20,7 +20,10 @@ does not generalize: with a support point at x = 0 the intercept is pinned
 by the observations there and every other coefficient is left undetermined,
 and without one the intercept escapes to infinity between the data points.
 The summed objective is bounded whenever the design matrix has full column
-rank, which is exactly the Dataset identifiability invariant.
+rank, which is exactly the Dataset identifiability invariant.  That check,
+the distinct rows and their counts depend only on the covariates, so ``sim``
+derives them once per plan and then runs one K-row solve per replicate, the
+solve that ``smith_fit`` runs for one dataset.
 """
 
 from __future__ import annotations
@@ -37,6 +40,20 @@ ENVELOPE_TOL = 1e-8
 
 class EstimationError(RuntimeError):
     """The estimation problem is ill-posed or the solve failed."""
+
+
+def _envelope_rows(xs: np.ndarray, degree: int) -> tuple[np.ndarray, ...]:
+    """Rows f(x_k) of the K sorted distinct x values, the row index of each
+    x_i and each row's count n_k; ValueError if the rank is below degree+1.
+    """
+    support, which, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    f = np.vander(support, degree + 1, increasing=True)
+    if np.linalg.matrix_rank(f) <= degree:
+        raise ValueError(
+            f"design matrix of the {support.size} distinct x values has rank "
+            f"< {degree + 1}; the fit is not identifiable"
+        )
+    return f, which, counts
 
 
 @dataclass(frozen=True)
@@ -64,13 +81,7 @@ class Dataset:
         n, p1 = xs.shape[0], degree + 1
         if n < p1:
             raise ValueError(f"need at least degree+1 = {p1} observations, got {n}")
-        distinct = np.unique(xs)
-        f_distinct = np.vander(distinct, p1, increasing=True)
-        if np.linalg.matrix_rank(f_distinct) < p1:
-            raise ValueError(
-                f"design matrix of the {distinct.size} distinct x values has rank "
-                f"< {p1}; the fit is not identifiable"
-            )
+        _envelope_rows(xs, degree)  # identifiability check
         object.__setattr__(self, "xs", tuple(float(x) for x in xs))
         object.__setattr__(self, "ys", tuple(float(y) for y in ys))
         object.__setattr__(self, "degree", degree)
@@ -81,6 +92,36 @@ class Dataset:
 
     def design_matrix(self) -> np.ndarray:
         return np.vander(np.asarray(self.xs), self.degree + 1, increasing=True)
+
+
+def _envelope_fit(f, which, counts, y: np.ndarray) -> np.ndarray:
+    """Solve the K-row envelope program of ``_envelope_rows`` for responses y."""
+    if not np.all(np.isfinite(y)):
+        raise EstimationError("responses must be finite")
+    floor = np.full(f.shape[0], np.inf)
+    np.minimum.at(floor, which, y)
+    lp = LinearProgram(
+        counts @ f,
+        f,
+        floor,
+        [Sense.LE] * f.shape[0],
+        [Domain.FREE] * f.shape[1],
+        maximize=True,
+    )
+    try:
+        sol = solve_lp(lp)
+    except LpError as exc:
+        raise EstimationError(f"envelope fit failed: {exc}") from exc
+    if sol.status is not LpStatus.OPTIMAL:
+        # Defensive: the program is always feasible (a low constant fit) and
+        # bounded (multipliers lambda_k = n_k certify the dual), so any other
+        # status signals a numerical failure, not a property of the data.
+        raise EstimationError(f"envelope fit returned status {sol.status.value}")
+    theta = np.asarray(sol.x, dtype=float)
+    worst = float((y - f[which] @ theta).min())
+    if worst < -ENVELOPE_TOL:
+        raise EstimationError(f"envelope violated by {-worst:.3e}")
+    return theta
 
 
 def smith_fit(data: Dataset) -> np.ndarray:
@@ -95,37 +136,8 @@ def smith_fit(data: Dataset) -> np.ndarray:
     envelope property: every residual y_i - f(x_i)'theta_hat is at least
     -ENVELOPE_TOL.
     """
-    y = np.asarray(data.ys)
-    support, which, counts = np.unique(
-        np.asarray(data.xs), return_inverse=True, return_counts=True
-    )
-    floor = np.full(support.size, np.inf)
-    np.minimum.at(floor, which, y)
-    p1 = data.degree + 1
-    f = np.vander(support, p1, increasing=True)
-    lp = LinearProgram(
-        counts @ f,
-        f,
-        floor,
-        [Sense.LE] * support.size,
-        [Domain.FREE] * p1,
-        maximize=True,
-    )
-    try:
-        sol = solve_lp(lp)
-    except LpError as exc:
-        raise EstimationError(f"envelope fit failed: {exc}") from exc
-    if sol.status is not LpStatus.OPTIMAL:
-        # Defensive: the program is always feasible (a low constant fit) and
-        # bounded (multipliers lambda_k = n_k certify the dual), so any other
-        # status signals a numerical failure, not a property of the data.
-        raise EstimationError(f"envelope fit returned status {sol.status.value}")
-    theta = np.asarray(sol.x, dtype=float)
-    resid = y - data.design_matrix() @ theta
-    worst = float(resid.min())
-    if worst < -ENVELOPE_TOL:
-        raise EstimationError(f"envelope violated by {-worst:.3e}")
-    return theta
+    rows = _envelope_rows(np.asarray(data.xs), data.degree)
+    return _envelope_fit(*rows, np.asarray(data.ys))
 
 
 def residuals(data: Dataset, theta) -> np.ndarray:

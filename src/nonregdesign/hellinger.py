@@ -70,6 +70,17 @@ class QuadratureError(RuntimeError):
     """Raised when adaptive quadrature cannot certify the requested accuracy."""
 
 
+def _check_unit(u, dim: int | None = None) -> np.ndarray:
+    """``u`` as a float array, checked to have unit norm (and length dim)."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if dim is not None and u.shape != (dim,):
+        raise ValueError(f"direction must be a {dim}-vector")
+    nrm = float(np.linalg.norm(u))
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"direction must be a unit vector, got norm {nrm}")
+    return u
+
+
 class NonIdentifiableError(ValueError):
     """Raised when h(theta, theta + eps*u) vanishes along the whole ladder."""
 
@@ -256,12 +267,7 @@ def uniform_info(model: UniformModel, direction=None) -> InfoResult:
     # location-scale
     if direction is None:
         raise ValueError("loc_scale information needs a direction u = (u1, u2)")
-    u = np.asarray(direction, dtype=float)
-    if u.shape != (2,):
-        raise ValueError("direction must be a 2-vector")
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, got norm {nrm}")
+    u = _check_unit(direction, 2)
     scale = theta[1]
     g = 2.0 * max(0.0, u[0]) - 2.0 * min(0.0, u[0] + u[1]) + u[1]
     return InfoResult(1.0, g / scale, tuple(u), InfoMethod.CLOSED_FORM)
@@ -486,9 +492,7 @@ def estimate_alpha_and_J(
         u = np.atleast_1d(np.asarray(direction, dtype=float))
         if u.shape != theta.shape:
             raise ValueError("direction and theta must have the same dimension")
-        nrm = float(np.linalg.norm(u))
-        if abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"direction must be a unit vector, got norm {nrm}")
+        _check_unit(u)
 
     eps = ladder.epsilons()
     h = np.array([float(h_fn(theta, theta + e * u)) for e in eps])
@@ -595,12 +599,7 @@ def fisher_quadratic_check(
     the reference value ``u' I(theta) u / 4``.  ``direction`` must be a unit
     vector.
     """
-    u = np.asarray(direction, dtype=float)
-    if u.shape != (2,):
-        raise ValueError("direction must be a 2-vector")
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, got norm {nrm}")
+    u = _check_unit(direction, 2)
     if ladder is None:
         ladder = EpsilonLadder()
     result = estimate_alpha_and_J(normal_ls_h_fn(numeric), theta, u, ladder)
@@ -630,9 +629,7 @@ def reparam_info(alpha: float, j_tilde: float, gradient, direction) -> InfoResul
         raise ValueError("gradient and direction must have the same dimension")
     if float(np.linalg.norm(g)) == 0.0:
         raise ValueError("zero gradient: the reparametrisation is degenerate")
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, got norm {nrm}")
+    _check_unit(u)
     inner = abs(float(g @ u))
     j = inner**alpha * j_tilde
     degenerate = inner < 1e-15

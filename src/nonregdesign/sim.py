@@ -4,7 +4,9 @@ A :class:`SimPlan` pins everything needed to reproduce a study: the design
 (realized to exact integer counts by largest-remainder rounding), the
 regression model, the replicate count, and a seed.  Replicate ``r`` draws
 its errors from an independent substream derived from ``(seed, r)``, so
-results are bit-for-bit reproducible regardless of execution order.  Risk
+results are bit-for-bit reproducible regardless of execution order.  The
+design's envelope rows and its identifiability are derived once per plan,
+so a replicate costs one error draw and one K-row envelope solve.  Risk
 is the vector of componentwise mean squared errors of the fitted
 coefficients; the total risk is their sum.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Design
-from .estimator import Dataset, EstimationError, smith_fit
+from .estimator import EstimationError, _envelope_fit, _envelope_rows
 from .models import RegressionModel
 
 
@@ -85,47 +87,44 @@ def realize_design(design: Design, n: int) -> np.ndarray:
     return counts
 
 
-def _replicate_sq_errors(
-    plan: SimPlan, xs_rep: np.ndarray, theta: np.ndarray, r: int
-) -> np.ndarray | None:
-    ss = np.random.SeedSequence(entropy=plan.seed, spawn_key=(r,))
-    rng = np.random.Generator(np.random.PCG64(ss))
-    errors = plan.model.error.sample(xs_rep.shape[0], rng)
-    y = plan.model.mean(xs_rep) + errors
-    try:
-        theta_hat = smith_fit(Dataset(xs_rep, y, plan.model.degree))
-    except (EstimationError, ValueError):
-        return None
-    diff = theta_hat - theta
-    return diff * diff
-
-
 def mc_risk(plan: SimPlan) -> RiskEstimate:
     """Monte Carlo risk of the envelope estimator under the plan's design.
 
     Replicates use independent, replicate-indexed substreams, so any
-    execution order yields the identical estimate.  A replicate whose fit
-    fails is recorded; more than 1% failures aborts with a diagnostic
-    rather than returning silently biased risk.
+    execution order yields the identical estimate.  A design that does not
+    identify the coefficients fails before any error is drawn.  A replicate
+    whose responses are not finite or whose fit fails is recorded; more than
+    1% failures aborts with a diagnostic rather than returning silently
+    biased risk.
     """
     counts = realize_design(plan.design, plan.n)
     # Sorted covariates make the estimate invariant under relabeling of the
     # design's points: the r-th error draw always meets the same x.
     xs_rep = np.sort(np.repeat(plan.design.xs, counts))
+    try:
+        rows = _envelope_rows(xs_rep, plan.model.degree)
+    except ValueError as exc:
+        raise SimulationError(f"all {plan.replicates} replicates failed: {exc}") from exc
     theta = np.asarray(plan.model.theta)
-    results = [
-        _replicate_sq_errors(plan, xs_rep, theta, r) for r in range(plan.replicates)
-    ]
+    mean = plan.model.mean(xs_rep)
+    sq_errors, failed = [], []
+    for r in range(plan.replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(r,)))
+        y = mean + plan.model.error.sample(xs_rep.size, rng)
+        try:
+            diff = _envelope_fit(*rows, y) - theta
+        except EstimationError:
+            failed.append(r)
+            continue
+        sq_errors.append(diff * diff)
 
-    failed = [r for r, sq in enumerate(results) if sq is None]
     n_fail = len(failed)
     if n_fail > 0.01 * plan.replicates:
         raise SimulationError(
             f"{n_fail}/{plan.replicates} replicates failed (first failures: "
-            f"{failed[:5]}); the design likely leaves the envelope program "
-            "unbounded or the data degenerate"
+            f"{failed[:5]}); the envelope fit failed or the responses were not finite"
         )
-    sq = np.array([s for s in results if s is not None])
+    sq = np.array(sq_errors)
     used = sq.shape[0]
     mse = sq.mean(axis=0)
     if used > 1:

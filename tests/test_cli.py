@@ -209,6 +209,21 @@ class TestPiCurve:
     def test_bad_alpha_grid(self, capsys):
         assert run(capsys, "pi-curve", "--A", "1", "--alphas", "1:2")[0] == 2
 
+    @pytest.mark.parametrize("grid", ["1:2:0.3", "1:1.05:0.1"])
+    def test_step_must_divide_the_range(self, capsys, grid):
+        code, out, err = run(capsys, "pi-curve", "--A", "1", "--alphas", grid)
+        assert code == 2
+        assert out == ""
+        assert "--alphas" in err and "does not divide" in err
+
+    def test_range_grid_matches_comma_list(self, capsys, tmp_path):
+        ranged, listed = tmp_path / "ranged.csv", tmp_path / "listed.csv"
+        run(capsys, "pi-curve", "--A", "1", "--alphas", "1:2:0.25",
+            "--out", str(ranged))
+        run(capsys, "pi-curve", "--A", "1", "--alphas", "1,1.25,1.5,1.75,2",
+            "--out", str(listed))
+        assert ranged.read_bytes() == listed.read_bytes()
+
 
 class TestSimulate:
     BASE = ("simulate", "--degree", "1", "--alpha", "1", "--n", "20",
@@ -318,6 +333,13 @@ class TestBound:
                            "--fisher", "2,0;0,5")
         assert code == 2
         assert "alpha 2" in err
+
+    def test_dpsi_needs_fisher(self, capsys):
+        code, out, err = run(capsys, "bound", "--alpha", "1", "--info", "120",
+                             "--dpsi", "0,1")
+        assert code == 2
+        assert out == ""
+        assert "--dpsi applies only with --fisher" in err
 
     def test_exactly_one_info_source(self, capsys):
         assert run(capsys, "bound", "--alpha", "1")[0] == 2

@@ -264,6 +264,11 @@ class TestEstimateAlphaJ:
         model = UniformModel(UniformVariant.LOC_SCALE, (0.0, 2.0))
         with pytest.raises(ValueError, match="unit"):
             estimate_alpha_and_J(uniform_h_fn(model), (0.0, 2.0), (1.0, 1.0))
+        message = "direction must be a unit vector, got norm 2"
+        with pytest.raises(ValueError, match=message):
+            uniform_info(model, (0.0, 2.0))
+        with pytest.raises(ValueError, match=message):
+            reparam_info(1.0, 1.0, (1.0, 1.0), (2.0, 0.0))
 
     def test_identically_zero_h_raises(self):
         with pytest.raises(NonIdentifiableError):

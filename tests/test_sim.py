@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonregdesign.design import Design
+from nonregdesign.design import Design, uniform_design
+from nonregdesign.estimator import Dataset, smith_fit
 from nonregdesign.models import ErrorFamily, ErrorModel, RegressionModel
 from nonregdesign.sim import (
     RiskEstimate,
@@ -18,6 +19,8 @@ from nonregdesign.sim import (
 GAMMA1 = ErrorModel(ErrorFamily.GAMMA, beta=1.0, sigma=1.0)
 LINEAR_MODEL = RegressionModel(degree=1, A=1.0, theta=(6.0, 0.5), error=GAMMA1)
 TWO_POINT = Design(A=1.0, points=((-1.0, 0.5), (1.0, 0.5)))
+# at n = 20 rounding leaves the centre without observations: counts (10, 0, 10)
+EMPTY_CENTRE = Design(A=1.0, points=((-1.0, 0.49), (0.0, 0.02), (1.0, 0.49)))
 
 
 def small_plan(reps=40, seed=5, design=TWO_POINT, n=20):
@@ -49,6 +52,35 @@ class FlakyError:
         if self.calls == 1:
             return np.full(n, np.nan)
         return np.zeros(n)
+
+
+class InfOnceError:
+    """Error model stub whose first replicate has one +inf response."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sample(self, n, rng):
+        self.calls += 1
+        errors = np.zeros(n)
+        if self.calls == 1:
+            errors[0] = np.inf
+        return errors
+
+
+def dataset_risk(plan):
+    """Componentwise MSE of smith_fit on one public Dataset per replicate."""
+    counts = realize_design(plan.design, plan.n)
+    xs = np.sort(np.repeat(plan.design.xs, counts))
+    theta = np.asarray(plan.model.theta)
+    sq = []
+    for r in range(plan.replicates):
+        ss = np.random.SeedSequence(entropy=plan.seed, spawn_key=(r,))
+        rng = np.random.Generator(np.random.PCG64(ss))
+        y = plan.model.mean(xs) + plan.model.error.sample(plan.n, rng)
+        diff = smith_fit(Dataset(xs, y, plan.model.degree)) - theta
+        sq.append(diff * diff)
+    return np.array(sq).mean(axis=0)
 
 
 class TestRealizeDesign:
@@ -159,8 +191,38 @@ class TestMcRisk:
         with pytest.raises(SimulationError, match="replicates failed"):
             mc_risk(plan)
 
-    def test_rare_failure_is_tolerated_and_reported(self):
-        model = RegressionModel(degree=1, A=1.0, theta=(2.0, 1.0), error=FlakyError())
+    @pytest.mark.parametrize(
+        "degree, a, design, n",
+        [
+            (1, 1.0, uniform_design(1.0, 15), 120),
+            (2, 2.0, uniform_design(2.0, 5), 120),  # optimal edges
+            (1, 1.0, TWO_POINT, 60),
+            (1, 1.0, EMPTY_CENTRE, 20),
+        ],
+        ids=["linear-uniform15", "quadratic-uniform5", "two-point", "empty-centre"],
+    )
+    def test_equals_smith_fit_on_each_dataset(self, degree, a, design, n):
+        theta = (6.0, 0.5) if degree == 1 else (2.0, 4.0, 0.8)
+        model = RegressionModel(degree=degree, A=a, theta=theta, error=GAMMA1)
+        plan = SimPlan(design=design, n=n, model=model, replicates=40, seed=9)
+        est = mc_risk(plan)
+        assert est.failures == 0
+        np.testing.assert_array_equal(est.per_component_mse, dataset_risk(plan))
+
+    @pytest.mark.parametrize("design", [TWO_POINT, EMPTY_CENTRE], ids=["two-point", "empty-centre"])
+    def test_non_identifying_design_fails_before_any_draw(self, design, monkeypatch):
+        def no_draws(self, n, rng):
+            raise AssertionError("errors drawn for a non-identifying design")
+
+        monkeypatch.setattr(ErrorModel, "sample", no_draws)
+        model = RegressionModel(degree=2, A=1.0, theta=(2.0, 4.0, 0.8), error=GAMMA1)
+        plan = SimPlan(design=design, n=20, model=model, replicates=30, seed=3)
+        with pytest.raises(SimulationError, match="replicates failed"):
+            mc_risk(plan)
+
+    @pytest.mark.parametrize("error", [FlakyError, InfOnceError], ids=["nan", "one-inf"])
+    def test_rare_failure_is_tolerated_and_reported(self, error):
+        model = RegressionModel(degree=1, A=1.0, theta=(2.0, 1.0), error=error())
         plan = SimPlan(design=TWO_POINT, n=10, model=model, replicates=150, seed=3)
         est = mc_risk(plan)
         assert est.failures == 1
