@@ -14,13 +14,14 @@ searches symmetric designs only: a Kelley cutting-plane scheme on the
 simplex of weights at 0 and on the +-x pairs of a symmetric candidate grid.
 Each master step solves a small LP (max t s.t. every accumulated cut
 exceeds t), and each separation step finds the worst direction of the
-current design.  That sphere minimum
-is exact where its location is known: at alpha = 2 it is the smallest
-eigenvalue of the moment matrix, and at alpha <= 1 (d = 2, 3) it lies on a
-kink ray, so enumerating those rays finds it.  Only 1 < alpha < 2, or
-d >= 4, falls back to a dense hemisphere scan with a derivative-free polish,
-at fixed settings: 0.05-degree steps at d = 2, 20,000 hemisphere points at
-d >= 3, then five Nelder-Mead starts of at most 200 iterations at tol 1e-10.
+current design.  The degree p is 1 or 2, so u has d = p + 1 = 2 or 3
+entries.  The sphere minimum is exact where its location is known: at
+alpha = 2 it is the smallest eigenvalue of the moment matrix, and at
+alpha <= 1 it lies on a kink ray, so enumerating those rays finds it.  Only
+1 < alpha < 2 falls back to a dense hemisphere scan with a derivative-free
+polish, at fixed settings: 0.05-degree steps at d = 2, 20,000 hemisphere
+points at d = 3, then five Nelder-Mead starts of at most 200 iterations at
+tol 1e-10.
 At alpha = 2 the cutting-plane solver maximizes the minimum eigenvalue,
 i.e. E-optimality, which serves as the regular comparator.
 """
@@ -34,8 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
-from scipy.stats import norm as _norm
-from scipy.stats import qmc as _qmc
 
 from .hellinger import InfoMethod, InfoResult, _check_unit
 from .lp import Domain, LinearProgram, LpStatus, Sense, solve_lp
@@ -48,11 +47,12 @@ _DROP_SLACK_FACTOR = 10.0  # cuts slack by this many gap tolerances age out
 _DROP_PATIENCE = 5  # consecutive slack iterations before a cut is dropped
 _PI_TOL = 1e-5  # final bracket width of the pi_curve bisection
 _GRID_SIZE = 101  # default candidate grid of design-opt and e_optimal_design
-# Grid-plus-polish sphere search (1 < alpha < 2, or d >= 4).  The objective
+_WEIGHT_FLOOR = 1e-12  # solver weights at or below this are dropped from designs
+# Grid-plus-polish sphere search (1 < alpha < 2).  The objective
 # kinks wherever f(x_i)'u = 0, so a dense grid guards against missed kink
 # minima before the polish; these sizes also fix where the polish lands.
 _GRID_STEP_DEG = 0.05  # d = 2
-_HEMISPHERE_POINTS = 20_000  # d >= 3
+_HEMISPHERE_POINTS = 20_000  # d = 3
 _POLISH_ITERS = 200
 _POLISH_TOL = 1e-10
 
@@ -123,8 +123,10 @@ class CuttingPlaneConfig:
     max_cuts: int = 500
 
     def __post_init__(self) -> None:
-        if self.gap_tol <= 0.0 or self.max_cuts < 4:
-            raise ValueError("bad cutting-plane configuration")
+        if self.gap_tol <= 0.0:
+            raise ValueError(f"gap_tol must be positive, got {self.gap_tol}")
+        if self.max_cuts < 4:
+            raise ValueError(f"max_cuts must be at least 4, got {self.max_cuts}")
 
 
 class StopReason(enum.Enum):
@@ -146,9 +148,13 @@ class DesignSolution:
 
 
 def regressor_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
-    """Rows f(x_i)' = (1, x_i, ..., x_i^degree)."""
-    if degree < 1:
-        raise ValueError(f"degree must be at least 1, got {degree}")
+    """Rows f(x_i)' = (1, x_i, ..., x_i^degree) for degree 1 or 2.
+
+    Every design-layer entry builds its rows here, so this is where the
+    degree is checked.
+    """
+    if degree not in (1, 2):
+        raise ValueError(f"degree must be 1 or 2, got {degree}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     return np.vander(xs, degree + 1, increasing=True)
 
@@ -174,7 +180,7 @@ def _directional_batch(
 
 @functools.cache
 def sphere_grid(d: int) -> np.ndarray:
-    """Quasi-uniform unit vectors covering one hemisphere.
+    """Quasi-uniform unit vectors covering one hemisphere, for d = 2 or 3.
 
     Cached per d; the returned array is shared and read-only.
     """
@@ -191,16 +197,7 @@ def sphere_grid(d: int) -> np.ndarray:
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
         grid = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     else:
-        # d >= 4: low-discrepancy normals, normalized, canonical hemisphere
-        n = _HEMISPHERE_POINTS
-        m = int(math.ceil(math.log2(n + 2)))
-        raw = _qmc.Sobol(d, scramble=False).random_base2(m)
-        g = _norm.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12))
-        norms = np.linalg.norm(g, axis=1)
-        g = (g[norms > 1e-9] / norms[norms > 1e-9, None])[:n]
-        flip = np.sign(g[:, 0])
-        flip[flip == 0.0] = 1.0
-        grid = g * flip[:, None]
+        raise ValueError(f"sphere dimension {d} outside supported range 2..3")
     grid.flags.writeable = False
     return grid
 
@@ -229,14 +226,13 @@ def min_over_sphere(
 ) -> tuple[np.ndarray, float]:
     """Minimize a (possibly nonsmooth) even function over the unit sphere.
 
-    Coarse hemisphere scan, then a Nelder-Mead polish started from the best
-    grid point and its four nearest grid neighbours.  Callers that know where
-    the objective kinks (e.g. the exact null directions of a piecewise-linear
-    criterion) can pass them as ``extra_candidates``; they are evaluated along
-    with the grid.  The returned value is never above any grid evaluation.
+    The sphere is in d = 2 or 3 dimensions.  Coarse hemisphere scan, then a
+    Nelder-Mead polish started from the best grid point and its four nearest
+    grid neighbours.  Callers that know where the objective kinks (e.g. the
+    exact null directions of a piecewise-linear criterion) can pass them as
+    ``extra_candidates``; they are evaluated along with the grid.  The
+    returned value is never above any grid evaluation.
     """
-    if not 2 <= d <= 6:
-        raise ValueError(f"sphere dimension {d} outside supported range 2..6")
     us = sphere_grid(d)
     if extra_candidates is not None and len(extra_candidates):
         extra = np.atleast_2d(np.asarray(extra_candidates, dtype=float))
@@ -295,30 +291,25 @@ def _kink_candidates(
     each concave in t when alpha <= 1.  So no interior point of a region or
     of a kink arc is a strict minimum, and the minimum sits on a null
     direction (d = 2) or on a pairwise intersection f(x_i) x f(x_j) (d = 3).
-    Returns (rays, rows) for d in {2, 3}: unit candidates and, per ray, the
-    indices of the d - 1 rows it annihilates.  None otherwise: alpha > 1 has
-    interior minima, and higher d needs (d-1)-fold intersections.
+    Returns (rays, rows): unit candidates and, per ray, the indices of the
+    d - 1 rows it annihilates.  None when alpha > 1, which has interior
+    minima, or when no candidate survives.
     """
     if alpha > 1.0:
         return None
-    d = f.shape[1]
-    if d == 2:
+    scale = np.linalg.norm(f, axis=1)
+    if f.shape[1] == 2:
         cand = np.stack([-f[:, 1], f[:, 0]], axis=1)
         rows = np.arange(f.shape[0])[:, None]
-    elif d == 3:
+    else:
         i, j = np.triu_indices(f.shape[0], k=1)
         if i.size == 0:
             return None
         cand = np.cross(f[i], f[j])
         rows = np.stack([i, j], axis=1)
-    else:
-        return None
+        scale = scale[i] * scale[j]
     norms = np.linalg.norm(cand, axis=1)
-    scale = np.linalg.norm(f, axis=1)
-    if d == 3:
-        keep = norms > 1e-12 * np.maximum(scale[i] * scale[j], 1.0)
-    else:
-        keep = norms > 1e-12 * np.maximum(scale, 1.0)
+    keep = norms > 1e-12 * np.maximum(scale, 1.0)
     if not np.any(keep):
         return None
     return cand[keep] / norms[keep, None], rows[keep]
@@ -334,9 +325,9 @@ def _sphere_min(
     """min_{|u|=1} j_tilde * sum_i w_i |f_i'u|^alpha, exactly where possible.
 
     At alpha = 2 the minimum is j_tilde * lambda_min(F'WF); ``eig`` is its
-    ``eigh`` when the caller already has it.  At alpha <= 1 with d in {2, 3}
-    it is the smallest value over the kink rays of ``_kink_candidates``.
-    Otherwise grid-plus-polish ``min_over_sphere`` estimates it.
+    ``eigh`` when the caller already has it.  At alpha <= 1 it is the
+    smallest value over the kink rays of ``_kink_candidates``.  Only at
+    1 < alpha < 2 does grid-plus-polish ``min_over_sphere`` estimate it.
 
     Returns (ties, value, method).  The rows of ``ties`` are minimizers,
     the reported direction first: an orthonormal basis of the lambda_min
@@ -380,7 +371,8 @@ def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> In
     direction annihilating every support point; its information is exactly 0
     and the result carries the degeneracy flag.  Otherwise ``method`` names
     the sphere-minimum path: EIGENVALUE (alpha = 2), KINK_ENUMERATION
-    (alpha <= 1, degree <= 2) or SPHERE_SEARCH (grid plus polish).
+    (alpha <= 1) or SPHERE_SEARCH (1 < alpha < 2, grid plus polish).
+    ``degree`` is 1 or 2.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
@@ -412,14 +404,14 @@ def direction_free_info_psi(
     design: Design, d_psi, alpha: float, j_tilde: float, degree: int
 ) -> float:
     """inf_u J_xi(u) / ||D_psi u||^alpha, skipping near-null D_psi directions."""
-    d_psi = np.atleast_2d(np.asarray(d_psi, dtype=float))
+    f = regressor_matrix(design.xs, degree)
+    ws = design.ws
     d = degree + 1
+    d_psi = np.atleast_2d(np.asarray(d_psi, dtype=float))
     if d_psi.shape[1] != d:
         raise ValueError(f"d_psi has {d_psi.shape[1]} columns, expected {d}")
     if np.linalg.matrix_rank(d_psi) < d_psi.shape[0]:
         raise ValueError("d_psi must have full row rank")
-    f = regressor_matrix(design.xs, degree)
-    ws = design.ws
 
     def objective(u):
         du = np.linalg.norm(d_psi @ u)
@@ -511,16 +503,6 @@ def _seed_directions(d: int) -> list[np.ndarray]:
         v[i] = -1.0
         dirs.append(v / np.linalg.norm(v))
     return dirs
-
-
-def _design_from_weights(
-    xs: np.ndarray, ws: np.ndarray, a: float, weight_floor: float = 1e-12
-) -> Design:
-    keep = ws > weight_floor
-    xs_k = xs[keep]
-    ws_k = ws[keep]
-    ws_k = ws_k / ws_k.sum()
-    return Design(list(zip(xs_k, ws_k)), a)
 
 
 def _solve_master(
@@ -616,7 +598,9 @@ def optimize_design_cutting_plane(
 
     def to_design(w: np.ndarray) -> Design:
         ws_full = np.concatenate([0.5 * w[:0:-1], w[:1], 0.5 * w[1:]])
-        return _design_from_weights(xs_full, ws_full, a)
+        keep = ws_full > _WEIGHT_FLOOR
+        ws_k = ws_full[keep]
+        return Design(list(zip(xs_full[keep], ws_k / ws_k.sum())), a)
 
     def unit_info(design: Design) -> tuple[float, np.ndarray]:
         res = design_info(design, alpha, 1.0, degree)
@@ -789,8 +773,6 @@ def e_optimal_design(
     E-optimality is exactly the alpha = 2 case of the information criterion,
     so this is the cutting-plane solver at alpha = 2 on ``default_grid``.
     """
-    if degree not in (1, 2):
-        raise ValueError(f"degree must be 1 or 2, got {degree}")
     grid = default_grid(a, grid_size)
     return optimize_design_cutting_plane(
         grid, alpha=2.0, j_tilde=1.0, degree=degree, config=config

@@ -87,7 +87,6 @@ class NonIdentifiableError(ValueError):
 
 class InfoMethod(enum.Enum):
     CLOSED_FORM = "closed_form"
-    QUADRATURE = "quadrature"
     LIMIT_FIT = "limit_fit"
     SPHERE_SEARCH = "sphere_search"  # hemisphere grid plus Nelder-Mead polish
     KINK_ENUMERATION = "kink_enumeration"  # exact: minimum over the kink rays

@@ -174,6 +174,18 @@ class TestDesignOpt:
                            "--alpha", "1", "--out-dir", str(tmp_path))
         assert code == 2
         assert "degree" in err
+        code, _, err = run(capsys, "design-opt", "--degree", "3", "--A", "2",
+                           "--alpha", "1", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "degree" in err
+
+    def test_bad_solver_settings_are_named(self, capsys, tmp_path):
+        for flag, value in [("--gap-tol", "0"), ("--max-cuts", "3")]:
+            code, _, err = run(capsys, "design-opt", "--degree", "1", "--A", "1",
+                               "--alpha", "1", flag, value,
+                               "--out-dir", str(tmp_path))
+            assert code == 2
+            assert flag[2:].replace("-", "_") in err
 
     def test_idempotent_outputs(self, capsys, tmp_path):
         args = ("design-opt", "--degree", "1", "--A", "1", "--alpha", "1",

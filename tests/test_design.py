@@ -1,6 +1,10 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,9 +119,9 @@ class TestGridsAndConfigs:
             default_grid(1.0, 301)
 
     def test_cutting_plane_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gap_tol must be positive"):
             CuttingPlaneConfig(gap_tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_cuts must be at least 4"):
             CuttingPlaneConfig(max_cuts=3)
 
 
@@ -175,11 +179,12 @@ class TestMinOverSphere:
         _, val = min_over_sphere(obj, 3)
         assert val == pytest.approx(0.2, abs=1e-9)
 
-    def test_eigen_case_d4(self):
-        _, val = min_over_sphere(
-            lambda u: float(u @ (np.arange(1.0, 5.0) * u)), 4
-        )
-        assert val == pytest.approx(1.0, abs=1e-6)
+    def test_dimension_outside_2_3_rejected(self):
+        for d in (1, 4):
+            with pytest.raises(ValueError, match=r"2\.\.3"):
+                min_over_sphere(lambda u: float(u @ u), d)
+            with pytest.raises(ValueError, match=r"2\.\.3"):
+                sphere_grid(d)
 
     def test_antipodal_value_match(self):
         def obj(u):
@@ -538,6 +543,13 @@ class TestCuttingPlaneSolver:
             design_info(TWO_POINT, 1.0, 1.0, 0)
         with pytest.raises(ValueError, match="degree"):
             optimize_design_cutting_plane(default_grid(1.0, 11), 1.0, 1.0, 0)
+        # the design layer covers linear and quadratic regression only
+        with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):
+            design_info(TWO_POINT, 1.0, 1.0, 3)
+        with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):
+            optimize_design_cutting_plane(default_grid(1.0, 11), 1.0, 1.0, 3)
+        with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):
+            direction_free_info_psi(TWO_POINT, np.eye(4), 1.0, 1.0, 3)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="0"):
@@ -709,7 +721,7 @@ class TestEOptimal:
         assert sol.info == pytest.approx(lam, rel=1e-6)
 
     def test_degree_validation(self):
-        with pytest.raises(ValueError, match="degree"):
+        with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):
             e_optimal_design(1.0, 3)
 
 
@@ -727,3 +739,16 @@ class TestUniformDesign:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             uniform_design(1.0, 1)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats adds about 0.4 s to every run's start-up and no module needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import nonregdesign, sys; assert 'scipy.stats' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
