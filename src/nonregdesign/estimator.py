@@ -20,15 +20,31 @@ does not generalize: with a support point at x = 0 the intercept is pinned
 by the observations there and every other coefficient is left undetermined,
 and without one the intercept escapes to infinity between the data points.
 The summed objective is bounded whenever the design matrix has full column
-rank, which is exactly the Dataset identifiability invariant.  That check,
-the distinct rows and their counts depend only on the covariates, so ``sim``
-derives them once per plan and then runs one K-row solve per replicate, the
-solve that ``smith_fit`` runs for one dataset.
+rank, which is exactly the Dataset identifiability invariant.
+
+The dual of the K-row program is  min m'lambda  s.t.  F'lambda = c,
+lambda >= 0, with m the point minima and c = sum_k n_k f(x_k).  Its feasible
+set depends only on the covariates, and it is bounded (the intercept column
+gives sum_k lambda_k = n), so the optimum is the best of finitely many dual
+vertices: d-row bases B with lambda_B = F_B^{-T} c >= 0.  ``_envelope``
+enumerates them once per set of covariates, and ``_certified_fits`` fits a
+whole batch of responses with array arithmetic: per-point minima, the basis
+with the smallest dual objective m_B'lambda_B, and theta = F_B^{-1} m_B.  A
+nondegenerate optimal dual vertex pins the primal optimum uniquely, so that
+theta is the one the simplex would find.  A fit is certified only if its best
+basis is nondegenerate, every other basis is worse by a clear margin, and the
+envelope check passes.  Every other fit -- a tie, where the optimal face may
+be an edge and the simplex's vertex is what is reported, non-finite responses,
+or any fit of a design with more than ``_MAX_BASES`` bases -- runs the dense
+simplex (``_envelope_fit``).  ``smith_fit`` runs the kernel on a batch of one
+and ``sim`` on chunks of replicates, so both report the same theta.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +52,16 @@ import numpy as np
 from .lp import Domain, LinearProgram, LpError, LpStatus, Sense, solve_lp
 
 ENVELOPE_TOL = 1e-8
+# Dual vertices are enumerated only while C(K, d) is at most this; fits of a
+# design with more bases run the simplex alone.
+_MAX_BASES = 512
+# A dual multiplier below this times n counts as zero (a degenerate vertex),
+# and a best dual objective must be below every other one by more than this
+# times n * max_k |m_k|, which bounds every vertex's objective.
+_TIE_RTOL = 1e-9
+# A design with a basis worse conditioned than this (in the infinity norm)
+# runs the simplex alone.
+_COND_MAX = 1e10
 
 
 class EstimationError(RuntimeError):
@@ -94,14 +120,106 @@ class Dataset:
         return np.vander(np.asarray(self.xs), self.degree + 1, increasing=True)
 
 
-def _envelope_fit(f, which, counts, y: np.ndarray) -> np.ndarray:
-    """Solve the K-row envelope program of ``_envelope_rows`` for responses y."""
+@dataclass(frozen=True, eq=False)
+class _Envelope:
+    """The envelope program of one set of covariates, for any responses.
+
+    ``f``, ``which`` and ``counts`` are as in ``_envelope_rows``; ``order``
+    sorts the observations by row and ``starts`` marks where each row's run
+    begins.  The dual vertices are the d-row ``bases`` (row indices), their
+    multipliers ``lam``, the inverses ``inv`` of their rows and whether each
+    multiplier vector has a zero entry (``degenerate``); ``bases`` is None when
+    there are more than ``_MAX_BASES`` or one is ill-conditioned.
+    """
+
+    f: np.ndarray
+    which: np.ndarray
+    counts: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    bases: np.ndarray | None
+    lam: np.ndarray | None
+    inv: np.ndarray | None
+    degenerate: np.ndarray | None
+
+
+def _envelope(xs: np.ndarray, degree: int) -> _Envelope:
+    """The envelope program of covariates xs; ValueError if not identifiable."""
+    f, which, counts = _envelope_rows(xs, degree)
+    k, d = f.shape
+    order = np.argsort(which, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    dual = (None,) * 4
+    if math.comb(k, d) <= _MAX_BASES:
+        bases = np.array(list(itertools.combinations(range(k), d)))
+        fb = f[bases]
+        try:
+            inv = np.linalg.inv(fb)
+        except np.linalg.LinAlgError:  # a basis singular in floating point
+            inv = None
+        if inv is not None and np.all(
+            np.abs(fb).sum(axis=2).max(axis=1) * np.abs(inv).sum(axis=2).max(axis=1)
+            < _COND_MAX
+        ):
+            lam = np.einsum("bji,j->bi", inv, counts @ f)
+            tol = _TIE_RTOL * xs.size
+            keep = lam.min(axis=1) >= -tol
+            lam = lam[keep]
+            dual = (bases[keep], lam, inv[keep], lam.min(axis=1) <= tol)
+    return _Envelope(f, which, counts, order, starts, *dual)
+
+
+def _certified_fits(env: _Envelope, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope fits of the rows of ys (R x n) from the dual vertices.
+
+    Returns theta (R x d) and a mask of the rows it certifies: finite
+    responses, a nondegenerate best basis, every other basis's dual objective
+    above it by more than the tie margin, and no point minimum below the fit
+    by more than ENVELOPE_TOL.  The point minima bound every residual at
+    their x from below, so that is the envelope check on all n residuals.
+    Every step is elementwise per row, so a row's theta does not depend on
+    the batch it is fitted in.  Uncertified rows of theta are meaningless.
+    """
+    r, d = ys.shape[0], env.f.shape[1]
+    if env.bases is None:
+        return np.zeros((r, d)), np.zeros(r, dtype=bool)
+    finite = np.isfinite(ys).all(axis=1)
+    m = np.minimum.reduceat(ys[:, env.order], env.starts, axis=1)
+    m[~finite] = 0.0
+    obj = m[:, env.bases[:, 0]] * env.lam[:, 0]
+    for j in range(1, d):
+        obj += m[:, env.bases[:, j]] * env.lam[:, j]
+    rows = np.arange(r)
+    best = obj.argmin(axis=1)
+    low = obj[rows, best]
+    obj[rows, best] = np.inf
+    gap = obj.min(axis=1) - low
+    mb = m[rows[:, None], env.bases[best]]
+    inv = env.inv[best]
+    theta = inv[:, :, 0] * mb[:, :1]
+    for j in range(1, d):
+        theta += inv[:, :, j] * mb[:, j : j + 1]
+    fitted = theta[:, :1] * env.f[:, 0]
+    for j in range(1, d):
+        fitted += theta[:, j : j + 1] * env.f[:, j]
+    certified = (
+        finite
+        & ~env.degenerate[best]
+        & (gap > _TIE_RTOL * ys.shape[1] * np.abs(m).max(axis=1))
+        & ((m - fitted).min(axis=1) >= -ENVELOPE_TOL)
+    )
+    return theta, certified
+
+
+def _envelope_fit(env: _Envelope, y: np.ndarray) -> np.ndarray:
+    """Solve the K-row envelope program for responses y with the simplex."""
     if not np.all(np.isfinite(y)):
         raise EstimationError("responses must be finite")
+    f, which = env.f, env.which
     floor = np.full(f.shape[0], np.inf)
     np.minimum.at(floor, which, y)
     lp = LinearProgram(
-        counts @ f,
+        env.counts @ f,
         f,
         floor,
         [Sense.LE] * f.shape[0],
@@ -136,8 +254,10 @@ def smith_fit(data: Dataset) -> np.ndarray:
     envelope property: every residual y_i - f(x_i)'theta_hat is at least
     -ENVELOPE_TOL.
     """
-    rows = _envelope_rows(np.asarray(data.xs), data.degree)
-    return _envelope_fit(*rows, np.asarray(data.ys))
+    env = _envelope(np.asarray(data.xs), data.degree)
+    y = np.asarray(data.ys)
+    theta, certified = _certified_fits(env, y[None])
+    return theta[0] if certified[0] else _envelope_fit(env, y)
 
 
 def residuals(data: Dataset, theta) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Dense two-phase primal simplex for small linear programs.
 
-Deliberately self-contained and deterministic: the design solver and the
-envelope estimator both need bit-for-bit reproducible vertices, which rules
-out threaded or heuristically-perturbed backends.  Scale target is a few
-hundred variables and a couple thousand rows, dense.
+Deliberately self-contained and deterministic: the design solver's master
+LPs and the envelope estimator's tied fits both need bit-for-bit
+reproducible vertices, which rules out threaded or heuristically-perturbed
+backends.  The envelope estimator fits most replicates from its LP's dual
+vertices (``estimator._certified_fits``) and calls this solver only for
+replicates whose optimal face may be more than a vertex and for designs
+with too many bases to enumerate.  Scale target is a few hundred variables
+and a couple thousand rows, dense.
 
 Standard-form handling: free variables are split into positive and negative
 parts, rows are normalised to non-negative right-hand sides, and ``<=`` /

@@ -5,10 +5,14 @@ A :class:`SimPlan` pins everything needed to reproduce a study: the design
 regression model, the replicate count, and a seed.  Replicate ``r`` draws
 its errors from an independent substream derived from ``(seed, r)``, so
 results are bit-for-bit reproducible regardless of execution order.  The
-design's envelope rows and its identifiability are derived once per plan,
-so a replicate costs one error draw and one K-row envelope solve.  Risk
-is the vector of componentwise mean squared errors of the fitted
-coefficients; the total risk is their sum.
+design's envelope program -- its distinct rows, identifiability and dual
+vertices -- is derived once per plan.  Replicates are drawn in order, a chunk
+at a time, and each chunk is fitted at once by ``estimator._certified_fits``;
+a replicate the kernel does not certify (a tie on the optimal face, or
+non-finite responses) runs the dense simplex on the same draw.  So a replicate
+costs one error draw plus its share of a batched fit.  Risk is the vector of
+componentwise mean squared errors of the fitted coefficients; the total risk
+is their sum.
 """
 
 from __future__ import annotations
@@ -19,8 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Design
-from .estimator import EstimationError, _envelope_fit, _envelope_rows
+from .estimator import EstimationError, _certified_fits, _envelope, _envelope_fit
 from .models import RegressionModel
+
+# Replicates drawn and fitted together; fewer when n is large, so that a
+# chunk's responses stay within _CHUNK_VALUES numbers.
+_CHUNK = 256
+_CHUNK_VALUES = 1 << 20
 
 
 class SimulationError(RuntimeError):
@@ -57,7 +66,11 @@ class RiskEstimate:
     mc_standard_error: float
     replicates: int
     per_component_se: tuple[float, ...]
-    failures: int = 0
+    failed_replicates: tuple[int, ...] = ()
+
+    @property
+    def failures(self) -> int:
+        return len(self.failed_replicates)
 
     def __post_init__(self) -> None:
         if any(v < 0.0 for v in self.per_component_mse):
@@ -102,20 +115,28 @@ def mc_risk(plan: SimPlan) -> RiskEstimate:
     # design's points: the r-th error draw always meets the same x.
     xs_rep = np.sort(np.repeat(plan.design.xs, counts))
     try:
-        rows = _envelope_rows(xs_rep, plan.model.degree)
+        env = _envelope(xs_rep, plan.model.degree)
     except ValueError as exc:
         raise SimulationError(f"all {plan.replicates} replicates failed: {exc}") from exc
     theta = np.asarray(plan.model.theta)
     mean = plan.model.mean(xs_rep)
+    chunk = max(1, min(_CHUNK, _CHUNK_VALUES // xs_rep.size))
     sq_errors, failed = [], []
-    for r in range(plan.replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(r,)))
-        y = mean + plan.model.error.sample(xs_rep.size, rng)
-        try:
-            diff = _envelope_fit(*rows, y) - theta
-        except EstimationError:
-            failed.append(r)
-            continue
+    for start in range(0, plan.replicates, chunk):
+        reps = range(start, min(start + chunk, plan.replicates))
+        ys = np.empty((len(reps), xs_rep.size))
+        for i, r in enumerate(reps):
+            rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(r,)))
+            ys[i] = mean + plan.model.error.sample(xs_rep.size, rng)
+        fits, certified = _certified_fits(env, ys)
+        ok = np.ones(len(reps), dtype=bool)
+        for i in np.flatnonzero(~certified):
+            try:
+                fits[i] = _envelope_fit(env, ys[i])
+            except EstimationError:
+                failed.append(start + int(i))
+                ok[i] = False
+        diff = fits[ok] - theta
         sq_errors.append(diff * diff)
 
     n_fail = len(failed)
@@ -124,7 +145,7 @@ def mc_risk(plan: SimPlan) -> RiskEstimate:
             f"{n_fail}/{plan.replicates} replicates failed (first failures: "
             f"{failed[:5]}); the envelope fit failed or the responses were not finite"
         )
-    sq = np.array(sq_errors)
+    sq = np.concatenate(sq_errors)
     used = sq.shape[0]
     mse = sq.mean(axis=0)
     if used > 1:
@@ -139,7 +160,7 @@ def mc_risk(plan: SimPlan) -> RiskEstimate:
         mc_standard_error=total_se,
         replicates=used,
         per_component_se=tuple(float(v) for v in comp_se),
-        failures=n_fail,
+        failed_replicates=tuple(failed),
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from nonregdesign.design import Design, uniform_design
 from nonregdesign.estimator import (
     Dataset,
     EstimationError,
+    _certified_fits,
+    _envelope,
+    _envelope_fit,
     load_dataset_csv,
     residuals,
     smith_fit,
@@ -200,6 +205,157 @@ class TestSmithFit:
         r240 = mc_risk(SimPlan(design=design, n=240, model=model, replicates=1000, seed=11))
         ratio = r120.total_risk / r240.total_risk
         assert 3.5 <= ratio <= 4.5
+
+# Designs of the batched-kernel tests: K > d with ties on the optimal face
+# (uniform5), many bases (uniform15, 105 at d = 2), the quadratic comparator
+# whose optimal set is often an edge, and K = d (one dual vertex).
+KERNEL_CASES = [
+    pytest.param(uniform_design(1.0, 5), (6.0, 0.5), id="linear-uniform5"),
+    pytest.param(uniform_design(1.0, 15), (6.0, 0.5), id="linear-uniform15"),
+    pytest.param(uniform_design(2.0, 5), (2.0, 4.0, 0.8), id="quadratic-uniform5"),
+    pytest.param(Design([(-1.0, 0.5), (1.0, 0.5)], 1.0), (6.0, 0.5), id="two-point"),
+]
+
+
+def replicate_responses(design, theta, reps, n=120, seed=3):
+    """Sorted covariates of the realized design and reps rows of responses."""
+    xs = np.sort(np.repeat(design.xs, realize_design(design, n)))
+    rng = np.random.default_rng(seed)
+    mean = np.vander(xs, len(theta), increasing=True) @ np.asarray(theta)
+    return xs, mean + rng.exponential(1.0, (reps, xs.size))
+
+
+class TestCertifiedFits:
+    @pytest.mark.parametrize("design,theta", KERNEL_CASES)
+    def test_certified_fits_match_the_simplex(self, design, theta):
+        xs, ys = replicate_responses(design, theta, 200)
+        env = _envelope(xs, len(theta) - 1)
+        fits, certified = _certified_fits(env, ys)
+        assert certified.sum() >= 40
+        for i in np.flatnonzero(certified):
+            want = _envelope_fit(env, ys[i])
+            np.testing.assert_allclose(
+                fits[i], want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+            )
+
+    @pytest.mark.parametrize("design,theta", KERNEL_CASES)
+    def test_smith_fit_is_the_kernel_or_exactly_the_simplex(self, design, theta):
+        xs, ys = replicate_responses(design, theta, 200)
+        degree = len(theta) - 1
+        env = _envelope(xs, degree)
+        fits, certified = _certified_fits(env, ys)
+        for i, y in enumerate(ys):
+            want = fits[i] if certified[i] else _envelope_fit(env, y)
+            np.testing.assert_array_equal(smith_fit(Dataset(xs, y, degree)), want)
+
+    def test_ties_are_left_to_the_simplex(self):
+        # c/24 = 5/3 f(-2) + 10/3 f(1): the degenerate dual vertex is often
+        # optimal and the optimal face is then an edge
+        xs, ys = replicate_responses(uniform_design(2.0, 5), (2.0, 4.0, 0.8), 200)
+        _, certified = _certified_fits(_envelope(xs, 2), ys)
+        assert 50 <= (~certified).sum() <= 180
+
+    def test_degenerate_best_basis_is_not_certified(self):
+        # the degenerate dual vertex belongs to three bases, whose equal
+        # objectives already fail the tie margin; with one basis per vertex
+        # only the degeneracy check keeps its replicates from the kernel
+        xs, ys = replicate_responses(uniform_design(2.0, 5), (2.0, 4.0, 0.8), 200)
+        env = _envelope(xs, 2)
+        vertices = np.zeros((env.bases.shape[0], 5))
+        np.put_along_axis(vertices, env.bases, env.lam, axis=1)
+        _, first = np.unique(np.round(vertices, 6), axis=0, return_index=True)
+        one = dataclasses.replace(
+            env,
+            bases=env.bases[first],
+            lam=env.lam[first],
+            inv=env.inv[first],
+            degenerate=env.degenerate[first],
+        )
+        assert one.bases.shape[0] < env.bases.shape[0] and one.degenerate.any()
+        np.testing.assert_array_equal(_certified_fits(one, ys)[1], _certified_fits(env, ys)[1])
+
+    def test_near_ties_within_the_margin_are_not_certified(self):
+        # points 1e-12 above a line: every dual objective is within roundoff
+        # of the others, and none of uniform7's dual vertices is degenerate
+        xs, ys = replicate_responses(uniform_design(1.0, 7), (0.3, 0.7), 20)
+        ys = 0.3 + 0.7 * xs + 1e-12 * (ys - ys.min())
+        env = _envelope(xs, 1)
+        assert not env.degenerate.any()
+        assert not _certified_fits(env, ys)[1].any()
+
+    @pytest.mark.parametrize("design,theta", KERNEL_CASES)
+    def test_noiseless_data_ties_every_vertex(self, design, theta):
+        # every point lies on the fit, so all dual objectives are equal and
+        # only a single dual vertex (K = d) can certify
+        xs, _ = replicate_responses(design, theta, 1)
+        ys = np.tile(np.vander(xs, len(theta), increasing=True) @ np.asarray(theta), (3, 1))
+        env = _envelope(xs, len(theta) - 1)
+        _, certified = _certified_fits(env, ys)
+        assert certified.all() == (len(design.points) == len(theta))
+
+    @pytest.mark.parametrize("design,theta", KERNEL_CASES)
+    def test_objective_matches_vertex_enumeration(self, design, theta):
+        xs, ys = replicate_responses(design, theta, 60)
+        degree = len(theta) - 1
+        support = np.unique(xs)
+        rows = np.vander(support, degree + 1, increasing=True)
+        c = np.vander(xs, degree + 1, increasing=True).sum(axis=0)
+        for y in ys:
+            minima = np.array([y[xs == x].min() for x in support])
+            best = max(float(c @ v) for v in enumerate_vertices(rows, minima))
+            got = float(c @ smith_fit(Dataset(xs, y, degree)))
+            assert got == pytest.approx(best, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("design,theta", KERNEL_CASES)
+    def test_fit_does_not_depend_on_the_batch(self, design, theta):
+        xs, ys = replicate_responses(design, theta, 300)
+        env = _envelope(xs, len(theta) - 1)
+        whole, cert_whole = _certified_fits(env, ys)
+        parts = [_certified_fits(env, ys[:256]), _certified_fits(env, ys[256:])]
+        np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), cert_whole)
+        np.testing.assert_array_equal(
+            np.concatenate([p[0] for p in parts])[cert_whole], whole[cert_whole]
+        )
+        for i in (0, 255, 256, 299):
+            alone, cert = _certified_fits(env, ys[i : i + 1])
+            assert cert[0] == cert_whole[i]
+            if cert[0]:
+                np.testing.assert_array_equal(alone[0], whole[i])
+
+    @pytest.mark.parametrize("design,theta", KERNEL_CASES)
+    def test_unsorted_covariates_give_the_same_fit(self, design, theta):
+        xs, ys = replicate_responses(design, theta, 20)
+        perm = np.random.default_rng(0).permutation(xs.size)
+        degree = len(theta) - 1
+        for y in ys:
+            np.testing.assert_array_equal(
+                smith_fit(Dataset(xs[perm], y[perm], degree)),
+                smith_fit(Dataset(xs, y, degree)),
+            )
+
+    def test_non_finite_rows_are_not_certified(self):
+        xs, ys = replicate_responses(uniform_design(1.0, 5), (6.0, 0.5), 3)
+        ys[1, 7] = np.inf
+        ys[2, 0] = np.nan
+        _, certified = _certified_fits(_envelope(xs, 1), ys)
+        assert certified.tolist() == [True, False, False]
+
+    def test_design_above_the_basis_cap_has_no_dual_vertices(self):
+        # C(60, 3) = 34,220 bases: every fit runs the simplex
+        xs, ys = replicate_responses(uniform_design(2.0, 60), (2.0, 4.0, 0.8), 2)
+        env = _envelope(xs, 2)
+        assert env.bases is None
+        assert not _certified_fits(env, ys)[1].any()
+        assert _envelope(xs, 1).bases is None  # C(60, 2) = 1,770
+        assert _envelope(np.linspace(-2.0, 2.0, 15), 2).bases is not None  # 455
+
+    def test_ill_conditioned_design_has_no_dual_vertices(self):
+        # two x values 1e-12 apart: the basis through both is nearly singular
+        xs = np.array([-1.0, 0.0, 1e-12, 1.0])
+        y = np.array([2.0, 1.0, 1.5, 3.0])
+        env = _envelope(xs, 1)
+        assert env.bases is None
+        np.testing.assert_array_equal(smith_fit(Dataset(xs, y, 1)), _envelope_fit(env, y))
 
 
 class TestResiduals:

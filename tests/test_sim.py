@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonregdesign import estimator
 from nonregdesign.design import Design, uniform_design
-from nonregdesign.estimator import Dataset, smith_fit
+from nonregdesign.estimator import Dataset, _envelope, _envelope_fit, smith_fit
 from nonregdesign.models import ErrorFamily, ErrorModel, RegressionModel
 from nonregdesign.sim import (
     RiskEstimate,
@@ -54,6 +55,17 @@ class FlakyError:
         return np.zeros(n)
 
 
+class CountingError:
+    """Gamma(1) errors that count the draws."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sample(self, n, rng):
+        self.calls += 1
+        return GAMMA1.sample(n, rng)
+
+
 class InfOnceError:
     """Error model stub whose first replicate has one +inf response."""
 
@@ -79,6 +91,34 @@ def dataset_risk(plan):
         rng = np.random.Generator(np.random.PCG64(ss))
         y = plan.model.mean(xs) + plan.model.error.sample(plan.n, rng)
         diff = smith_fit(Dataset(xs, y, plan.model.degree)) - theta
+        sq.append(diff * diff)
+    return np.array(sq).mean(axis=0)
+
+
+@pytest.fixture
+def envelope_solves(monkeypatch):
+    """The envelope LPs handed to the simplex while the test runs."""
+    solves = []
+    solve = estimator.solve_lp
+
+    def counting(lp):
+        solves.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(estimator, "solve_lp", counting)
+    return solves
+
+
+def simplex_risk(plan):
+    """Componentwise MSE with the dense simplex fitting every replicate."""
+    xs = np.sort(np.repeat(plan.design.xs, realize_design(plan.design, plan.n)))
+    env = _envelope(xs, plan.model.degree)
+    theta = np.asarray(plan.model.theta)
+    sq = []
+    for r in range(plan.replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(r,)))
+        y = plan.model.mean(xs) + plan.model.error.sample(plan.n, rng)
+        diff = _envelope_fit(env, y) - theta
         sq.append(diff * diff)
     return np.array(sq).mean(axis=0)
 
@@ -227,6 +267,40 @@ class TestMcRisk:
         est = mc_risk(plan)
         assert est.failures == 1
         assert est.replicates == 149
+        assert est.failed_replicates == (0,)
+
+    @pytest.mark.parametrize(
+        "degree, a, design",
+        [(1, 1.0, uniform_design(1.0, 15)), (2, 2.0, uniform_design(2.0, 5))],
+        ids=["linear-uniform15", "quadratic-uniform5"],
+    )
+    def test_chunked_replicates_equal_smith_fit_on_each_dataset(self, degree, a, design):
+        # 300 replicates span two chunks of the batched fit
+        theta = (6.0, 0.5) if degree == 1 else (2.0, 4.0, 0.8)
+        model = RegressionModel(degree=degree, A=a, theta=theta, error=GAMMA1)
+        plan = SimPlan(design=design, n=60, model=model, replicates=300, seed=4)
+        np.testing.assert_array_equal(mc_risk(plan).per_component_mse, dataset_risk(plan))
+
+    def test_tied_replicates_are_drawn_once(self, envelope_solves):
+        # quadratic uniform5 ties on most replicates; each goes to the simplex
+        # with the errors already drawn
+        error = CountingError()
+        model = RegressionModel(degree=2, A=2.0, theta=(2.0, 4.0, 0.8), error=error)
+        plan = SimPlan(design=uniform_design(2.0, 5), n=120, model=model,
+                       replicates=300, seed=7)
+        est = mc_risk(plan)
+        assert error.calls == 300
+        assert 50 <= len(envelope_solves) < 300
+        np.testing.assert_allclose(est.per_component_mse, simplex_risk(plan), rtol=1e-10)
+
+    def test_design_above_the_basis_cap_runs_the_simplex(self, envelope_solves):
+        # C(60, 3) bases: no dual vertices are enumerated
+        model = RegressionModel(degree=2, A=2.0, theta=(2.0, 4.0, 0.8), error=GAMMA1)
+        plan = SimPlan(design=uniform_design(2.0, 60), n=120, model=model,
+                       replicates=30, seed=7)
+        est = mc_risk(plan)
+        assert len(envelope_solves) == 30
+        np.testing.assert_array_equal(est.per_component_mse, simplex_risk(plan))
 
     def test_standard_error_scales_with_replicates(self):
         se = {
