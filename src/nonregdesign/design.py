@@ -17,11 +17,9 @@ exceeds t), and each separation step finds the worst direction of the
 current design.  The degree p is 1 or 2, so u has d = p + 1 = 2 or 3
 entries.  The sphere minimum is exact where its location is known: at
 alpha = 2 it is the smallest eigenvalue of the moment matrix, and at
-alpha <= 1 it lies on a kink ray, so enumerating those rays finds it.  Only
-1 < alpha < 2 falls back to a dense hemisphere scan with a derivative-free
-polish, at fixed settings: 0.05-degree steps at d = 2, 20,000 hemisphere
-points at d = 3, then five Nelder-Mead starts of at most 200 iterations at
-tol 1e-10.
+alpha <= 1 it lies on a kink ray, so enumerating those rays finds it.  At
+1 < alpha < 2 a branch-and-bound over cells of the hemisphere certifies it:
+the reported value is at most 1e-10 relative above the minimum.
 At alpha = 2 the cutting-plane solver maximizes the minimum eigenvalue,
 i.e. E-optimality, which serves as the regular comparator.
 """
@@ -34,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from .hellinger import InfoMethod, InfoResult, _check_unit
 from .lp import Domain, LinearProgram, LpStatus, Sense, solve_lp
@@ -48,13 +45,22 @@ _DROP_PATIENCE = 5  # consecutive slack iterations before a cut is dropped
 _PI_TOL = 1e-5  # final bracket width of the pi_curve bisection
 _GRID_SIZE = 101  # default candidate grid of design-opt and e_optimal_design
 _WEIGHT_FLOOR = 1e-12  # solver weights at or below this are dropped from designs
-# Grid-plus-polish sphere search (1 < alpha < 2).  The objective
-# kinks wherever f(x_i)'u = 0, so a dense grid guards against missed kink
-# minima before the polish; these sizes also fix where the polish lands.
+_DEGENERATE_RTOL = 1e-13  # lambda_min(F'WF) at or below this (relative) means J = 0
+# Generic sphere search of ``min_over_sphere``: a dense hemisphere grid, then
+# a Nelder-Mead polish from the best grid points.
 _GRID_STEP_DEG = 0.05  # d = 2
 _HEMISPHERE_POINTS = 20_000  # d = 3
 _POLISH_ITERS = 200
 _POLISH_TOL = 1e-10
+# Branch-and-bound sphere minimum (1 < alpha < 2).
+_BB_RTOL = 1e-10  # certificate: reported minimum at most this far (relative) above the true one
+_BB_CHUNK = 2048  # cells per array operation, so cells x support temporaries stay bounded
+_BB_MAX_CELLS = 200_000  # more live cells than this raise instead of growing without limit
+_BB_MAX_LEVELS = 80  # cells halve in radius per level: past this they cannot shrink, so raise
+_BB_POLISH_ROUNDS = 20  # at most this many rounds per incumbent polish
+_BB_POLISH_RTOL = 1e-13  # a round that gains less than this (relative) ends the polish
+_BB_KINK_FLOOR = 1e-9  # floor of |f_i'u| / |f_i| where a power of it would blow up
+_BB_KINK_NEAR = 1e-3  # terms with |f_j'u| / |f_j| below this get a kink step
 
 
 @dataclass(frozen=True)
@@ -233,6 +239,8 @@ def min_over_sphere(
     ``extra_candidates``; they are evaluated along with the grid.  The
     returned value is never above any grid evaluation.
     """
+    from scipy.optimize import minimize  # only this generic helper needs SciPy
+
     us = sphere_grid(d)
     if extra_candidates is not None and len(extra_candidates):
         extra = np.atleast_2d(np.asarray(extra_candidates, dtype=float))
@@ -256,7 +264,7 @@ def min_over_sphere(
     best_u = us[i_best]
     best_val = float(vals[i_best])
     for i in starts:
-        res = _nm_minimize(
+        res = minimize(
             g,
             us[i],
             method="Nelder-Mead",
@@ -315,6 +323,272 @@ def _kink_candidates(
     return cand[keep] / norms[keep, None], rows[keep]
 
 
+def _is_degenerate(eigvals: np.ndarray) -> bool:
+    """True when ascending moment-matrix eigenvalues leave a null direction."""
+    return bool(eigvals[0] <= _DEGENERATE_RTOL * max(1.0, eigvals[-1]))
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _split_cells(cells: np.ndarray) -> np.ndarray:
+    """Halve arcs (d = 2) or quarter spherical triangles (d = 3).
+
+    A cell is the array of its vertices; new vertices are the normalized
+    edge midpoints, so the children tile the parent.
+    """
+    if cells.shape[1] == 2:
+        v0, v1 = cells[:, 0], cells[:, 1]
+        m = _unit_rows(v0 + v1)
+        return np.concatenate([np.stack([v0, m], 1), np.stack([m, v1], 1)])
+    v0, v1, v2 = cells[:, 0], cells[:, 1], cells[:, 2]
+    m01, m12, m02 = _unit_rows(v0 + v1), _unit_rows(v1 + v2), _unit_rows(v0 + v2)
+    return np.concatenate([
+        np.stack([v0, m01, m02], 1),
+        np.stack([v1, m12, m01], 1),
+        np.stack([v2, m02, m12], 1),
+        np.stack([m01, m12, m02], 1),
+    ])
+
+
+def _initial_cells(d: int) -> np.ndarray:
+    """Cells covering a hemisphere: 64 arcs of [0, pi) at d = 2, and the 4
+    upper octahedral faces, each split three times, at d = 3."""
+    if d == 2:
+        t = np.arange(65) * (math.pi / 64)
+        v = np.stack([np.cos(t), np.sin(t)], axis=1)
+        return np.stack([v[:-1], v[1:]], axis=1)
+    e1, e2, e3 = np.eye(3)
+    cells = np.array([[e1, e2, e3], [e2, -e1, e3], [-e1, -e2, e3], [-e2, e1, e3]])
+    for _ in range(3):
+        cells = _split_cells(cells)
+    return cells
+
+
+def _cell_caps(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and radius of a cap around each cell.
+
+    The radius comes from the longest centre-to-vertex chord as
+    2 asin(chord / 2), which stays accurate for tiny cells where arccos of
+    the dot product rounds to 0.
+    """
+    centres = _unit_rows(cells.sum(axis=1))
+    chords = np.linalg.norm(cells - centres[:, None, :], axis=2).max(axis=1)
+    return centres, 2.0 * np.arcsin(np.minimum(0.5 * chords, 1.0))
+
+
+def _min_linear_over_cap(
+    b: np.ndarray, c: np.ndarray, r: np.ndarray, cos_r: np.ndarray, sin_r: np.ndarray
+) -> np.ndarray:
+    """min of b'u over the caps |u| = 1, angle(u, c) <= r, row by row.
+
+    It is |b| cos(min(phi + r, pi)) with phi the angle between b and c,
+    expanded as (b'c) cos r - |b_t| sin r with b_t the part of b tangent at c.
+    """
+    bc = np.einsum("ij,ij->i", b, c)
+    bt = np.linalg.norm(b - bc[:, None] * c, axis=1)
+    inside = np.arctan2(bt, bc) + r < math.pi
+    return np.where(inside, bc * cos_r - bt * sin_r, -np.hypot(bc, bt))
+
+
+def _cell_bounds(
+    f: np.ndarray, f_norm: np.ndarray, ws: np.ndarray, alpha: float,
+    c: np.ndarray, r: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """g(c) and a lower bound of g(u) = sum_i w_i |f_i'u|^alpha on each cap (c, r).
+
+    For 1 < alpha <= 2 each term is convex and alpha-homogeneous, so its
+    tangent plane at c, w_i |f_i'c|^alpha + slope_i f_i'(u - c), lies below
+    it, and by Euler's identity the constant is -(alpha - 1) w_i |f_i'c|^alpha.
+    Two bounds follow; the larger is returned.
+    - Convex: every term linearized, then the linear form minimized over
+      the cap.
+    - Kink-aware (``_kink_bound``): the terms whose kink circle f_i'u = 0
+      crosses the cap, |f_i'c| <= |f_i| sin r, are not linearized.
+    """
+    p = c @ f.T
+    ap = np.abs(p)
+    terms = ws * ap**alpha
+    g = terms.sum(axis=1)
+    slopes = (alpha * ws) * ap ** (alpha - 1.0) * np.sign(p)
+    b = slopes @ f
+    cos_r, sin_r = np.cos(r), np.sin(r)
+    lower = _min_linear_over_cap(b, c, r, cos_r, sin_r) - (alpha - 1.0) * g
+    cross = ap <= f_norm * sin_r[:, None]
+    n_cross = cross.sum(axis=1)
+    for m in np.unique(n_cross[n_cross > 0]):
+        rows = np.flatnonzero(n_cross == m)
+        idx = np.nonzero(cross[rows])[1].reshape(rows.size, m)
+        kink = _kink_bound(
+            f, f_norm, ws, alpha, c[rows], r[rows], cos_r[rows], sin_r[rows],
+            g[rows], b[rows], terms[rows], slopes[rows], idx,
+        )
+        lower[rows] = np.maximum(lower[rows], kink)
+    return g, lower
+
+
+def _kink_bound(
+    f, f_norm, ws, alpha, c, r, cos_r, sin_r, g, b, terms, slopes, idx
+) -> np.ndarray:
+    """Lower bound on caps whose crossing terms are the rows of ``idx``.
+
+    The other terms are linearized as in ``_cell_bounds``, giving a + b'u.
+    With n_j = f_j / |f_j| for the crossing terms, write b = sum_j beta_j n_j
+    + b_perp.  Then, with tau_j = n_j'u,
+
+        g(u) >= a + b_perp'u + sum_j (beta_j tau_j + k_j |tau_j|^alpha),
+
+    k_j = w_j |f_j|^alpha, and each part is minimized over the cap on its
+    own: b_perp'u in closed form, and each convex 1-D term on the exact
+    range of tau_j, an interval around 0, at its stationary point
+    tau* = -sign(beta) (|beta| / (alpha k))^(1 / (alpha - 1)), clipped.
+    A single crossing term is kept exact this way (beta = b'n).  With more,
+    beta = 0 and b_perp = b: every crossing term is bounded by 0.
+    """
+    rows = np.arange(len(idx))[:, None]
+    fj = f[idx]
+    n = fj / f_norm[idx][..., None]
+    b_rest = b - np.einsum("rm,rmd->rd", slopes[rows, idx], fj)
+    beta = np.zeros(idx.shape)
+    if idx.shape[1] == 1:
+        beta = np.einsum("rmd,rd->rm", n, b_rest)
+    b_perp = b_rest - np.einsum("rm,rmd->rd", beta, n)
+    lin = _min_linear_over_cap(b_perp, c, r, cos_r, sin_r)
+    psi = np.arccos(np.clip(np.einsum("rmd,rd->rm", n, c), -1.0, 1.0))
+    tau_lo = np.cos(np.minimum(psi + r[:, None], math.pi))
+    tau_hi = np.cos(np.maximum(psi - r[:, None], 0.0))
+    k = ws[idx] * f_norm[idx] ** alpha
+    # |tau*| capped at 1 before the power: the clip to [tau_lo, tau_hi] within
+    # [-1, 1] gives the same tau, and the power cannot overflow as alpha -> 1
+    ratio = np.minimum(np.abs(beta) / (alpha * k), 1.0)
+    tau = np.clip(-np.sign(beta) * ratio ** (1.0 / (alpha - 1.0)), tau_lo, tau_hi)
+    exact = (beta * tau + k * np.abs(tau) ** alpha).sum(axis=1)
+    a = -(alpha - 1.0) * (g - terms[rows, idx].sum(axis=1))
+    return a + lin + exact
+
+
+def _polish(
+    f: np.ndarray, ws: np.ndarray, alpha: float, u: np.ndarray, value: float
+) -> tuple[np.ndarray, float]:
+    """Lower g(u) = sum_i w_i |f_i'u|^alpha from u, keeping only improvements.
+
+    Each round tries three kinds of step and keeps the best.
+    - Majorize-minimize: |t|^alpha is concave in t^2 for alpha <= 2, so its
+      tangent in t^2 lies above it, g(v) <= const + (alpha/2) sum_i w_i
+      s_i^(alpha/2-1) (f_i'v)^2 for any s_i > 0, with equality at v = u when
+      s_i = (f_i'u)^2.  The step minimizes that quadratic over the sphere:
+      the lambda_min eigenvector.  It never goes uphill, but it crawls for
+      alpha near 1, where the majorizer is 1 / (alpha - 1) times too curved.
+    - Newton on the sphere, when the Riemannian Hessian at u is positive
+      definite.
+    - ``_kink_step`` for every term with u close to its kink circle, where
+      the other two stall.
+    Rounds stop when one gains less than ``_BB_POLISH_RTOL`` relative.
+    """
+    f_norm = np.linalg.norm(f, axis=1)
+    for _ in range(_BB_POLISH_ROUNDS):
+        start = value
+        p = f @ u
+        ap = np.maximum(np.abs(p), _BB_KINK_FLOOR * f_norm)
+        curv = ws * ap ** (alpha - 2.0)
+        candidates = [np.linalg.eigh(f.T @ (curv[:, None] * f))[1][:, 0]]
+        # Newton: tangent basis t, gradient and Hessian of g restricted to the sphere
+        t = np.linalg.svd(u[None, :])[2][1:]
+        ft = f @ t.T
+        grad = (alpha * ws * ap ** (alpha - 1.0) * np.sign(p)) @ ft
+        hess = alpha * ((alpha - 1.0) * ft.T @ (curv[:, None] * ft) - value * np.eye(len(t)))
+        if np.all(np.linalg.eigvalsh(hess) > 0.0):
+            candidates.append(u - np.linalg.solve(hess, grad) @ t)
+        near = np.abs(p) < _BB_KINK_NEAR * f_norm
+        candidates += [
+            _kink_step(f, f_norm, ws, alpha, u, j, near) for j in np.flatnonzero(near)
+        ]
+        for v in candidates:
+            v = v / np.linalg.norm(v)
+            v_value = float(ws @ np.abs(f @ v) ** alpha)
+            if v_value < value:
+                u, value = v, v_value
+        if not value < start * (1.0 - _BB_POLISH_RTOL):
+            break
+    return u, value
+
+
+def _kink_step(
+    f: np.ndarray, f_norm: np.ndarray, ws: np.ndarray, alpha: float,
+    u: np.ndarray, j: int, near: np.ndarray,
+) -> np.ndarray:
+    """Move u along a great circle to the best tau = n'u, n = f_j / |f_j|.
+
+    The circle leaves u towards n, orthogonally to the normals of the other
+    terms in ``near``, so their near-zero f_i'u stay near zero.  The other
+    terms are linearized at u, which leaves the 1-D model
+    beta tau + k |tau|^alpha of ``_kink_bound``; u moves to its minimizer.
+    """
+    n = f[j] / f_norm[j]
+    others = np.flatnonzero(near)
+    q = np.linalg.qr(np.column_stack([u, *f[others[others != j]]]))[0]
+    e = n - q @ (q.T @ n)
+    s = float(np.linalg.norm(e))
+    if s < _BB_KINK_FLOOR:
+        return u
+    e /= s
+    p = f @ u
+    slopes = (alpha * ws) * np.abs(p) ** (alpha - 1.0) * np.sign(p)
+    slopes[j] = 0.0
+    beta = float(slopes @ (f @ e)) / s
+    k = ws[j] * f_norm[j] ** alpha
+    tau0 = float(n @ u)
+    reach = math.hypot(tau0, s)  # n'(u cos th + e sin th) = reach sin(th + atan2(tau0, s))
+    tau = math.copysign(min(abs(beta) / (alpha * k), 1.0) ** (1.0 / (alpha - 1.0)), -beta)
+    theta = math.asin(max(-1.0, min(1.0, tau / reach))) - math.atan2(tau0, s)
+    return u * math.cos(theta) + e * math.sin(theta)
+
+
+def _branch_and_bound(
+    f: np.ndarray, ws: np.ndarray, alpha: float, eig: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, float]:
+    """Certified min_{|u|=1} sum_i w_i |f_i'u|^alpha for 1 < alpha < 2.
+
+    Cells of a hemisphere (the objective is even) are evaluated level by
+    level, all of a level's cells in array operations of at most
+    ``_BB_CHUNK`` cells.  The incumbent is the best cell centre seen, polished
+    by ``_polish`` after each improvement.  A cell is dropped once
+    its lower bound (``_cell_bounds``) reaches best * (1 - 1e-10), and the
+    rest are split.  When no cell remains the incumbent is within 1e-10
+    relative of the minimum.  A design with a null direction (minimum 0)
+    would never drop the cells around it, so it is answered from ``eig``
+    before the search.  Raises RuntimeError above ``_BB_MAX_CELLS`` live cells
+    or ``_BB_MAX_LEVELS`` levels.
+    """
+    vals, vecs = eig
+    if _is_degenerate(vals):
+        return vecs[:, 0], 0.0
+    keep = ws > 0.0
+    f, ws = f[keep], ws[keep]
+    f_norm = np.linalg.norm(f, axis=1)
+    cells = _initial_cells(f.shape[1])
+    best_u, best = cells[0, 0], math.inf
+    for _ in range(_BB_MAX_LEVELS):
+        if len(cells) > _BB_MAX_CELLS:
+            raise RuntimeError(f"sphere branch-and-bound exceeded {_BB_MAX_CELLS} live cells")
+        centres, radii = _cell_caps(cells)
+        values = np.empty(len(cells))
+        lower = np.empty(len(cells))
+        for s in range(0, len(cells), _BB_CHUNK):
+            part = slice(s, s + _BB_CHUNK)
+            values[part], lower[part] = _cell_bounds(
+                f, f_norm, ws, alpha, centres[part], radii[part]
+            )
+        i = int(np.argmin(values))
+        if values[i] < best:
+            best_u, best = _polish(f, ws, alpha, centres[i], float(values[i]))
+        cells = _split_cells(cells[lower < best * (1.0 - _BB_RTOL)])
+        if not len(cells):
+            return best_u, best
+    raise RuntimeError(f"sphere branch-and-bound did not finish in {_BB_MAX_LEVELS} levels")
+
+
 def _sphere_min(
     f: np.ndarray,
     ws: np.ndarray,
@@ -326,17 +600,17 @@ def _sphere_min(
 
     At alpha = 2 the minimum is j_tilde * lambda_min(F'WF); ``eig`` is its
     ``eigh`` when the caller already has it.  At alpha <= 1 it is the
-    smallest value over the kink rays of ``_kink_candidates``.  Only at
-    1 < alpha < 2 does grid-plus-polish ``min_over_sphere`` estimate it.
+    smallest value over the kink rays of ``_kink_candidates``.  At
+    1 < alpha < 2 ``_branch_and_bound`` certifies it to 1e-10 relative.
 
     Returns (ties, value, method).  The rows of ``ties`` are minimizers,
     the reported direction first: an orthonormal basis of the lambda_min
     eigenspace at alpha = 2, every kink ray within 1e-12 relative of the
-    minimum at alpha <= 1, and the one polished direction otherwise.
+    minimum at alpha <= 1, and the one certified incumbent otherwise.
     """
+    if eig is None and alpha > 1.0:
+        eig = np.linalg.eigh(_moment_matrix(f, ws))
     if alpha == 2.0:
-        if eig is None:
-            eig = np.linalg.eigh(_moment_matrix(f, ws))
         vals, vecs = eig
         tied = vals <= vals[0] + _TIE_RTOL * abs(vals[-1])
         ties = _canonical_sign(vecs[:, tied].T)
@@ -353,15 +627,8 @@ def _sphere_min(
         tied = np.flatnonzero(vals <= vals[best] * (1.0 + _TIE_RTOL))
         order = np.concatenate([[best], tied[tied != best]])
         return rays[order], float(vals[best]), InfoMethod.KINK_ENUMERATION
-
-    def objective(u):
-        return float(j_tilde * (ws @ np.abs(f @ u) ** alpha))
-
-    def batch(us):
-        return _directional_batch(f, ws, us, alpha, j_tilde)
-
-    u, value = min_over_sphere(objective, f.shape[1], batch_objective=batch)
-    return u[None, :], value, InfoMethod.SPHERE_SEARCH
+    u, value = _branch_and_bound(f, ws, alpha, eig)
+    return _canonical_sign(u)[None, :], j_tilde * value, InfoMethod.BRANCH_AND_BOUND
 
 
 def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> InfoResult:
@@ -371,7 +638,8 @@ def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> In
     direction annihilating every support point; its information is exactly 0
     and the result carries the degeneracy flag.  Otherwise ``method`` names
     the sphere-minimum path: EIGENVALUE (alpha = 2), KINK_ENUMERATION
-    (alpha <= 1) or SPHERE_SEARCH (1 < alpha < 2, grid plus polish).
+    (alpha <= 1) or BRANCH_AND_BOUND (1 < alpha < 2, certified to 1e-10
+    relative).  A degenerate design keeps the SPHERE_SEARCH label.
     ``degree`` is 1 or 2.
     """
     if not 0.0 < alpha <= 2.0:
@@ -381,7 +649,7 @@ def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> In
     f = regressor_matrix(design.xs, degree)
     ws = design.ws
     eigvals, eigvecs = np.linalg.eigh(_moment_matrix(f, ws))
-    if eigvals[0] <= 1e-13 * max(1.0, eigvals[-1]):
+    if _is_degenerate(eigvals):
         u0 = _canonical_sign(eigvecs[:, 0])
         return InfoResult(
             alpha=alpha,

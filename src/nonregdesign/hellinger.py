@@ -88,9 +88,10 @@ class NonIdentifiableError(ValueError):
 class InfoMethod(enum.Enum):
     CLOSED_FORM = "closed_form"
     LIMIT_FIT = "limit_fit"
-    SPHERE_SEARCH = "sphere_search"  # hemisphere grid plus Nelder-Mead polish
+    SPHERE_SEARCH = "sphere_search"  # degenerate design: J = 0 at a null direction
     KINK_ENUMERATION = "kink_enumeration"  # exact: minimum over the kink rays
     EIGENVALUE = "eigenvalue"  # exact: lambda_min of the moment matrix
+    BRANCH_AND_BOUND = "branch_and_bound"  # certified to 1e-10 relative, 1 < alpha < 2
 
 
 @dataclass(frozen=True)
