@@ -671,7 +671,15 @@ def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> In
 def direction_free_info_psi(
     design: Design, d_psi, alpha: float, j_tilde: float, degree: int
 ) -> float:
-    """inf_u J_xi(u) / ||D_psi u||^alpha, skipping near-null D_psi directions."""
+    """inf_u J_xi(u) / ||D_psi u||^alpha, skipping near-null D_psi directions.
+
+    A square (so invertible) ``D_psi`` maps the ratio onto the sphere
+    minimum of the rows ``F D_psi^-1``: with ``v = D_psi u / ||D_psi u||``
+    it is ``j_tilde * sum_i w_i |f_i' D_psi^-1 v|^alpha``, which
+    ``_sphere_min`` evaluates exactly or certifies, as in ``design_info``.
+    A wide ``D_psi`` keeps the generic grid-plus-Nelder-Mead search of
+    ``min_over_sphere``.
+    """
     f = regressor_matrix(design.xs, degree)
     ws = design.ws
     d = degree + 1
@@ -680,6 +688,15 @@ def direction_free_info_psi(
         raise ValueError(f"d_psi has {d_psi.shape[1]} columns, expected {d}")
     if np.linalg.matrix_rank(d_psi) < d_psi.shape[0]:
         raise ValueError("d_psi must have full row rank")
+    if d_psi.shape[0] == d:
+        # an invertible D_psi keeps the design's null directions, and the
+        # criterion is alpha-homogeneous in the rows: unit-scale them so
+        # the degeneracy test inside _sphere_min does not depend on |D_psi|
+        if _is_degenerate(np.linalg.eigvalsh(_moment_matrix(f, ws))):
+            return 0.0
+        g = f @ np.linalg.inv(d_psi)
+        scale = float(np.max(np.linalg.norm(g, axis=1)))
+        return scale**alpha * _sphere_min(g / scale, ws, alpha, j_tilde)[1]
 
     def objective(u):
         du = np.linalg.norm(d_psi @ u)

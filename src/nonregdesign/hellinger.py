@@ -12,17 +12,19 @@ with regularity index ``alpha`` in ``(0, 2]``.  ``J(theta; u)`` is the
 Hellinger information in direction ``u``; regular models have ``alpha = 2``
 and ``J = u' I(theta) u / 4`` with ``I`` the Fisher information.
 
-This module computes ``h`` (closed forms for uniform families, adaptive
-quadrature otherwise), recovers ``(alpha, J)`` from a ladder of shrinking
-``eps`` via a log-log least-squares fit, and evaluates the closed-form
-information of the one-sided location families: ``J = c * (1 + beta*r(beta))``
-where ``c`` is the small-y constant of the error density and ``r`` an
-explicit one-dimensional integral.
+This module computes ``h`` (closed forms for uniform families, nested
+double-exponential rules on arrays for the one-sided location families,
+SciPy's adaptive quadrature for generic densities), recovers ``(alpha, J)``
+from a ladder of shrinking ``eps`` via a log-log least-squares fit, and
+evaluates the closed-form information of the one-sided location families:
+``J = c * (1 + beta*r(beta))`` where ``c`` is the small-y constant of the
+error density and ``r`` an explicit one-dimensional integral.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -38,6 +40,14 @@ from .models import ErrorModel, UniformModel, UniformVariant, uniform_support
 # exceeds max(_LOCATION_ATOL, _LOCATION_RTOL * h)
 _LOCATION_ATOL = 1e-12
 _LOCATION_RTOL = 1e-6
+# Its overlap panels use nested double-exponential rules of step 2**-level on
+# |t| <= _DE_T_MAX.  Each panel starts at _DE_FIRST_LEVEL and is accepted once
+# two consecutive levels agree to _DE_PANEL_RTOL; no agreement by
+# _DE_MAX_LEVEL raises QuadratureError.
+_DE_T_MAX = 4.0
+_DE_FIRST_LEVEL = 4
+_DE_MAX_LEVEL = 8
+_DE_PANEL_RTOL = 1e-11
 # ladder fits with a larger max log-residual drop their two largest rungs
 _LADDER_RESIDUAL_TOL = 1e-3
 
@@ -67,7 +77,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot certify the requested accuracy."""
+    """Raised when quadrature cannot certify the requested accuracy."""
 
 
 def _check_unit(u, dim: int | None = None) -> np.ndarray:
@@ -278,50 +288,116 @@ def uniform_info(model: UniformModel, direction=None) -> InfoResult:
 # ---------------------------------------------------------------------------
 
 
-def location_hellinger_sq(model: ErrorModel, eps: float) -> float:
-    """h(theta, theta + eps) for the location family ``y = theta + e``.
+@functools.lru_cache(maxsize=None)
+def _de_rule(level: int, odd_only: bool) -> tuple[np.ndarray, ...]:
+    """Nodes and weights of the double-exponential rules at step 2**-level.
 
-    By shift invariance the distance depends only on ``|eps|``.  The
-    non-overlap mass is the exact error CDF at ``|eps|``; the overlap part is
-    integrated with panels graded around the moving support endpoint, where
-    the integrand has a ``z**(beta-1)`` kink.
+    The abscissae are ``t = k * 2**-level`` with ``|t| <= _DE_T_MAX`` (odd
+    ``k`` only when ``odd_only``: the nodes a level adds to the one below)
+    and ``s = (pi/2) sinh t``.  Returns, per node, the tanh-sinh position
+    ``1 / (1 + exp(-2s))`` in the unit panel and its weight, then the
+    exp-sinh offset ``exp(s)`` and its weight.  The position is the node's
+    distance from the left end, so it stays relative-accurate next to it.
     """
-    e = abs(float(eps))
-    if e == 0.0:
-        return 0.0
-    disjoint = model.cdf(e)
+    n = int(_DE_T_MAX * 2**level)
+    k = np.arange(-n, n + 1)
+    if odd_only:
+        k = k[k % 2 != 0]
+    t = k / 2.0**level
+    s = 0.5 * math.pi * np.sinh(t)
+    ds = 0.5 * math.pi * np.cosh(t)
+    es_x = np.exp(s)
+    rule = (1.0 / (1.0 + np.exp(-2.0 * s)), ds / (2.0 * np.cosh(s) ** 2), es_x, ds * es_x)
+    for arr in rule:
+        arr.flags.writeable = False  # shared by every call through the cache
+    return rule
 
-    def integrand(z: float) -> float:
-        # (sqrt(p0(z+e)) - sqrt(p0(z)))**2: when the two densities are close,
-        # form the difference through the log-density increment to avoid
-        # catastrophic cancellation at small e.
-        if z <= 0.0:
-            return float(model.density(e)) if e > 0.0 else 0.0
-        dlog = model.log_density_diff(z, e)
-        if abs(dlog) > 2.0:
-            d = math.sqrt(model.density(z + e)) - math.sqrt(model.density(z))
-            return d * d
-        d = math.expm1(0.5 * dlog)
-        return float(model.density(z)) * d * d
 
-    # Panels: geometric decades from the boundary layer [0, e] out to the
-    # distribution scale.  The integrand is strictly positive a.e. on every
-    # panel, so pure relative tolerance (epsabs = 0) is safe and keeps each
-    # panel accurate even when its value is many orders below machine-epsilon
-    # absolute scales.
+def _overlap_integrand(model: ErrorModel, z: np.ndarray, e: float) -> np.ndarray:
+    """``(sqrt(p0(z + e)) - sqrt(p0(z)))**2`` at ``z > 0``, vectorised.
+
+    When the two densities are close the difference goes through the
+    log-density increment, ``p0(z) * expm1(dlog / 2)**2``, which avoids
+    catastrophic cancellation at small ``e``.
+    """
+    dlog = model.log_density_diff(z, e)
+    p = model.density(z)
+    out = p * np.expm1(0.5 * dlog) ** 2
+    far = np.abs(dlog) > 2.0
+    if far.any():
+        out[far] = (np.sqrt(model.density(z[far] + e)) - np.sqrt(p[far])) ** 2
+    return out
+
+
+def _overlap_panels(model: ErrorModel, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of the overlap integral's panels.
+
+    The panels are ``[0, e]``, geometric decades out to the first knot at
+    or above ``10 sigma`` (tanh-sinh), and the tail past it (exp-sinh on
+    the offset ``sigma * exp(s)``).  Each panel refines from
+    ``_DE_FIRST_LEVEL`` until two consecutive levels agree to
+    ``_DE_PANEL_RTOL``; the finer value is kept and the difference is its
+    error estimate.  Raises :class:`QuadratureError` when a panel is still
+    unsettled at ``_DE_MAX_LEVEL``.
+    """
     scale = model.sigma
     knots = [0.0, e]
     while knots[-1] < 10.0 * scale:
         knots.append(knots[-1] * 10.0)
-    total = float(disjoint)
-    total_err = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        v, err = _quad(integrand, a, b, atol=0.0, rtol=1e-11)
-        total += v
-        total_err += err
-    v, err = _quad(integrand, knots[-1], np.inf, atol=0.0, rtol=1e-11)
-    total += v
-    total_err += err
+    lo = np.array(knots)
+    width = np.append(np.diff(lo), scale)
+    tail = np.arange(lo.size) == lo.size - 1
+
+    def level_sums(rows: np.ndarray, level: int, odd_only: bool) -> np.ndarray:
+        ts_u, ts_w, es_x, es_w = _de_rule(level, odd_only)
+        on_tail = tail[rows, None]
+        x = np.where(on_tail, es_x, ts_u)
+        w = np.where(on_tail, es_w, ts_w)
+        z = lo[rows, None] + width[rows, None] * x
+        f = _overlap_integrand(model, z, e)
+        return (w * f).sum(axis=1) * (width[rows] / 2.0**level)
+
+    vals = np.empty(lo.size)
+    errs = np.empty(lo.size)
+    active = np.arange(lo.size)
+    level = _DE_FIRST_LEVEL
+    coarse = level_sums(active, level, False)
+    while active.size:
+        if level >= _DE_MAX_LEVEL:
+            raise QuadratureError(
+                f"{active.size} overlap panel(s) unsettled at level {level} "
+                f"for eps = {e:.6e}"
+            )
+        level += 1
+        fine = 0.5 * coarse + level_sums(active, level, True)
+        diff = np.abs(fine - coarse)
+        done = diff <= _DE_PANEL_RTOL * np.abs(fine)
+        vals[active[done]] = fine[done]
+        errs[active[done]] = diff[done]
+        active = active[~done]
+        coarse = fine[~done]
+    return vals, errs
+
+
+def location_hellinger_sq(model: ErrorModel, eps: float) -> float:
+    """h(theta, theta + eps) for the location family ``y = theta + e``.
+
+    By shift invariance the distance depends only on ``|eps|``, which must
+    be finite.  The non-overlap mass is the exact error CDF at ``|eps|``.
+    The overlap part is integrated on arrays with nested double-exponential
+    rules (see ``_overlap_panels``) over panels graded around the moving
+    support endpoint, where the integrand has a ``z**(beta-1)`` kink.
+    Raises :class:`QuadratureError` when the summed error estimate exceeds
+    ``max(_LOCATION_ATOL, _LOCATION_RTOL * h)``.
+    """
+    e = abs(float(eps))
+    if not math.isfinite(e):
+        raise ValueError(f"shift eps={eps} must be finite")
+    if e == 0.0:
+        return 0.0
+    vals, errs = _overlap_panels(model, e)
+    total = sum(vals.tolist(), float(model.cdf(e)))
+    total_err = float(errs.sum())
     if total_err > max(_LOCATION_ATOL, _LOCATION_RTOL * abs(total)):
         raise QuadratureError(
             f"quadrature error {total_err:.3e} too large for h = {total:.6e}"
@@ -476,6 +552,7 @@ def estimate_alpha_and_J(
     the constant) and abandoned if the nonlinear fit fails to reduce the
     residual, falling back to the linear fit with its two largest rungs
     dropped when the largest log residual exceeds 1e-3.  Raises
+    ``ValueError`` naming the first rung whose h is not finite, and
     :class:`NonIdentifiableError` when h vanishes on the ladder; when every
     rung is positive but below ``1e-12`` the result is returned with
     ``degenerate=True`` (indistinguishable from a non-identifiable
@@ -496,6 +573,10 @@ def estimate_alpha_and_J(
 
     eps = ladder.epsilons()
     h = np.array([float(h_fn(theta, theta + e * u)) for e in eps])
+    bad = np.flatnonzero(~np.isfinite(h))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"h = {h[k]} is not finite at rung {k} (eps = {eps[k]:.6g})")
     if np.all(h == 0.0):
         raise NonIdentifiableError(
             "h(theta, theta + eps*u) is identically zero along the ladder; "

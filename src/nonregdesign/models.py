@@ -104,21 +104,27 @@ class ErrorModel:
             return float(vals)
         return vals
 
-    def log_density_diff(self, z: float, e: float) -> float:
+    def log_density_diff(self, z, e: float) -> float | np.ndarray:
         """``log p0(z + e) - log p0(z)`` for ``z > 0``, cancellation-free.
 
-        Used by Hellinger quadrature at tiny shifts ``e``, where forming the
-        two densities and subtracting would lose all significant digits.
+        Vectorised over ``z``; a scalar ``z`` gives a float.  Used by
+        Hellinger quadrature at tiny shifts ``e``, where forming the two
+        densities and subtracting would lose all significant digits.
         """
-        if z <= 0.0:
+        z = np.asarray(z, dtype=float)
+        if np.any(z <= 0.0):
             raise ValueError("z must be positive")
-        t = (self.beta - 1.0) * math.log1p(e / z)
+        ratio = np.log1p(e / z)
         if self.family is ErrorFamily.GAMMA:
-            return t - e / self.sigma
-        if self.family is ErrorFamily.WEIBULL:
+            vals = (self.beta - 1.0) * ratio - e / self.sigma
+        elif self.family is ErrorFamily.WEIBULL:
             zb = (z / self.sigma) ** self.beta
-            return t - zb * math.expm1(self.beta * math.log1p(e / z))
-        return -e / self.sigma
+            vals = (self.beta - 1.0) * ratio - zb * np.expm1(self.beta * ratio)
+        else:
+            vals = np.full_like(z, -e / self.sigma)
+        if vals.ndim == 0:
+            return float(vals)
+        return vals
 
     def small_y_constant(self) -> float:
         """The constant ``c`` in ``p0(y) ~ beta * c * y**(beta-1)`` at 0."""

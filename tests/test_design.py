@@ -613,6 +613,55 @@ class TestDirectionFreePsi:
             lam = np.linalg.eigvalsh((f * d.ws[:, None]).T @ f)[0]
             assert via_psi == pytest.approx(2.1 * lam, rel=1e-8)
 
+    def test_near_tie_identity_is_certified(self):
+        # grid plus Nelder-Mead stopped in the higher of the two near-tied
+        # minima here, 0.5611595471
+        d = Design([(-1.5, 0.187357), (0.0, 0.625286), (1.5, 0.187357)], 1.5)
+        value = direction_free_info_psi(d, np.eye(3), 1.2, 1.0, 2)
+        assert value == pytest.approx(0.5611564417, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3, 1.8, 2.0])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_square_dpsi_is_design_info_of_mapped_design(self, degree, alpha, monkeypatch):
+        # x -> (x - c) / s maps f(x) to M f(x), so D_psi = M'^-1 turns
+        # F D_psi^-1 into the regressor rows of the mapped support points
+        def no_search(*args, **kwargs):
+            raise AssertionError("min_over_sphere was called")
+
+        monkeypatch.setattr(design_module, "min_over_sphere", no_search)
+        rng = np.random.default_rng(5)
+        c, s = 0.3, 1.7
+        m = np.array([[1.0, 0.0], [-c / s, 1.0 / s]])
+        if degree == 2:
+            m = np.array(
+                [[1.0, 0.0, 0.0], [-c / s, 1.0 / s, 0.0], [c * c / s**2, -2.0 * c / s**2, 1.0 / s**2]]
+            )
+        d_psi = np.linalg.inv(m.T)
+        for _ in range(3):
+            d = random_balanced_design(rng, a=1.0, k=degree + 3)
+            xs = (d.xs - c) / s
+            mapped = Design(list(zip(xs, d.ws)), float(np.max(np.abs(xs))), require_balance=False)
+            ref = design_info(mapped, alpha, 1.3, degree).J
+            via_psi = direction_free_info_psi(d, d_psi, alpha, 1.3, degree)
+            assert via_psi == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
+    def test_scaled_dpsi_scales_the_value(self, alpha):
+        # J(u) / |c D u|^alpha = c^-alpha J(u) / |D u|^alpha, however small
+        # the mapped rows' moment matrix gets
+        base = direction_free_info_psi(THREE_POINT_06, np.eye(3), alpha, 1.0, 2)
+        for c in (1e-6, 1e7):
+            scaled = direction_free_info_psi(THREE_POINT_06, c * np.eye(3), alpha, 1.0, 2)
+            assert scaled * c**alpha == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
+    def test_degenerate_design_answers_zero(self, alpha):
+        # two points cannot identify a quadratic: exactly 0, as design_info;
+        # lambda_min of the mapped rows alone is +-1e-17 at alpha = 2
+        skew = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 2.0]])
+        for d_psi in (np.eye(3), np.diag([1.0, 2.0, 3.0]), skew):
+            assert direction_free_info_psi(TWO_POINT, d_psi, alpha, 1.0, 2) == 0.0
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="rank"):
             direction_free_info_psi(TWO_POINT, np.zeros((1, 2)), 1.0, 1.0, 1)

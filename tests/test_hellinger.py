@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
+import nonregdesign.hellinger as hellinger_module
 from nonregdesign.hellinger import (
     DensitySpec,
     EpsilonLadder,
     InfoMethod,
     NonIdentifiableError,
+    QuadratureError,
     estimate_alpha_and_J,
     fisher_quadratic_check,
     hellinger_sq_closed,
@@ -139,6 +141,84 @@ class TestLocationHellinger:
         assert location_hellinger_sq(m, 1e-9) == pytest.approx(
             3.11866741e-14, rel=1e-8
         )
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_rejected(self, eps):
+        m = ErrorModel(ErrorFamily.GAMMA, 1.5, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            location_hellinger_sq(m, eps)
+
+    def test_never_calls_scipy_quad(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("scipy.integrate.quad was called")
+
+        monkeypatch.setattr(integrate, "quad", no_quad)
+        for family in (ErrorFamily.GAMMA, ErrorFamily.WEIBULL):
+            m = ErrorModel(family, 1.6, 1.2)
+            for e in EpsilonLadder().epsilons():
+                assert location_hellinger_sq(m, e) > 0.0
+
+    def test_unsettled_levels_raise(self, monkeypatch):
+        # two coarse levels cannot agree to 1e-11 on the z**(beta-1) panel
+        monkeypatch.setattr(hellinger_module, "_DE_FIRST_LEVEL", 0)
+        monkeypatch.setattr(hellinger_module, "_DE_MAX_LEVEL", 1)
+        m = ErrorModel(ErrorFamily.WEIBULL, 1.9, 1.0)
+        with pytest.raises(QuadratureError, match="unsettled at level 1"):
+            location_hellinger_sq(m, 7.8125e-5)
+
+    def test_final_tolerance_raises(self, monkeypatch):
+        # the summed error estimate is checked against max(atol, rtol * h)
+        monkeypatch.setattr(hellinger_module, "_LOCATION_ATOL", 0.0)
+        monkeypatch.setattr(hellinger_module, "_LOCATION_RTOL", 0.0)
+        m = ErrorModel(ErrorFamily.WEIBULL, 1.9, 1.0)
+        with pytest.raises(QuadratureError, match="too large"):
+            location_hellinger_sq(m, 7.8125e-5)
+
+
+def _mp_location_h(family: ErrorFamily, beta: float, sigma: float, eps: float):
+    """h of the shifted location pair at 30 digits, apart from the package.
+
+    Disjoint mass F(eps) plus the overlap integral of
+    (sqrt(p0(z + eps)) - sqrt(p0(z)))**2, split at eps and at its decades
+    out to 10 sigma.  Returns (value, mpmath's error estimate).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        b, s, e = mp.mpf(beta), mp.mpf(sigma), mp.mpf(eps)
+        if family is ErrorFamily.GAMMA:
+            def pdf(y):
+                return (y / s) ** (b - 1) * mp.exp(-y / s) / (mp.gamma(b) * s)
+
+            disjoint = mp.gammainc(b, 0, e / s, regularized=True)
+        else:
+            def pdf(y):
+                return (b / s) * (y / s) ** (b - 1) * mp.exp(-((y / s) ** b))
+
+            disjoint = -mp.expm1(-((e / s) ** b))
+        points = [mp.mpf(0), e]
+        while points[-1] < 10 * s:
+            points.append(points[-1] * 10)
+        overlap, err = mp.quad(
+            lambda z: (mp.sqrt(pdf(z + e)) - mp.sqrt(pdf(z))) ** 2,
+            points + [mp.inf],
+            error=True,
+        )
+        return disjoint + overlap, err
+
+
+class TestLocationHellingerOracle:
+    @pytest.mark.parametrize("beta", [1.0, 1.3, 1.6, 1.9])
+    @pytest.mark.parametrize("family", [ErrorFamily.GAMMA, ErrorFamily.WEIBULL])
+    def test_matches_mpmath(self, family, beta):
+        pytest.importorskip("mpmath")
+        for sigma in (1.0, 1.2):
+            m = ErrorModel(family, beta, sigma)
+            for eps in (1e-9, 7.8e-5, 1e-2, 0.3, 1.0):
+                ref, err = _mp_location_h(family, beta, sigma, eps)
+                assert float(err) < 1e-15 * float(ref)
+                assert location_hellinger_sq(m, eps) == pytest.approx(
+                    float(ref), rel=1e-12
+                )
 
 
 class TestRBeta:
@@ -269,6 +349,19 @@ class TestEstimateAlphaJ:
             uniform_info(model, (0.0, 2.0))
         with pytest.raises(ValueError, match=message):
             reparam_info(1.0, 1.0, (1.0, 1.0), (2.0, 0.0))
+
+    def test_nan_h_names_the_rung(self):
+        with pytest.raises(ValueError, match="not finite at rung 0"):
+            estimate_alpha_and_J(lambda a, b: math.nan, 1.0)
+
+    def test_infinite_small_rungs_name_the_first(self):
+        # rungs 4..7 of the default ladder have eps < 1e-3
+        def h_fn(a, b):
+            e = abs(float(b[0] - a[0]))
+            return math.inf if e < 1e-3 else e
+
+        with pytest.raises(ValueError, match=r"not finite at rung 4 \(eps = 0.000625\)"):
+            estimate_alpha_and_J(h_fn, 1.0)
 
     def test_identically_zero_h_raises(self):
         with pytest.raises(NonIdentifiableError):

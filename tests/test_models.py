@@ -108,6 +108,20 @@ class TestDensity:
                 direct = math.log(m.density(z + e)) - math.log(m.density(z))
                 assert m.log_density_diff(z, e) == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_log_density_diff_on_arrays(self, family):
+        beta = 1.0 if family is ErrorFamily.EXPONENTIAL else 1.6
+        m = ErrorModel(family, beta, 0.9)
+        zs = np.array([[1e-12, 0.05, 0.7], [3.0, 40.0, 1e3]])
+        vals = m.log_density_diff(zs, 1e-3)
+        assert vals.shape == zs.shape
+        for z, v in zip(zs.ravel(), vals.ravel()):
+            scalar = m.log_density_diff(float(z), 1e-3)
+            assert type(scalar) is float
+            assert v == pytest.approx(scalar, rel=1e-15, abs=1e-300)
+        with pytest.raises(ValueError, match="positive"):
+            m.log_density_diff(np.array([0.5, 0.0]), 1e-3)
+
 
 class TestSampling:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
