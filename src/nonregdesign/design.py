@@ -239,7 +239,7 @@ def min_over_sphere(
     ``extra_candidates``; they are evaluated along with the grid.  The
     returned value is never above any grid evaluation.
     """
-    from scipy.optimize import minimize  # only this generic helper needs SciPy
+    from scipy.optimize import minimize  # loaded on first call, not at import
 
     us = sphere_grid(d)
     if extra_candidates is not None and len(extra_candidates):

@@ -19,6 +19,13 @@ from a ladder of shrinking ``eps`` via a log-log least-squares fit, and
 evaluates the closed-form information of the one-sided location families:
 ``J = c * (1 + beta*r(beta))`` where ``c`` is the small-y constant of the
 error density and ``r`` an explicit one-dimensional integral.
+
+SciPy is imported on first use, not with this module: ``scipy.integrate``
+by :func:`hellinger_sq_numeric` and by :func:`r_beta` (so
+:func:`location_info`), and ``scipy.optimize.least_squares`` by the
+corrected refit in :func:`estimate_alpha_and_J`.  The closed forms and the
+location-family ``h`` need none of it, apart from the gamma error's CDF
+and normaliser in :mod:`nonregdesign.models`.
 """
 
 from __future__ import annotations
@@ -31,8 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import least_squares as _least_squares
 
 from .models import ErrorModel, UniformModel, UniformVariant, uniform_support
 
@@ -151,6 +156,8 @@ class EpsilonLadder:
 
 def _quad(f, a, b, atol=1e-15, rtol=1e-10):
     """One quadrature panel; returns (value, error estimate)."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(f, a, b, epsabs=atol, epsrel=rtol, limit=200)
@@ -434,6 +441,8 @@ def r_beta(beta: float, rtol: float = 1e-12) -> float:
         raise ValueError(f"beta={beta} outside the non-regular range [1, 2)")
     if beta == 1.0:
         return 0.0
+    from scipy import integrate
+
     b = 0.5 * (beta - 1.0)
 
     # head = S1 - 2*S2 + S3 with S1, S3 in closed form
@@ -517,8 +526,10 @@ def _corrected_ladder_fit(
             return np.full_like(log_h, 1e6)
         return lj + a * log_eps + np.log(arg) - log_h
 
+    from scipy.optimize import least_squares
+
     try:
-        res = _least_squares(
+        res = least_squares(
             model_residuals,
             x0=np.array([slope0, intercept0, 0.0]),
             max_nfev=400,

@@ -16,11 +16,19 @@ Three building blocks:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+
+@functools.cache
+def _gamma(x: float) -> float:
+    """SciPy's gamma function, cached: density calls it once per quadrature node."""
+    from scipy import special  # loaded on first use, not at package import
+
+    return special.gamma(x)
 
 
 class ErrorFamily(enum.Enum):
@@ -72,7 +80,7 @@ class ErrorModel:
                 vals = (
                     z ** (self.beta - 1.0)
                     * np.exp(-z)
-                    / (special.gamma(self.beta) * self.sigma)
+                    / (_gamma(self.beta) * self.sigma)
                 )
         elif self.family is ErrorFamily.WEIBULL:
             if self.beta == 1.0:
@@ -95,6 +103,8 @@ class ErrorModel:
         y = np.asarray(y, dtype=float)
         z = np.clip(y / self.sigma, 0.0, None)
         if self.family is ErrorFamily.GAMMA:
+            from scipy import special
+
             vals = special.gammainc(self.beta, z)
         elif self.family is ErrorFamily.WEIBULL:
             vals = -np.expm1(-(z**self.beta))
@@ -129,7 +139,7 @@ class ErrorModel:
     def small_y_constant(self) -> float:
         """The constant ``c`` in ``p0(y) ~ beta * c * y**(beta-1)`` at 0."""
         if self.family is ErrorFamily.GAMMA:
-            return 1.0 / (self.beta * special.gamma(self.beta) * self.sigma**self.beta)
+            return 1.0 / (self.beta * _gamma(self.beta) * self.sigma**self.beta)
         if self.family is ErrorFamily.WEIBULL:
             return self.sigma**-self.beta
         return 1.0 / self.sigma
@@ -138,7 +148,7 @@ class ErrorModel:
         if self.family is ErrorFamily.GAMMA:
             return self.beta * self.sigma
         if self.family is ErrorFamily.WEIBULL:
-            return self.sigma * special.gamma(1.0 + 1.0 / self.beta)
+            return self.sigma * _gamma(1.0 + 1.0 / self.beta)
         return self.sigma
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

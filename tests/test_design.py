@@ -1,10 +1,6 @@
 import functools
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1006,15 +1002,3 @@ class TestUniformDesign:
         with pytest.raises(ValueError):
             uniform_design(1.0, 1)
 
-
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats adds about 0.4 s to every run's start-up and no module needs it
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = "import nonregdesign, sys; assert 'scipy.stats' not in sys.modules"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,101 @@
+"""SciPy is loaded on first use, not with the package.
+
+Each check runs in a fresh interpreter, because an earlier test in this
+process has usually loaded SciPy already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from nonregdesign.hellinger import (
+    estimate_alpha_and_J,
+    hellinger_sq_numeric,
+    location_h_fn,
+    location_info,
+    normal_density,
+    r_beta,
+)
+from nonregdesign.models import ErrorFamily, ErrorModel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+NO_SCIPY = """
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter on the package source; its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_runs_load_no_scipy(tmp_path):
+    # SciPy costs about 0.7 s of every run's start-up; none of these needs it
+    code = """
+import sys
+
+import nonregdesign
+from nonregdesign import cli
+from nonregdesign.design import (
+    default_grid,
+    e_optimal_design,
+    optimize_design_cutting_plane,
+    pi_curve,
+    uniform_design,
+)
+from nonregdesign.models import ErrorFamily, ErrorModel, RegressionModel
+from nonregdesign.sim import SimPlan, mc_risk
+""" + NO_SCIPY + """
+model = RegressionModel(1, 1.0, (1.0, 2.0), ErrorModel(ErrorFamily.GAMMA, 1.5))
+mc_risk(SimPlan(design=uniform_design(1.0, 5), n=30, model=model, replicates=10, seed=3))
+pi_curve(1.0, [1.0])
+optimize_design_cutting_plane(default_grid(1.0), alpha=1.4, j_tilde=1.0, degree=1)
+e_optimal_design(1.0, 2)
+assert cli.main([
+    "simulate", "--degree", "1", "--A", "1", "--theta", "1,2", "--alpha", "1.5",
+    "--designs", "optimal,uniform5", "--n", "30", "--reps", "10", "--seed", "3",
+    "--out", sys.argv[1],
+]) == 0
+""" + NO_SCIPY
+    run_fresh(code, str(tmp_path / "risk.csv"))
+    assert (tmp_path / "risk.csv").is_file()
+
+
+# Each entry point loads SciPy on first use.  A name the lazy import misses
+# fails only when that function is the first SciPy user in the process.
+LAZY_ENTRY_POINTS = [
+    "r_beta(1.5)",
+    "location_info(ErrorModel(ErrorFamily.GAMMA, 1.5))",
+    "ErrorModel(ErrorFamily.WEIBULL, 1.5).mean()",
+    "ErrorModel(ErrorFamily.GAMMA, 1.5).cdf(0.3)",
+    "ErrorModel(ErrorFamily.GAMMA, 1.5).density(0.3)",
+    "hellinger_sq_numeric(normal_density(0.0, 1.0), normal_density(0.5, 1.2))",
+    "estimate_alpha_and_J(location_h_fn(ErrorModel(ErrorFamily.GAMMA, 1.5)), 0.0)",
+]
+
+
+@pytest.mark.parametrize("expr", LAZY_ENTRY_POINTS)
+def test_lazy_entry_point_matches_in_process(expr):
+    code = (
+        "import sys\n"
+        "from nonregdesign.hellinger import (estimate_alpha_and_J, hellinger_sq_numeric,"
+        " location_h_fn, location_info, normal_density, r_beta)\n"
+        "from nonregdesign.models import ErrorFamily, ErrorModel\n"
+        + NO_SCIPY
+        + f"print(repr({expr}))\n"
+    )
+    expected = repr(eval(expr))
+    assert run_fresh(code).splitlines()[-1] == expected
