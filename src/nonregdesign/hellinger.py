@@ -15,17 +15,17 @@ and ``J = u' I(theta) u / 4`` with ``I`` the Fisher information.
 This module computes ``h`` (closed forms for uniform families, nested
 double-exponential rules on arrays for the one-sided location families,
 SciPy's adaptive quadrature for generic densities), recovers ``(alpha, J)``
-from a ladder of shrinking ``eps`` via a log-log least-squares fit, and
-evaluates the closed-form information of the one-sided location families:
-``J = c * (1 + beta*r(beta))`` where ``c`` is the small-y constant of the
-error density and ``r`` an explicit one-dimensional integral.
+from a ladder of shrinking ``eps`` via a log-log least-squares fit refined
+by a damped Gauss-Newton, and evaluates the closed-form information of the
+one-sided location families: ``J = c * (1 + beta*r(beta))`` where ``c`` is
+the small-y constant of the error density and ``r`` an explicit
+one-dimensional integral.
 
 SciPy is imported on first use, not with this module: ``scipy.integrate``
 by :func:`hellinger_sq_numeric` and by :func:`r_beta` (so
-:func:`location_info`), and ``scipy.optimize.least_squares`` by the
-corrected refit in :func:`estimate_alpha_and_J`.  The closed forms and the
-location-family ``h`` need none of it, apart from the gamma error's CDF
-and normaliser in :mod:`nonregdesign.models`.
+:func:`location_info`).  The closed forms, the location-family ``h`` and
+the ladder fit need none of it, apart from the gamma error's CDF and
+normaliser in :mod:`nonregdesign.models`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,15 @@ _DE_MAX_LEVEL = 8
 _DE_PANEL_RTOL = 1e-11
 # ladder fits with a larger max log-residual drop their two largest rungs
 _LADDER_RESIDUAL_TOL = 1e-3
+# The corrected refit's damped Gauss-Newton halves its damping after a step
+# that lowers the cost and multiplies it by ten after one that does not.  It
+# starts at _GN_DAMPING_START and stops after _GN_MAX_STEPS steps, once the
+# damping exceeds _GN_DAMPING_MAX, or at a step shorter than _GN_XTOL
+# relative to the parameters.
+_GN_MAX_STEPS = 100
+_GN_DAMPING_START = 1e-3
+_GN_DAMPING_MAX = 1e10
+_GN_XTOL = 1e-12
 
 __all__ = [
     "DensitySpec",
@@ -127,7 +136,14 @@ class InfoResult:
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """A density for quadrature: pdf, support, and known kink locations."""
+    """A density for quadrature: pdf, support, and known kink locations.
+
+    :func:`hellinger_sq_numeric` calls ``pdf`` with one Python ``float`` at
+    a time, up to about 2,000 times per ``h``, and only inside ``support``.  A
+    ``pdf`` that computes on ``math`` and returns a ``float`` is the fast
+    path; :meth:`nonregdesign.models.ErrorModel.density` does so for
+    Python numbers.
+    """
 
     pdf: Callable[[float], float]
     support: tuple[float, float]
@@ -199,10 +215,15 @@ def hellinger_sq_numeric(
     else:
         knots = knots + [knots[-1] + 1.0]
 
+    # QUADPACK calls the integrand up to about 2,000 times per h: bind once
+    p_pdf, (p_lo, p_hi) = p.pdf, p.support
+    q_pdf, (q_lo, q_hi) = q.pdf, q.support
+    sqrt = math.sqrt
+
     def integrand(y: float) -> float:
-        fp = max(p.pdf(y), 0.0) if p.support[0] <= y <= p.support[1] else 0.0
-        fq = max(q.pdf(y), 0.0) if q.support[0] <= y <= q.support[1] else 0.0
-        return (math.sqrt(fp) - math.sqrt(fq)) ** 2
+        fp = max(p_pdf(y), 0.0) if p_lo <= y <= p_hi else 0.0
+        fq = max(q_pdf(y), 0.0) if q_lo <= y <= q_hi else 0.0
+        return (sqrt(fp) - sqrt(fq)) ** 2
 
     total = 0.0
     total_err = 0.0
@@ -508,36 +529,60 @@ def _corrected_ladder_fit(
 ) -> tuple[float, float, float] | None:
     """Refit ``log h = log J + a log eps + log(1 + c eps**(2-a))``.
 
-    Returns ``(alpha, log J, max residual)`` when the enriched model both
-    converges and reduces the worst residual, else ``None``.  Skipped near
+    Damped Gauss--Newton (Levenberg--Marquardt) from ``(slope0,
+    intercept0, 0)`` on the closed-form Jacobian.  A step into the invalid
+    region (``2 - a`` outside ``(1e-3, 2.5)``, or ``1 + c eps**(2-a) <=
+    1e-9`` on some rung) counts as a step that does not lower the cost.
+    Returns ``(alpha, log J, max residual)`` when some step lowers the cost
+    and the fit reduces the worst residual, else ``None``.  Skipped near
     ``alpha = 2`` where the correction term degenerates into the constant
     and would confound ``J``.
     """
     if not 0.05 < slope0 < 1.95 or log_eps.size < 4:
         return None
 
-    def model_residuals(params: np.ndarray) -> np.ndarray:
+    def residuals_and_jacobian(params: np.ndarray):
         a, lj, c = params
         expo = 2.0 - a
         if not 1e-3 < expo < 2.5:
-            return np.full_like(log_h, 1e6)
-        arg = 1.0 + c * np.exp(expo * log_eps)
+            return None
+        power = np.exp(expo * log_eps)
+        arg = 1.0 + c * power
         if np.any(arg <= 1e-9):
-            return np.full_like(log_h, 1e6)
-        return lj + a * log_eps + np.log(arg) - log_h
+            return None
+        resid = lj + a * log_eps + np.log(arg) - log_h
+        jac = np.column_stack([log_eps / arg, np.ones_like(arg), power / arg])
+        return resid, jac
 
-    from scipy.optimize import least_squares
-
-    try:
-        res = least_squares(
-            model_residuals,
-            x0=np.array([slope0, intercept0, 0.0]),
-            max_nfev=400,
-        )
-    except Exception:  # singular jacobian and friends: keep the linear fit
+    x = np.array([slope0, intercept0, 0.0])
+    resid, jac = residuals_and_jacobian(x)
+    cost = float(resid @ resid)
+    damping = _GN_DAMPING_START
+    lowered = False
+    for _ in range(_GN_MAX_STEPS):
+        jtj = jac.T @ jac
+        lhs = jtj + np.diag(damping * np.diag(jtj))
+        try:
+            step = np.linalg.solve(lhs, -(jac.T @ resid))
+        except np.linalg.LinAlgError:  # no damping repairs a singular J'J
+            break
+        trial = residuals_and_jacobian(x + step)
+        if trial is not None and float(trial[0] @ trial[0]) < cost:
+            x = x + step
+            resid, jac = trial
+            cost = float(resid @ resid)
+            lowered = True
+            damping *= 0.5
+        else:
+            damping *= 10.0
+        if damping > _GN_DAMPING_MAX or (
+            np.linalg.norm(step) <= _GN_XTOL * (_GN_XTOL + np.linalg.norm(x))
+        ):
+            break
+    if not lowered:
         return None
-    a, lj, _ = res.x
-    new_resid = float(np.max(np.abs(model_residuals(res.x))))
+    a, lj, _ = x
+    new_resid = float(np.max(np.abs(resid)))
     if not (np.isfinite(new_resid) and new_resid < resid0 and 0.02 < a < 1.98):
         return None
     return float(a), float(lj), new_resid

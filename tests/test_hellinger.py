@@ -382,6 +382,87 @@ class TestEstimateAlphaJ:
             EpsilonLadder(count=3)
 
 
+def _linear_fit(log_eps, log_h):
+    design = np.column_stack([log_eps, np.ones_like(log_eps)])
+    coef, *_ = np.linalg.lstsq(design, log_h, rcond=None)
+    return coef[0], coef[1], float(np.max(np.abs(log_h - design @ coef)))
+
+
+def _least_squares_refit(log_eps, log_h, slope0, intercept0):
+    """The corrected model fitted by SciPy to tight tolerances: the oracle."""
+    from scipy.optimize import least_squares
+
+    def residuals(params):
+        a, lj, c = params
+        arg = 1.0 + c * np.exp((2.0 - a) * log_eps)
+        if not 1e-3 < 2.0 - a < 2.5 or np.any(arg <= 1e-9):
+            return np.full_like(log_h, 1e6)
+        return lj + a * log_eps + np.log(arg) - log_h
+
+    res = least_squares(
+        residuals, x0=[slope0, intercept0, 0.0], jac="3-point",
+        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000,
+    )
+    return res.x, float(np.max(np.abs(residuals(res.x))))
+
+
+def _oracle_ladders():
+    eps = EpsilonLadder().epsilons()
+    for family in (ErrorFamily.GAMMA, ErrorFamily.WEIBULL):
+        for beta in (1.0, 1.3, 1.6, 1.9):
+            model = ErrorModel(family, beta)
+            yield f"{family.value}-{beta}", [location_hellinger_sq(model, e) for e in eps]
+    for variant in (UniformVariant.SCALE, UniformVariant.RECIPROCAL, UniformVariant.POWER_PAIR):
+        model = UniformModel(variant, 2.0)
+        yield variant.value, [hellinger_sq_closed(model, 2.0, 2.0 + e) for e in eps]
+    theta, u = np.array([0.3, 1.7]), np.array([0.6, 0.8])
+    model = UniformModel(UniformVariant.LOC_SCALE, theta)
+    yield "loc_scale", [hellinger_sq_closed(model, theta, theta + e * u) for e in eps]
+
+
+class TestCorrectedRefit:
+    """The Gauss-Newton refit against ladders with a known answer and SciPy."""
+
+    @pytest.mark.parametrize("a", [0.15, 0.5, 1.0, 1.4, 1.85])
+    @pytest.mark.parametrize("c", [-0.8, -0.2, 0.5, 3.0])
+    @pytest.mark.parametrize("j", [0.3, 2.0])
+    def test_recovers_synthetic_ladder(self, a, j, c):
+        def h_fn(t1, t2):
+            e = abs(float(t2[0] - t1[0]))
+            return j * e**a * (1.0 + c * e ** (2.0 - a))
+
+        fit = estimate_alpha_and_J(h_fn, 0.0)
+        assert abs(fit.alpha - a) <= 1e-9
+        assert abs(fit.J - j) <= 1e-9 * j
+
+    @pytest.mark.parametrize("name,h", list(_oracle_ladders()))
+    def test_matches_least_squares(self, name, h):
+        log_eps = np.log(EpsilonLadder().epsilons())
+        log_h = np.log(h)
+        slope, intercept, resid0 = _linear_fit(log_eps, log_h)
+        fit = hellinger_module._corrected_ladder_fit(
+            log_eps, log_h, slope, intercept, resid0
+        )
+        assert fit is not None
+        (a, lj, _), _ = _least_squares_refit(log_eps, log_h, slope, intercept)
+        assert fit[0] == pytest.approx(a, rel=1e-8)
+        assert math.exp(fit[1]) == pytest.approx(math.exp(lj), rel=1e-8)
+
+    def test_no_lower_max_residual_returns_none(self):
+        # the enriched model lowers the sum of squares on this ladder but
+        # raises its worst residual, so the linear fit stands
+        log_eps = np.log(EpsilonLadder().epsilons())
+        bumps = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 0.0, -1.0, 0.0])
+        log_h = 0.7 * log_eps + 0.2 + 1e-3 * bumps
+        slope, intercept, resid0 = _linear_fit(log_eps, log_h)
+        _, oracle_resid = _least_squares_refit(log_eps, log_h, slope, intercept)
+        assert oracle_resid > resid0
+        assert (
+            hellinger_module._corrected_ladder_fit(log_eps, log_h, slope, intercept, resid0)
+            is None
+        )
+
+
 class TestFisherQuadraticCheck:
     def test_location_direction_pins_quarter(self):
         res, quarter = fisher_quadratic_check((0.0, 1.0), (1.0, 0.0))

@@ -74,6 +74,35 @@ assert cli.main([
     assert (tmp_path / "risk.csv").is_file()
 
 
+def test_closed_form_ladder_fit_loads_no_scipy():
+    code = """
+import sys
+
+from nonregdesign.hellinger import estimate_alpha_and_J, uniform_h_fn
+from nonregdesign.models import UniformModel, UniformVariant
+
+fit = estimate_alpha_and_J(uniform_h_fn(UniformModel(UniformVariant.SCALE, 2.0)), 2.0)
+assert abs(fit.alpha - 1.0) < 0.01, fit
+""" + NO_SCIPY
+    run_fresh(code)
+
+
+def test_location_ladder_fit_loads_no_optimizer():
+    # the gamma error's CDF needs scipy.special; the refit needs no scipy.optimize
+    code = """
+import sys
+
+from nonregdesign.hellinger import estimate_alpha_and_J, location_h_fn
+from nonregdesign.models import ErrorFamily, ErrorModel
+
+estimate_alpha_and_J(location_h_fn(ErrorModel(ErrorFamily.GAMMA, 1.5)), 0.0)
+assert "scipy.special" in sys.modules
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+assert not loaded, loaded
+"""
+    run_fresh(code)
+
+
 # Each entry point loads SciPy on first use.  A name the lazy import misses
 # fails only when that function is the first SciPy user in the process.
 LAZY_ENTRY_POINTS = [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,63 @@ class TestDensity:
             assert v == pytest.approx(scalar, rel=1e-15, abs=1e-300)
         with pytest.raises(ValueError, match="positive"):
             m.log_density_diff(np.array([0.5, 0.0]), 1e-3)
+
+
+def _models_over_grid():
+    for family in ALL_FAMILIES:
+        betas = (1.0,) if family is ErrorFamily.EXPONENTIAL else (1.0, 1.3, 1.6, 1.9)
+        for beta in betas:
+            for sigma in (0.5, 1.0, 2.0):
+                yield ErrorModel(family, beta, sigma)
+
+
+class TestScalarDensity:
+    """A Python number takes ``math``; arrays, 0-d ones too, take NumPy."""
+
+    YS = (-1.0, 0.0, 1e-300, 1e-8, 0.5, 30.0, 700.0, math.inf)
+
+    @pytest.mark.parametrize("m", list(_models_over_grid()), ids=repr)
+    def test_scalar_matches_array(self, m):
+        for y in self.YS:
+            scalar = m.density(y)
+            array = m.density(np.array([y]))[0]
+            if (scalar == 0.0 and array == 0.0) or (
+                math.isnan(scalar) and math.isnan(array)
+            ):
+                continue
+            assert abs(scalar - array) <= 2e-15 * abs(array), (y, scalar, array)
+
+    @pytest.mark.parametrize("y", [0.5, 2, np.float64(0.5)])
+    def test_python_number_gives_float(self, y):
+        for m in _models_over_grid():
+            assert type(m.density(y)) is float
+
+    def test_zero_d_array_takes_numpy(self, monkeypatch):
+        m = ErrorModel(ErrorFamily.GAMMA, 1.3)
+        expected = m.density(np.array([0.7]))[0]
+
+        def no_scalar_path(self, y):
+            raise AssertionError("0-d array took the scalar path")
+
+        monkeypatch.setattr(ErrorModel, "_scalar_density", no_scalar_path)
+        value = m.density(np.array(0.7))
+        assert type(value) is float
+        assert value == expected
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_infinity_gives_zero_and_nan_gives_nan(self, family):
+        # gamma and Weibull at beta > 1 used to form inf**(beta-1) * exp(-inf)
+        beta = 1.0 if family is ErrorFamily.EXPONENTIAL else 1.6
+        m = ErrorModel(family, beta, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m.density(math.inf) == 0.0
+            assert math.isnan(m.density(math.nan))
+            vals = m.density(np.array([math.inf, math.nan, 0.5, -math.inf]))
+        assert vals[0] == 0.0
+        assert math.isnan(vals[1])
+        assert vals[2] > 0.0 and vals[3] == 0.0
+        assert math.isnan(m.cdf(math.nan))
 
 
 class TestSampling:
