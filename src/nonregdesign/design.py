@@ -15,7 +15,10 @@ simplex of weights at 0 and on the +-x pairs of a symmetric candidate grid.
 Each master step solves a small LP (max t s.t. every accumulated cut
 exceeds t), and each separation step finds the worst direction of the
 current design.  The degree p is 1 or 2, so u has d = p + 1 = 2 or 3
-entries.  The sphere minimum is exact where its location is known: at
+entries.  One function, ``_sphere_min``, decides every sphere minimum.  A
+design that cannot identify every coefficient has a null direction, and its
+criterion is exactly 0; that is settled from the moment matrix before any
+search.  Otherwise the minimum is exact where its location is known: at
 alpha = 2 it is the smallest eigenvalue of the moment matrix, and at
 alpha <= 1 it lies on a kink ray, so enumerating those rays finds it.  At
 1 < alpha < 2 a branch-and-bound over cells of the hemisphere certifies it:
@@ -78,15 +81,16 @@ class Design:
     def __init__(self, points, A, *, require_balance=True) -> None:
         pts = tuple((float(x), float(w)) for x, w in points)
         A = float(A)
-        if A <= 0.0:
-            raise ValueError(f"A must be positive, got {A}")
+        if not (A > 0.0 and math.isfinite(A)):
+            raise ValueError(f"A must be positive and finite, got {A}")
         if not pts:
             raise ValueError("design needs at least one support point")
         xs = np.array([x for x, _ in pts])
         ws = np.array([w for _, w in pts])
-        if np.any(np.abs(xs) > A + 1e-12):
+        # negated comparisons, so that NaN fails them too
+        if not np.all(np.abs(xs) <= A + 1e-12):
             raise ValueError(f"support points must lie in [-{A}, {A}]")
-        if np.any(ws < 0.0):
+        if not np.all(ws >= 0.0):
             raise ValueError("weights must be non-negative")
         if abs(float(ws.sum()) - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights sum to {ws.sum()!r}, not 1")
@@ -129,7 +133,7 @@ class CuttingPlaneConfig:
     max_cuts: int = 500
 
     def __post_init__(self) -> None:
-        if self.gap_tol <= 0.0:
+        if not self.gap_tol > 0.0:
             raise ValueError(f"gap_tol must be positive, got {self.gap_tol}")
         if self.max_cuts < 4:
             raise ValueError(f"max_cuts must be at least 4, got {self.max_cuts}")
@@ -170,8 +174,7 @@ def design_info_directional(
 ) -> float:
     """J_tilde * sum_i w_i |f(x_i)'u|^alpha."""
     u = _check_unit(u)
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_criterion(alpha, j_tilde)
     f = regressor_matrix(design.xs, degree)
     if f.shape[1] != u.shape[0]:
         raise ValueError(f"direction has dimension {u.shape[0]}, expected {f.shape[1]}")
@@ -287,9 +290,7 @@ def _moment_matrix(f: np.ndarray, ws: np.ndarray) -> np.ndarray:
     return f.T @ (ws[:, None] * f)
 
 
-def _kink_candidates(
-    f: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _kink_candidates(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact null directions of the regressor rows, where |f'u|^alpha kinks.
 
     For alpha <= 1 the sphere minimum of sum_i w_i |f(x_i)'u|^alpha lies on
@@ -300,26 +301,20 @@ def _kink_candidates(
     of a kink arc is a strict minimum, and the minimum sits on a null
     direction (d = 2) or on a pairwise intersection f(x_i) x f(x_j) (d = 3).
     Returns (rays, rows): unit candidates and, per ray, the indices of the
-    d - 1 rows it annihilates.  None when alpha > 1, which has interior
-    minima, or when no candidate survives.
+    d - 1 rows it annihilates.  Both are empty when every pair of rows is
+    parallel; a design that passes ``_is_degenerate`` has at least one ray.
     """
-    if alpha > 1.0:
-        return None
     scale = np.linalg.norm(f, axis=1)
     if f.shape[1] == 2:
         cand = np.stack([-f[:, 1], f[:, 0]], axis=1)
         rows = np.arange(f.shape[0])[:, None]
     else:
         i, j = np.triu_indices(f.shape[0], k=1)
-        if i.size == 0:
-            return None
         cand = np.cross(f[i], f[j])
         rows = np.stack([i, j], axis=1)
         scale = scale[i] * scale[j]
     norms = np.linalg.norm(cand, axis=1)
     keep = norms > 1e-12 * np.maximum(scale, 1.0)
-    if not np.any(keep):
-        return None
     return cand[keep] / norms[keep, None], rows[keep]
 
 
@@ -546,7 +541,7 @@ def _kink_step(
 
 
 def _branch_and_bound(
-    f: np.ndarray, ws: np.ndarray, alpha: float, eig: tuple[np.ndarray, np.ndarray]
+    f: np.ndarray, ws: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, float]:
     """Certified min_{|u|=1} sum_i w_i |f_i'u|^alpha for 1 < alpha < 2.
 
@@ -557,13 +552,10 @@ def _branch_and_bound(
     its lower bound (``_cell_bounds``) reaches best * (1 - 1e-10), and the
     rest are split.  When no cell remains the incumbent is within 1e-10
     relative of the minimum.  A design with a null direction (minimum 0)
-    would never drop the cells around it, so it is answered from ``eig``
-    before the search.  Raises RuntimeError above ``_BB_MAX_CELLS`` live cells
-    or ``_BB_MAX_LEVELS`` levels.
+    would never drop the cells around it; ``_sphere_min`` answers it before
+    calling.  Raises RuntimeError above ``_BB_MAX_CELLS`` live cells or
+    ``_BB_MAX_LEVELS`` levels.
     """
-    vals, vecs = eig
-    if _is_degenerate(vals):
-        return vecs[:, 0], 0.0
     keep = ws > 0.0
     f, ws = f[keep], ws[keep]
     f_norm = np.linalg.norm(f, axis=1)
@@ -590,34 +582,34 @@ def _branch_and_bound(
 
 
 def _sphere_min(
-    f: np.ndarray,
-    ws: np.ndarray,
-    alpha: float,
-    j_tilde: float,
-    eig: tuple[np.ndarray, np.ndarray] | None = None,
+    f: np.ndarray, ws: np.ndarray, alpha: float, j_tilde: float
 ) -> tuple[np.ndarray, float, InfoMethod]:
     """min_{|u|=1} j_tilde * sum_i w_i |f_i'u|^alpha, exactly where possible.
 
-    At alpha = 2 the minimum is j_tilde * lambda_min(F'WF); ``eig`` is its
-    ``eigh`` when the caller already has it.  At alpha <= 1 it is the
-    smallest value over the kink rays of ``_kink_candidates``.  At
-    1 < alpha < 2 ``_branch_and_bound`` certifies it to 1e-10 relative.
+    The one place that decides a sphere minimum.  A design whose moment
+    matrix F'WF has a null direction (``_is_degenerate``) cannot identify
+    every coefficient: its minimum is exactly 0, at the lambda_min
+    eigenvector, labelled SPHERE_SEARCH.  Otherwise the path follows alpha.
+    At alpha = 2 the minimum is j_tilde * lambda_min(F'WF) (EIGENVALUE).  At
+    alpha <= 1 it is the smallest value over the kink rays of
+    ``_kink_candidates`` (KINK_ENUMERATION).  At 1 < alpha < 2
+    ``_branch_and_bound`` certifies it to 1e-10 relative (BRANCH_AND_BOUND).
 
     Returns (ties, value, method).  The rows of ``ties`` are minimizers,
     the reported direction first: an orthonormal basis of the lambda_min
     eigenspace at alpha = 2, every kink ray within 1e-12 relative of the
-    minimum at alpha <= 1, and the one certified incumbent otherwise.
+    minimum at alpha <= 1, and the one null direction or certified
+    incumbent otherwise.
     """
-    if eig is None and alpha > 1.0:
-        eig = np.linalg.eigh(_moment_matrix(f, ws))
+    vals, vecs = np.linalg.eigh(_moment_matrix(f, ws))
+    if _is_degenerate(vals):
+        return _canonical_sign(vecs[:, :1].T), 0.0, InfoMethod.SPHERE_SEARCH
     if alpha == 2.0:
-        vals, vecs = eig
         tied = vals <= vals[0] + _TIE_RTOL * abs(vals[-1])
         ties = _canonical_sign(vecs[:, tied].T)
         return ties, float(j_tilde * vals[0]), InfoMethod.EIGENVALUE
-    kinks = _kink_candidates(f, alpha)
-    if kinks is not None:
-        rays, rows = kinks
+    if alpha <= 1.0:
+        rays, rows = _kink_candidates(f)
         rays = _canonical_sign(rays)
         proj = np.abs(rays @ f.T)
         # zero by construction: keeps rounding residue out of |.|^alpha
@@ -627,44 +619,39 @@ def _sphere_min(
         tied = np.flatnonzero(vals <= vals[best] * (1.0 + _TIE_RTOL))
         order = np.concatenate([[best], tied[tied != best]])
         return rays[order], float(vals[best]), InfoMethod.KINK_ENUMERATION
-    u, value = _branch_and_bound(f, ws, alpha, eig)
+    u, value = _branch_and_bound(f, ws, alpha)
     return _canonical_sign(u)[None, :], j_tilde * value, InfoMethod.BRANCH_AND_BOUND
+
+
+def _check_criterion(alpha: float, j_tilde: float) -> None:
+    """Reject an alpha outside (0, 2] or a j_tilde that is not positive and finite."""
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    if not (j_tilde > 0.0 and math.isfinite(j_tilde)):
+        raise ValueError(f"j_tilde must be positive and finite, got {j_tilde}")
 
 
 def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> InfoResult:
     """Direction-free design information inf_u J_xi(u) with its minimizer.
 
-    A design whose support cannot identify all degree+1 coefficients has a
-    direction annihilating every support point; its information is exactly 0
-    and the result carries the degeneracy flag.  Otherwise ``method`` names
-    the sphere-minimum path: EIGENVALUE (alpha = 2), KINK_ENUMERATION
-    (alpha <= 1) or BRANCH_AND_BOUND (1 < alpha < 2, certified to 1e-10
-    relative).  A degenerate design keeps the SPHERE_SEARCH label.
+    ``_sphere_min`` decides the value and names its path in ``method``:
+    EIGENVALUE (alpha = 2), KINK_ENUMERATION (alpha <= 1) or
+    BRANCH_AND_BOUND (1 < alpha < 2, certified to 1e-10 relative).  A
+    design whose support cannot identify all degree+1 coefficients has a
+    direction annihilating every support point; its information is exactly
+    0, its method SPHERE_SEARCH, and the result carries the degeneracy flag.
     ``degree`` is 1 or 2.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    if j_tilde <= 0.0:
-        raise ValueError("j_tilde must be positive")
-    f = regressor_matrix(design.xs, degree)
-    ws = design.ws
-    eigvals, eigvecs = np.linalg.eigh(_moment_matrix(f, ws))
-    if _is_degenerate(eigvals):
-        u0 = _canonical_sign(eigvecs[:, 0])
-        return InfoResult(
-            alpha=alpha,
-            J=0.0,
-            direction=tuple(u0),
-            method=InfoMethod.SPHERE_SEARCH,
-            degenerate=True,
-        )
-    ties, value, method = _sphere_min(f, ws, alpha, j_tilde, (eigvals, eigvecs))
+    _check_criterion(alpha, j_tilde)
+    ties, value, method = _sphere_min(
+        regressor_matrix(design.xs, degree), design.ws, alpha, j_tilde
+    )
     return InfoResult(
         alpha=alpha,
         J=value,
         direction=tuple(ties[0]),
         method=method,
-        degenerate=False,
+        degenerate=method is InfoMethod.SPHERE_SEARCH,
     )
 
 
@@ -677,9 +664,12 @@ def direction_free_info_psi(
     minimum of the rows ``F D_psi^-1``: with ``v = D_psi u / ||D_psi u||``
     it is ``j_tilde * sum_i w_i |f_i' D_psi^-1 v|^alpha``, which
     ``_sphere_min`` evaluates exactly or certifies, as in ``design_info``.
-    A wide ``D_psi`` keeps the generic grid-plus-Nelder-Mead search of
-    ``min_over_sphere``.
+    The mapped rows keep the design's null directions, so a degenerate
+    design gives exactly 0.  A wide ``D_psi`` keeps the generic
+    grid-plus-Nelder-Mead search of ``min_over_sphere``, seeded with the
+    kink rays at alpha <= 1.
     """
+    _check_criterion(alpha, j_tilde)
     f = regressor_matrix(design.xs, degree)
     ws = design.ws
     d = degree + 1
@@ -689,11 +679,8 @@ def direction_free_info_psi(
     if np.linalg.matrix_rank(d_psi) < d_psi.shape[0]:
         raise ValueError("d_psi must have full row rank")
     if d_psi.shape[0] == d:
-        # an invertible D_psi keeps the design's null directions, and the
-        # criterion is alpha-homogeneous in the rows: unit-scale them so
+        # the criterion is alpha-homogeneous in the rows: unit-scale them so
         # the degeneracy test inside _sphere_min does not depend on |D_psi|
-        if _is_degenerate(np.linalg.eigvalsh(_moment_matrix(f, ws))):
-            return 0.0
         g = f @ np.linalg.inv(d_psi)
         scale = float(np.max(np.linalg.norm(g, axis=1)))
         return scale**alpha * _sphere_min(g / scale, ws, alpha, j_tilde)[1]
@@ -711,10 +698,9 @@ def direction_free_info_psi(
             out = np.where(du < 1e-9, np.inf, num / du**alpha)
         return out
 
-    kinks = _kink_candidates(f, alpha)
     _, value = min_over_sphere(
         objective, d, batch_objective=batch,
-        extra_candidates=None if kinks is None else kinks[0],
+        extra_candidates=_kink_candidates(f)[0] if alpha <= 1.0 else None,
     )
     if not np.isfinite(value):
         raise ValueError("every direction was skipped; d_psi is numerically zero")
@@ -867,10 +853,7 @@ def optimize_design_cutting_plane(
     it.  Returned designs list their points in ascending x.
     """
     config = config or CuttingPlaneConfig()
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    if j_tilde <= 0.0:
-        raise ValueError("j_tilde must be positive")
+    _check_criterion(alpha, j_tilde)
     pos, a = _validate_grid(grid)
     d = degree + 1
     var_xs = np.concatenate([[0.0], pos])
@@ -1028,12 +1011,11 @@ def pi_curve(a: float, alphas) -> list[tuple[float, float, float]]:
     the bracket is at most 1e-5 wide and reports its midpoint.
     Returns (alpha, pi, f(pi)) rows.
     """
-    if a <= 0.0:
-        raise ValueError("A must be positive")
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"A must be positive and finite, got {a}")
     out = []
     for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
-        if not 0.0 < alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+        _check_criterion(alpha, 1.0)
         f_of_pi = _three_point_inner(a, float(alpha))
         lo, hi = 0.0, 1.0
         while hi - lo > _PI_TOL:

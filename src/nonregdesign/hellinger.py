@@ -701,14 +701,12 @@ def normal_ls_hellinger_closed(t1, t2) -> float:
     return 2.0 - 2.0 * affinity
 
 
-def normal_ls_h_fn(numeric: bool = True) -> Callable[[np.ndarray, np.ndarray], float]:
+def normal_ls_h_fn() -> Callable[[np.ndarray, np.ndarray], float]:
     """h callable for the normal location-scale family.
 
-    ``numeric=True`` routes through :func:`hellinger_sq_numeric` (the generic
-    quadrature path); ``numeric=False`` uses the exact affinity formula.
+    It routes through :func:`hellinger_sq_numeric` (the generic quadrature
+    path); :func:`normal_ls_hellinger_closed` is the exact affinity formula.
     """
-    if not numeric:
-        return normal_ls_hellinger_closed
 
     def h(t1, t2) -> float:
         p = normal_density(float(t1[0]), float(t1[1]))
@@ -728,18 +726,17 @@ def fisher_quadratic_check(
     theta,
     direction,
     ladder: EpsilonLadder | None = None,
-    numeric: bool = True,
 ) -> tuple[InfoResult, float]:
     """Ladder fit versus the quadratic law for the normal family.
 
     Returns the fitted :class:`InfoResult` (alpha should be close to 2) and
     the reference value ``u' I(theta) u / 4``.  ``direction`` must be a unit
-    vector.
+    vector.  The fit runs the generic quadrature of :func:`normal_ls_h_fn`.
     """
     u = _check_unit(direction, 2)
     if ladder is None:
         ladder = EpsilonLadder()
-    result = estimate_alpha_and_J(normal_ls_h_fn(numeric), theta, u, ladder)
+    result = estimate_alpha_and_J(normal_ls_h_fn(), theta, u, ladder)
     quarter = float(u @ normal_ls_fisher(theta) @ u) / 4.0
     return result, quarter
 

@@ -22,6 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Past z = y / sigma = 1e154 every density here is 0 and every cdf 1, while
+# z**beta (beta < 2) is still finite; capping z there keeps the power from
+# overflowing without changing any value.
+_Z_CAP = 1e154
+
 
 @functools.cache
 def _gamma(x: float) -> float:
@@ -82,7 +87,7 @@ class ErrorModel:
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
         out[np.isnan(y)] = np.nan
-        pos = (y >= 0.0) & (y < np.inf)
+        pos = (y >= 0.0) & (y < self.sigma * _Z_CAP)
         z = np.where(pos, y, 1.0) / self.sigma
         if self.family is ErrorFamily.GAMMA:
             if self.beta == 1.0:
@@ -131,7 +136,7 @@ class ErrorModel:
     def cdf(self, y):
         """Distribution function, exact (no quadrature); zero for ``y < 0``."""
         y = np.asarray(y, dtype=float)
-        z = np.clip(y / self.sigma, 0.0, None)
+        z = np.clip(y, 0.0, self.sigma * _Z_CAP) / self.sigma
         if self.family is ErrorFamily.GAMMA:
             from scipy import special
 
@@ -152,14 +157,20 @@ class ErrorModel:
         densities and subtracting would lose all significant digits.
         """
         z = np.asarray(z, dtype=float)
-        if np.any(z <= 0.0):
+        if (z <= 0.0).any():  # the method, not np.any: half the call overhead
             raise ValueError("z must be positive")
         ratio = np.log1p(e / z)
         if self.family is ErrorFamily.GAMMA:
             vals = (self.beta - 1.0) * ratio - e / self.sigma
         elif self.family is ErrorFamily.WEIBULL:
-            zb = (z / self.sigma) ** self.beta
-            vals = (self.beta - 1.0) * ratio - zb * np.expm1(self.beta * ratio)
+            grow = np.expm1(self.beta * ratio)
+            if z.max() <= self.sigma * _Z_CAP:  # (z / sigma)**beta is finite
+                vals = (self.beta - 1.0) * ratio - (z / self.sigma) ** self.beta * grow
+            else:  # where zb overflows, z * grow ~ beta * e is formed first
+                with np.errstate(over="ignore", invalid="ignore"):
+                    zb = (z / self.sigma) ** self.beta
+                    split = z ** (self.beta - 1.0) * (z * grow) / self.sigma**self.beta
+                    vals = (self.beta - 1.0) * ratio - np.where(np.isinf(zb), split, zb * grow)
         else:
             vals = np.full_like(z, -e / self.sigma)
         if vals.ndim == 0:

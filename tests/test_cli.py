@@ -180,12 +180,19 @@ class TestDesignOpt:
         assert "degree" in err
 
     def test_bad_solver_settings_are_named(self, capsys, tmp_path):
-        for flag, value in [("--gap-tol", "0"), ("--max-cuts", "3")]:
-            code, _, err = run(capsys, "design-opt", "--degree", "1", "--A", "1",
-                               "--alpha", "1", flag, value,
-                               "--out-dir", str(tmp_path))
+        # nan once passed every "<= 0" check: design-opt printed "info": NaN
+        # (not JSON) and e-optimal exited 3 on a "relative tolerance nan"
+        for cmd, flag, value, name in [
+            ("design-opt", "--gap-tol", "0", "gap_tol"),
+            ("design-opt", "--max-cuts", "3", "max_cuts"),
+            ("design-opt", "--jtilde", "nan", "j_tilde"),
+            ("e-optimal", "--gap-tol", "nan", "gap_tol"),
+        ]:
+            extra = ["--alpha", "1"] if cmd == "design-opt" else []
+            code, _, err = run(capsys, cmd, "--degree", "1", "--A", "1", *extra,
+                               flag, value, "--out-dir", str(tmp_path))
             assert code == 2
-            assert flag[2:].replace("-", "_") in err
+            assert name in err
 
     def test_idempotent_outputs(self, capsys, tmp_path):
         args = ("design-opt", "--degree", "1", "--A", "1", "--alpha", "1",

@@ -80,8 +80,19 @@ class TestDesignType:
             Design(A=1.0, points=((0.0, 0.5), (0.0, 0.5)))
 
     def test_positive_a(self):
-        with pytest.raises(ValueError, match="positive"):
-            Design(A=0.0, points=((0.0, 1.0),))
+        for a in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="A must be positive"):
+                Design(A=a, points=((0.0, 1.0),))
+
+    def test_non_finite_points_and_weights(self):
+        # NaN compares false, so the range and sign checks once let it through
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="support points must lie in"):
+                Design(A=1.0, points=((x, 1.0),), require_balance=False)
+        with pytest.raises(ValueError, match="weights must be non-negative"):
+            Design(A=1.0, points=((-1.0, math.nan), (1.0, 0.5)), require_balance=False)
+        with pytest.raises(ValueError, match="weights sum to"):
+            Design(A=1.0, points=((-1.0, math.inf), (1.0, 0.5)), require_balance=False)
 
     def test_json_round_trip(self):
         d = Design(A=2.0, points=((-2.0, 0.25), (0.0, 0.5), (2.0, 0.25)))
@@ -115,8 +126,9 @@ class TestGridsAndConfigs:
             default_grid(1.0, 301)
 
     def test_cutting_plane_config_validation(self):
-        with pytest.raises(ValueError, match="gap_tol must be positive"):
-            CuttingPlaneConfig(gap_tol=0.0)
+        for gap_tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="gap_tol must be positive"):
+                CuttingPlaneConfig(gap_tol=gap_tol)
         with pytest.raises(ValueError, match="max_cuts must be at least 4"):
             CuttingPlaneConfig(max_cuts=3)
 
@@ -238,8 +250,9 @@ class TestDesignInfo:
             design_info(TWO_POINT, 2.5, 1.0, 1)
 
     def test_j_tilde_domain(self):
-        with pytest.raises(ValueError, match="j_tilde"):
-            design_info(TWO_POINT, 1.0, 0.0, 1)
+        for j_tilde in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="j_tilde must be positive"):
+                design_info(TWO_POINT, 1.0, j_tilde, 1)
 
     def test_info_below_any_direction(self):
         rng = np.random.default_rng(5)
@@ -558,14 +571,16 @@ class TestBranchAndBound:
         value = _three_point_inner(2.0, 1.05)(0.7)[0]
         assert value == pytest.approx(0.5719736429, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("xs,degree", [([-1.0, 1.0], 2), ([-0.3, 0.7], 2), ([0.37], 1)])
-    def test_degenerate_design_answers_zero(self, xs, degree):
+    def test_degenerate_design_answers_zero(self, xs, degree, alpha):
         # rank-deficient: the u orthogonal to every f(x_i) has value 0, so the
-        # bound of a cell around it never reaches a positive incumbent
+        # bound of a cell around it never reaches a positive incumbent.  At
+        # alpha = 2, lambda_min alone read -5.4e-17 on {-0.3, 0.7}.
         f = regressor_matrix(np.array(xs), degree)
         ws = np.full(len(xs), 1.0 / len(xs))
-        ties, value, method = design_module._sphere_min(f, ws, 1.5, 1.0)
-        assert value == 0.0 and method is InfoMethod.BRANCH_AND_BOUND
+        ties, value, method = design_module._sphere_min(f, ws, alpha, 1.0)
+        assert value == 0.0 and method is InfoMethod.SPHERE_SEARCH
         assert np.abs(f @ ties[0]).max() < 1e-12
 
     @pytest.mark.parametrize("alpha", [1.0001, 1.001, 1.01])
@@ -665,6 +680,15 @@ class TestDirectionFreePsi:
     def test_wrong_columns_rejected(self):
         with pytest.raises(ValueError, match="columns"):
             direction_free_info_psi(TWO_POINT, np.eye(3), 1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("alpha,j_tilde", [(3.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                               (1.5, -1.0), (1.5, math.nan)])
+    def test_criterion_domain(self, alpha, j_tilde):
+        # alpha = 3 once ran a branch-and-bound whose cell bound needs alpha <= 2
+        match = "alpha must lie" if j_tilde == 1.0 else "j_tilde must be positive"
+        for d_psi in (np.eye(2), np.array([[0.0, 1.0]])):
+            with pytest.raises(ValueError, match=match):
+                direction_free_info_psi(TWO_POINT, d_psi, alpha, j_tilde, 1)
 
 
 class TestSymmetrize:
@@ -824,8 +848,9 @@ class TestCuttingPlaneSolver:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             optimize_design_cutting_plane(default_grid(1.0), 2.4, 1.0, 1)
-        with pytest.raises(ValueError):
-            optimize_design_cutting_plane(default_grid(1.0), 1.0, -1.0, 1)
+        for j_tilde in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="j_tilde must be positive"):
+                optimize_design_cutting_plane(default_grid(1.0), 1.0, j_tilde, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -948,8 +973,9 @@ class TestPiCurve:
         assert all(len(r) == 3 for r in rows)
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            pi_curve(0.0, [1.5])
+        for a in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="A must be positive"):
+                pi_curve(a, [1.5])
         with pytest.raises(ValueError, match="alpha"):
             pi_curve(1.0, [2.5])
 

@@ -481,7 +481,7 @@ class TestFisherQuadraticCheck:
 
     def test_closed_form_route_agrees(self):
         res_num, _ = fisher_quadratic_check((0.0, 1.0), (1.0, 0.0))
-        res_cls, _ = fisher_quadratic_check((0.0, 1.0), (1.0, 0.0), numeric=False)
+        res_cls = estimate_alpha_and_J(normal_ls_hellinger_closed, (0.0, 1.0), (1.0, 0.0))
         assert res_num.J == pytest.approx(res_cls.J, rel=1e-6)
 
 

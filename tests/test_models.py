@@ -123,6 +123,16 @@ class TestDensity:
         with pytest.raises(ValueError, match="positive"):
             m.log_density_diff(np.array([0.5, 0.0]), 1e-3)
 
+    @pytest.mark.parametrize("beta", [1.3, 1.9])
+    def test_weibull_log_density_diff_past_power_overflow(self, beta):
+        # (z / sigma)**beta overflows here; the value itself is representable
+        # and is -beta e z**(beta - 1) / sigma**beta to first order in e / z
+        m = ErrorModel(ErrorFamily.WEIBULL, beta, 1.0)
+        z = np.array([1e300, 0.7])
+        vals = m.log_density_diff(z, 1.0)
+        assert vals[0] == pytest.approx(-beta * 1e300 ** (beta - 1.0), rel=1e-12)
+        assert vals[1] == pytest.approx(m.log_density_diff(0.7, 1.0), rel=1e-15)
+
 
 def _models_over_grid():
     for family in ALL_FAMILIES:
@@ -167,18 +177,25 @@ class TestScalarDensity:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_infinity_gives_zero_and_nan_gives_nan(self, family):
-        # gamma and Weibull at beta > 1 used to form inf**(beta-1) * exp(-inf)
-        beta = 1.0 if family is ErrorFamily.EXPONENTIAL else 1.6
-        m = ErrorModel(family, beta, 1.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert m.density(math.inf) == 0.0
-            assert math.isnan(m.density(math.nan))
-            vals = m.density(np.array([math.inf, math.nan, 0.5, -math.inf]))
-        assert vals[0] == 0.0
-        assert math.isnan(vals[1])
-        assert vals[2] > 0.0 and vals[3] == 0.0
-        assert math.isnan(m.cdf(math.nan))
+        # gamma and Weibull at beta > 1 used to form inf**(beta-1) * exp(-inf),
+        # and Weibull at beta > 1 overflowed z**beta at huge finite y
+        huge = np.array([1e300, 1.7e308])
+        betas = (1.0,) if family is ErrorFamily.EXPONENTIAL else (1.3, 1.6, 1.9)
+        for beta in betas:
+            m = ErrorModel(family, beta, 1.5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert m.density(math.inf) == 0.0
+                assert math.isnan(m.density(math.nan))
+                vals = m.density(np.array([math.inf, math.nan, 0.5, -math.inf]))
+                assert m.density(1e300) == 0.0
+                assert np.all(m.density(huge) == 0.0)
+                assert np.all(m.cdf(huge) == 1.0)
+                assert np.all(np.isfinite(m.log_density_diff(huge, 1.0)))
+            assert vals[0] == 0.0
+            assert math.isnan(vals[1])
+            assert vals[2] > 0.0 and vals[3] == 0.0
+            assert math.isnan(m.cdf(math.nan))
 
 
 class TestSampling:
