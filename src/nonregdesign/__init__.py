@@ -63,7 +63,6 @@ from .design import (
     default_grid,
     design_info,
     e_optimal_design,
-    min_over_sphere,
     optimize_design_cutting_plane,
     pi_curve,
     symmetrize,
@@ -118,7 +117,6 @@ __all__ = [
     "load_dataset_csv",
     "location_info",
     "mc_risk",
-    "min_over_sphere",
     "minimax_lower_bound",
     "optimize_design_cutting_plane",
     "pi_curve",

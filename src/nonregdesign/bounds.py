@@ -89,12 +89,16 @@ def fisher_lower_bound(fisher: np.ndarray, d_psi: np.ndarray) -> float:
     d = fisher.shape[0]
     if fisher.shape != (d, d):
         raise ValueError("fisher matrix must be square")
+    if not np.isfinite(fisher).all():
+        raise ValueError("fisher matrix must be finite")
     if not np.allclose(fisher, fisher.T, atol=1e-10):
         raise ValueError("fisher matrix must be symmetric")
     d_psi = np.atleast_2d(np.asarray(d_psi, dtype=float))
     q = d_psi.shape[0]
     if d_psi.shape[1] != d:
         raise ValueError(f"d_psi has {d_psi.shape[1]} columns, expected {d}")
+    if not np.isfinite(d_psi).all():
+        raise ValueError("d_psi must be finite")
     if np.linalg.matrix_rank(d_psi) < q:
         raise ValueError("d_psi must have full row rank")
     eigvals = np.linalg.eigvalsh(fisher)

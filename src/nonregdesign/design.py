@@ -22,7 +22,8 @@ search.  Otherwise the minimum is exact where its location is known: at
 alpha = 2 it is the smallest eigenvalue of the moment matrix, and at
 alpha <= 1 it lies on a kink ray, so enumerating those rays finds it.  At
 1 < alpha < 2 a branch-and-bound over cells of the hemisphere certifies it:
-the reported value is at most 1e-10 relative above the minimum.
+the reported value is at most 1e-10 relative above the minimum.  The same
+paths decide the information J_xi(u) / |D_psi u|^alpha about psi = D_psi theta.
 At alpha = 2 the cutting-plane solver maximizes the minimum eigenvalue,
 i.e. E-optimality, which serves as the regular comparator.
 """
@@ -30,7 +31,6 @@ i.e. E-optimality, which serves as the regular comparator.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +49,7 @@ _PI_TOL = 1e-5  # final bracket width of the pi_curve bisection
 _GRID_SIZE = 101  # default candidate grid of design-opt and e_optimal_design
 _WEIGHT_FLOOR = 1e-12  # solver weights at or below this are dropped from designs
 _DEGENERATE_RTOL = 1e-13  # lambda_min(F'WF) at or below this (relative) means J = 0
-# Generic sphere search of ``min_over_sphere``: a dense hemisphere grid, then
-# a Nelder-Mead polish from the best grid points.
-_GRID_STEP_DEG = 0.05  # d = 2
-_HEMISPHERE_POINTS = 20_000  # d = 3
-_POLISH_ITERS = 200
-_POLISH_TOL = 1e-10
+_IDENTIFIED_RTOL = 1e-9  # |d_psi n| above this (relative) at a null n of F'WF: psi unidentified
 # Branch-and-bound sphere minimum (1 < alpha < 2).
 _BB_RTOL = 1e-10  # certificate: reported minimum at most this far (relative) above the true one
 _BB_CHUNK = 2048  # cells per array operation, so cells x support temporaries stay bounded
@@ -181,36 +176,6 @@ def design_info_directional(
     return float(j_tilde * (design.ws @ np.abs(f @ u) ** alpha))
 
 
-def _directional_batch(
-    f: np.ndarray, ws: np.ndarray, us: np.ndarray, alpha: float, j_tilde: float
-) -> np.ndarray:
-    return j_tilde * (np.abs(us @ f.T) ** alpha @ ws)
-
-
-@functools.cache
-def sphere_grid(d: int) -> np.ndarray:
-    """Quasi-uniform unit vectors covering one hemisphere, for d = 2 or 3.
-
-    Cached per d; the returned array is shared and read-only.
-    """
-    if d == 2:
-        n = int(round(180.0 / _GRID_STEP_DEG))
-        angles = np.arange(n) * (math.pi / n)
-        grid = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    elif d == 3:
-        # golden-angle spiral on the upper hemisphere
-        n = _HEMISPHERE_POINTS
-        i = np.arange(n)
-        z = (i + 0.5) / n
-        phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-        r = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
-        grid = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    else:
-        raise ValueError(f"sphere dimension {d} outside supported range 2..3")
-    grid.flags.writeable = False
-    return grid
-
-
 def _canonical_sign(u: np.ndarray) -> np.ndarray:
     """Flip u, or each row of u, so that its first nonzero entry is positive."""
     first = np.take_along_axis(u, np.argmax(u != 0.0, axis=-1)[..., None], axis=-1)
@@ -225,64 +190,6 @@ def _argmin_lex(values: np.ndarray, us: np.ndarray) -> int:
         return int(idx[0])
     order = np.lexsort(us[idx].T[::-1])
     return int(idx[order[0]])
-
-
-def min_over_sphere(
-    objective,
-    d: int,
-    batch_objective=None,
-    extra_candidates=None,
-) -> tuple[np.ndarray, float]:
-    """Minimize a (possibly nonsmooth) even function over the unit sphere.
-
-    The sphere is in d = 2 or 3 dimensions.  Coarse hemisphere scan, then a
-    Nelder-Mead polish started from the best grid point and its four nearest
-    grid neighbours.  Callers that know where the objective kinks (e.g. the
-    exact null directions of a piecewise-linear criterion) can pass them as
-    ``extra_candidates``; they are evaluated along with the grid.  The
-    returned value is never above any grid evaluation.
-    """
-    from scipy.optimize import minimize  # loaded on first call, not at import
-
-    us = sphere_grid(d)
-    if extra_candidates is not None and len(extra_candidates):
-        extra = np.atleast_2d(np.asarray(extra_candidates, dtype=float))
-        extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
-        us = np.concatenate([us, extra], axis=0)
-    if batch_objective is not None:
-        vals = np.asarray(batch_objective(us), dtype=float)
-    else:
-        vals = np.array([objective(u) for u in us], dtype=float)
-    i_best = _argmin_lex(vals, us)
-
-    dist = np.linalg.norm(us - us[i_best], axis=1)
-    starts = list(np.argsort(dist, kind="stable")[:5])
-
-    def g(v: np.ndarray) -> float:
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            return np.inf
-        return float(objective(v / nv))
-
-    best_u = us[i_best]
-    best_val = float(vals[i_best])
-    for i in starts:
-        res = minimize(
-            g,
-            us[i],
-            method="Nelder-Mead",
-            options={
-                "maxiter": _POLISH_ITERS,
-                "xatol": _POLISH_TOL,
-                "fatol": _POLISH_TOL,
-            },
-        )
-        if np.isfinite(res.fun) and res.fun < best_val:
-            nv = np.linalg.norm(res.x)
-            if nv >= 1e-8:
-                best_val = float(res.fun)
-                best_u = res.x / nv
-    return _canonical_sign(best_u), best_val
 
 
 def _moment_matrix(f: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -389,7 +296,7 @@ def _min_linear_over_cap(
 
 def _cell_bounds(
     f: np.ndarray, f_norm: np.ndarray, ws: np.ndarray, alpha: float,
-    c: np.ndarray, r: np.ndarray,
+    c: np.ndarray, r: np.ndarray, linear: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """g(c) and a lower bound of g(u) = sum_i w_i |f_i'u|^alpha on each cap (c, r).
 
@@ -401,6 +308,7 @@ def _cell_bounds(
       the cap.
     - Kink-aware (``_kink_bound``): the terms whose kink circle f_i'u = 0
       crosses the cap, |f_i'c| <= |f_i| sin r, are not linearized.
+    With ``linear = (a, b)``, one row per cap, the bound is of g(u) + a + b'u.
     """
     p = c @ f.T
     ap = np.abs(p)
@@ -408,6 +316,8 @@ def _cell_bounds(
     g = terms.sum(axis=1)
     slopes = (alpha * ws) * ap ** (alpha - 1.0) * np.sign(p)
     b = slopes @ f
+    if linear is not None:
+        b = b + linear[1]
     cos_r, sin_r = np.cos(r), np.sin(r)
     lower = _min_linear_over_cap(b, c, r, cos_r, sin_r) - (alpha - 1.0) * g
     cross = ap <= f_norm * sin_r[:, None]
@@ -420,6 +330,8 @@ def _cell_bounds(
             g[rows], b[rows], terms[rows], slopes[rows], idx,
         )
         lower[rows] = np.maximum(lower[rows], kink)
+    if linear is not None:
+        lower += linear[0]
     return g, lower
 
 
@@ -540,8 +452,48 @@ def _kink_step(
     return u * math.cos(theta) + e * math.sin(theta)
 
 
+def _ratio_bounds(
+    f: np.ndarray, f_norm: np.ndarray, ws: np.ndarray, alpha: float,
+    c: np.ndarray, r: np.ndarray, d_psi: np.ndarray, lam: float, v: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """g(c) / |Dc|^alpha, D = ``d_psi``, and a lower bound of g(u) - v |Du|^alpha
+    on each cap: where it is >= 0, no ratio in the cap is below v.
+
+    On the sphere |Du|^2 <= |Dc|^2 + 2c'D'D(u - c) + lam (2 - 2c'u), lam =
+    lambda_max(D'D), and the tangent of the concave s^(alpha/2) at |Dc|^2
+    makes that a linear bound k0 + k'u of |Du|^alpha.  Where its maximum
+    over the cap exceeds (|Dc| + sqrt(lam) chord)^alpha, always at Dc = 0,
+    that constant is used.  ``_cell_bounds`` then bounds g(u) - v (k0 + k'u).
+    """
+    dc = c @ d_psi.T
+    s0 = np.einsum("ij,ij->i", dc, dc)
+    tilted = s0 > 0.0
+    s_t = np.where(tilted, s0, 1.0)
+    t = 0.5 * alpha * s_t ** (0.5 * alpha - 1.0)
+    k = 2.0 * t[:, None] * (dc @ d_psi - lam * c)
+    k0 = s_t ** (0.5 * alpha) + 2.0 * t * (lam - s_t)
+    flat = (np.sqrt(s0) + 2.0 * math.sqrt(lam) * np.sin(0.5 * r)) ** alpha
+    tilted &= k0 - _min_linear_over_cap(-k, c, r, np.cos(r), np.sin(r)) < flat
+    k[~tilted] = 0.0
+    g, lower = _cell_bounds(
+        f, f_norm, ws, alpha, c, r, (-v * np.where(tilted, k0, flat), -v * k)
+    )
+    den = s0 ** (0.5 * alpha)
+    return np.divide(g, den, out=np.full_like(g, np.inf), where=den > 0.0), lower
+
+
+def _kink_snap(f: np.ndarray, f_norm: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u projected onto its nearest kink circle f_j'u = 0: beside a minimum on
+    that circle a cell centre of radius r is off by r^alpha in value, its
+    projection by r^2."""
+    near = np.abs(f @ u) / f_norm
+    j = int(np.argmin(near))
+    v = u - (f[j] @ u) / f_norm[j] ** 2 * f[j]
+    return v / np.linalg.norm(v)
+
+
 def _branch_and_bound(
-    f: np.ndarray, ws: np.ndarray, alpha: float
+    f: np.ndarray, ws: np.ndarray, alpha: float, d_psi: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Certified min_{|u|=1} sum_i w_i |f_i'u|^alpha for 1 < alpha < 2.
 
@@ -555,34 +507,49 @@ def _branch_and_bound(
     would never drop the cells around it; ``_sphere_min`` answers it before
     calling.  Raises RuntimeError above ``_BB_MAX_CELLS`` live cells or
     ``_BB_MAX_LEVELS`` levels.
+
+    With ``d_psi`` the objective is g(u) / |d_psi u|^alpha, no polish runs,
+    and ``_ratio_bounds`` drops cells against the previous level's best.
     """
     keep = ws > 0.0
     f, ws = f[keep], ws[keep]
     f_norm = np.linalg.norm(f, axis=1)
     cells = _initial_cells(f.shape[1])
     best_u, best = cells[0, 0], math.inf
+    if d_psi is not None:  # a finite incumbent, which the ratio bound needs
+        _, sv, vt = np.linalg.svd(d_psi)
+        best_u, lam = vt[0], sv[0] ** 2
+        best = float(ws @ np.abs(f @ best_u) ** alpha / sv[0] ** alpha)
     for _ in range(_BB_MAX_LEVELS):
         if len(cells) > _BB_MAX_CELLS:
             raise RuntimeError(f"sphere branch-and-bound exceeded {_BB_MAX_CELLS} live cells")
         centres, radii = _cell_caps(cells)
         values = np.empty(len(cells))
         lower = np.empty(len(cells))
+        ratio = () if d_psi is None else (d_psi, lam, best * (1.0 - _BB_RTOL))
         for s in range(0, len(cells), _BB_CHUNK):
             part = slice(s, s + _BB_CHUNK)
-            values[part], lower[part] = _cell_bounds(
-                f, f_norm, ws, alpha, centres[part], radii[part]
+            values[part], lower[part] = (_ratio_bounds if ratio else _cell_bounds)(
+                f, f_norm, ws, alpha, centres[part], radii[part], *ratio
             )
         i = int(np.argmin(values))
-        if values[i] < best:
+        if d_psi is not None:
+            for u in (centres[i], _kink_snap(f, f_norm, centres[i])):
+                value = float(ws @ np.abs(f @ u) ** alpha / np.linalg.norm(d_psi @ u) ** alpha)
+                if value < best:
+                    best_u, best = u, value
+        elif values[i] < best:
             best_u, best = _polish(f, ws, alpha, centres[i], float(values[i]))
-        cells = _split_cells(cells[lower < best * (1.0 - _BB_RTOL)])
+        cut = best * (1.0 - _BB_RTOL) if d_psi is None else 0.0
+        cells = _split_cells(cells[lower < cut])
         if not len(cells):
             return best_u, best
     raise RuntimeError(f"sphere branch-and-bound did not finish in {_BB_MAX_LEVELS} levels")
 
 
 def _sphere_min(
-    f: np.ndarray, ws: np.ndarray, alpha: float, j_tilde: float
+    f: np.ndarray, ws: np.ndarray, alpha: float, j_tilde: float,
+    d_psi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, InfoMethod]:
     """min_{|u|=1} j_tilde * sum_i w_i |f_i'u|^alpha, exactly where possible.
 
@@ -595,32 +562,67 @@ def _sphere_min(
     ``_kink_candidates`` (KINK_ENUMERATION).  At 1 < alpha < 2
     ``_branch_and_bound`` certifies it to 1e-10 relative (BRANCH_AND_BOUND).
 
+    A wide ``d_psi`` (q x d, q < d) divides the objective by |d_psi u|^alpha.
+    It is exactly 0 at a null direction n of F'WF with d_psi n != 0; other
+    null directions change neither part, so the search runs on range(F'WF),
+    where one coordinate leaves a constant (CLOSED_FORM).  At alpha = 2 it
+    is j_tilde / lambda_max(d_psi M^-1 d_psi'), M = F'WF; at alpha <= 1 the
+    kink rays with d_psi r != 0 hold the minimum, as the numerator is
+    concave on each kink cell of |d_psi u| = 1.
+
     Returns (ties, value, method).  The rows of ``ties`` are minimizers,
     the reported direction first: an orthonormal basis of the lambda_min
-    eigenspace at alpha = 2, every kink ray within 1e-12 relative of the
-    minimum at alpha <= 1, and the one null direction or certified
-    incumbent otherwise.
+    eigenspace at alpha = 2 (one minimizer for a wide ``d_psi``), every kink
+    ray within 1e-12 relative of the minimum at alpha <= 1, and the one null
+    direction or certified incumbent otherwise.
     """
     vals, vecs = np.linalg.eigh(_moment_matrix(f, ws))
+    basis = None
     if _is_degenerate(vals):
-        return _canonical_sign(vecs[:, :1].T), 0.0, InfoMethod.SPHERE_SEARCH
-    if alpha == 2.0:
+        if d_psi is None:
+            return _canonical_sign(vecs[:, :1].T), 0.0, InfoMethod.SPHERE_SEARCH
+        null = vals <= _DEGENERATE_RTOL * max(1.0, vals[-1])
+        reach = np.linalg.norm(d_psi @ vecs[:, null], axis=0)
+        if reach.max() > _IDENTIFIED_RTOL * np.linalg.norm(d_psi, 2):
+            k = int(np.argmax(reach))
+            return _canonical_sign(vecs[:, k:k + 1].T), 0.0, InfoMethod.SPHERE_SEARCH
+        basis = vecs[:, ~null]
+        if basis.shape[1] == 1:
+            num = float(ws @ np.abs(f @ basis[:, 0]) ** alpha)
+            value = j_tilde * num / float(np.linalg.norm(d_psi @ basis)) ** alpha
+            return _canonical_sign(basis.T), value, InfoMethod.CLOSED_FORM
+        f, d_psi, vals, vecs = f @ basis, d_psi @ basis, vals[~null], np.eye(basis.shape[1])
+    if alpha == 2.0 and d_psi is None:
         tied = vals <= vals[0] + _TIE_RTOL * abs(vals[-1])
         ties = _canonical_sign(vecs[:, tied].T)
-        return ties, float(j_tilde * vals[0]), InfoMethod.EIGENVALUE
-    if alpha <= 1.0:
+        value, method = float(j_tilde * vals[0]), InfoMethod.EIGENVALUE
+    elif alpha == 2.0:
+        # g g' = d_psi M^-1 d_psi'; its top eigenvector z gives u = M^-1 d_psi' z
+        g = (d_psi @ vecs) / np.sqrt(vals)
+        lam, z = np.linalg.eigh(g @ g.T)
+        ties = _canonical_sign(vecs @ ((g.T @ z[:, -1]) / np.sqrt(vals)))[None, :]
+        value, method = float(j_tilde / lam[-1]), InfoMethod.EIGENVALUE
+    elif alpha <= 1.0:
         rays, rows = _kink_candidates(f)
         rays = _canonical_sign(rays)
         proj = np.abs(rays @ f.T)
         # zero by construction: keeps rounding residue out of |.|^alpha
         np.put_along_axis(proj, rows, 0.0, axis=1)
         vals = j_tilde * (proj**alpha @ ws)
+        if d_psi is not None:  # a ray in null(d_psi) has an infinite ratio
+            den = np.linalg.norm(rays @ d_psi.T, axis=1) ** alpha
+            vals = np.divide(vals, den, out=np.full_like(vals, np.inf), where=den > 0.0)
         best = _argmin_lex(vals, rays)
         tied = np.flatnonzero(vals <= vals[best] * (1.0 + _TIE_RTOL))
         order = np.concatenate([[best], tied[tied != best]])
-        return rays[order], float(vals[best]), InfoMethod.KINK_ENUMERATION
-    u, value = _branch_and_bound(f, ws, alpha)
-    return _canonical_sign(u)[None, :], j_tilde * value, InfoMethod.BRANCH_AND_BOUND
+        ties, value, method = rays[order], float(vals[best]), InfoMethod.KINK_ENUMERATION
+    else:
+        u, value = _branch_and_bound(f, ws, alpha, d_psi)
+        ties, value = _canonical_sign(u)[None, :], j_tilde * value
+        method = InfoMethod.BRANCH_AND_BOUND
+    if basis is not None:
+        ties = _canonical_sign(ties @ basis.T)
+    return ties, value, method
 
 
 def _check_criterion(alpha: float, j_tilde: float) -> None:
@@ -658,16 +660,15 @@ def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> In
 def direction_free_info_psi(
     design: Design, d_psi, alpha: float, j_tilde: float, degree: int
 ) -> float:
-    """inf_u J_xi(u) / ||D_psi u||^alpha, skipping near-null D_psi directions.
+    """inf_u J_xi(u) / ||D_psi u||^alpha, the information about psi = D_psi theta.
 
     A square (so invertible) ``D_psi`` maps the ratio onto the sphere
     minimum of the rows ``F D_psi^-1``: with ``v = D_psi u / ||D_psi u||``
     it is ``j_tilde * sum_i w_i |f_i' D_psi^-1 v|^alpha``, which
     ``_sphere_min`` evaluates exactly or certifies, as in ``design_info``.
     The mapped rows keep the design's null directions, so a degenerate
-    design gives exactly 0.  A wide ``D_psi`` keeps the generic
-    grid-plus-Nelder-Mead search of ``min_over_sphere``, seeded with the
-    kink rays at alpha <= 1.
+    design gives exactly 0.  A wide ``D_psi`` goes to ``_sphere_min`` as the
+    ratio's denominator; the value is 0 when the design leaves psi unidentified.
     """
     _check_criterion(alpha, j_tilde)
     f = regressor_matrix(design.xs, degree)
@@ -676,6 +677,8 @@ def direction_free_info_psi(
     d_psi = np.atleast_2d(np.asarray(d_psi, dtype=float))
     if d_psi.shape[1] != d:
         raise ValueError(f"d_psi has {d_psi.shape[1]} columns, expected {d}")
+    if not np.isfinite(d_psi).all():
+        raise ValueError("d_psi must be finite")
     if np.linalg.matrix_rank(d_psi) < d_psi.shape[0]:
         raise ValueError("d_psi must have full row rank")
     if d_psi.shape[0] == d:
@@ -684,27 +687,7 @@ def direction_free_info_psi(
         g = f @ np.linalg.inv(d_psi)
         scale = float(np.max(np.linalg.norm(g, axis=1)))
         return scale**alpha * _sphere_min(g / scale, ws, alpha, j_tilde)[1]
-
-    def objective(u):
-        du = np.linalg.norm(d_psi @ u)
-        if du < 1e-9:
-            return np.inf
-        return float(j_tilde * (ws @ np.abs(f @ u) ** alpha)) / du**alpha
-
-    def batch(us):
-        du = np.linalg.norm(us @ d_psi.T, axis=1)
-        num = _directional_batch(f, ws, us, alpha, j_tilde)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(du < 1e-9, np.inf, num / du**alpha)
-        return out
-
-    _, value = min_over_sphere(
-        objective, d, batch_objective=batch,
-        extra_candidates=_kink_candidates(f)[0] if alpha <= 1.0 else None,
-    )
-    if not np.isfinite(value):
-        raise ValueError("every direction was skipped; d_psi is numerically zero")
-    return value
+    return _sphere_min(f, ws, alpha, j_tilde, d_psi)[1]
 
 
 def _merge_points(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -991,7 +974,7 @@ def _three_point_inner(a: float, alpha: float):
         if alpha == 2.0:
             slope = np.linalg.eigvalsh(ties @ s @ ties.T)[0]
         else:
-            slope = np.min(_directional_batch(rows, c, ties, alpha, 1.0))
+            slope = np.min(np.abs(ties @ rows.T) ** alpha @ c)
         return value, float(slope)
 
     return f_of_pi

@@ -26,6 +26,7 @@ import numpy as np
 # z**beta (beta < 2) is still finite; capping z there keeps the power from
 # overflowing without changing any value.
 _Z_CAP = 1e154
+_EXPM1_CAP = 700.0  # expm1 overflows just above 709.78
 
 
 @functools.cache
@@ -163,14 +164,18 @@ class ErrorModel:
         if self.family is ErrorFamily.GAMMA:
             vals = (self.beta - 1.0) * ratio - e / self.sigma
         elif self.family is ErrorFamily.WEIBULL:
-            grow = np.expm1(self.beta * ratio)
-            if z.max() <= self.sigma * _Z_CAP:  # (z / sigma)**beta is finite
+            if z.max() <= self.sigma * _Z_CAP and self.beta * ratio.max() <= _EXPM1_CAP:
+                grow = np.expm1(self.beta * ratio)  # finite, and so is (z / sigma)**beta
                 vals = (self.beta - 1.0) * ratio - (z / self.sigma) ** self.beta * grow
-            else:  # where zb overflows, z * grow ~ beta * e is formed first
+            else:  # where zb overflows, z * grow ~ beta * e is formed first; where
+                # grow does, zb is negligible and the difference cancels nothing
                 with np.errstate(over="ignore", invalid="ignore"):
+                    grow = np.expm1(self.beta * ratio)
                     zb = (z / self.sigma) ** self.beta
                     split = z ** (self.beta - 1.0) * (z * grow) / self.sigma**self.beta
-                    vals = (self.beta - 1.0) * ratio - np.where(np.isinf(zb), split, zb * grow)
+                    jump = ((z + e) / self.sigma) ** self.beta - zb
+                    diff = np.where(np.isinf(grow), jump, zb * grow)
+                    vals = (self.beta - 1.0) * ratio - np.where(np.isinf(zb), split, diff)
         else:
             vals = np.full_like(z, -e / self.sigma)
         if vals.ndim == 0:

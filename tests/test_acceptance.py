@@ -17,7 +17,6 @@ from nonregdesign.design import (
     default_grid,
     design_info,
     e_optimal_design,
-    min_over_sphere,
     optimize_design_cutting_plane,
     pi_curve,
     symmetrize,
@@ -43,6 +42,7 @@ from nonregdesign.models import (
 from nonregdesign.sim import SimPlan, mc_risk, unif_mle_mse
 
 from lp_oracle import oracle_solve, random_boxed_lp
+from sphere_oracle import dense_oracle
 
 PI_ALPHAS = np.round(np.arange(1.0, 2.0 + 1e-9, 0.05), 10)
 PI_A_VALUES = (1.0, 1.5, 2.0)
@@ -333,14 +333,10 @@ def test_criterion_11_alpha2_eigenvalue_consistency():
         for _ in range(25):
             m = rng.normal(size=(d, d))
             fisher = m @ m.T + 0.3 * np.eye(d)
-
-            def objective(u):
-                return float(u @ fisher @ u) / 4.0
-
-            def batch(us):
-                return np.einsum("ij,jk,ik->i", us, fisher, us) / 4.0
-
-            _, info = min_over_sphere(objective, d, batch_objective=batch)
+            # u' fisher u / 4 = sum_k |l_k'u|^2 / 4 over the rows l_k' of L',
+            # fisher = L L'; a quadratic form has one basin, so one polish start
+            rows = np.linalg.cholesky(fisher).T
+            info = dense_oracle(rows, np.full(d, 0.25), 2.0, starts=1)
             eig_path = fisher_lower_bound(fisher, np.eye(d))  # = 1 / lambda_min
             product = 4.0 * info * eig_path
             assert product == pytest.approx(1.0, rel=1e-6), (

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,16 @@ def test_singular_fisher_rejected():
 def test_rank_deficient_psi_rejected():
     with pytest.raises(ValueError, match="rank"):
         fisher_lower_bound(np.eye(2), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_named(bad):
+    # NaN once failed inside the SVD ("did not converge") and inf as "must
+    # have full row rank"
+    with pytest.raises(ValueError, match="d_psi must be finite"):
+        fisher_lower_bound(np.eye(2), np.array([[bad, 1.0]]))
+    with pytest.raises(ValueError, match="fisher matrix must be finite"):
+        fisher_lower_bound(np.array([[bad, 0.0], [0.0, 1.0]]), np.eye(2))
 
 
 def test_ill_conditioned_warns():

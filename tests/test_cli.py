@@ -353,6 +353,20 @@ class TestBound:
         assert code == 2
         assert "alpha 2" in err
 
+    def test_non_finite_matrices_are_named(self, capsys):
+        # --dpsi nan,1 once exited 2 with "SVD did not converge"
+        for flag, value, name in [
+            ("--dpsi", "nan,1", "d_psi must be finite"),
+            ("--dpsi", "inf,1", "d_psi must be finite"),
+            ("--fisher", "nan,0;0,3", "fisher matrix must be finite"),
+        ]:
+            args = {"--fisher": "2,0;0,3", "--dpsi": "0,1", flag: value}
+            code, out, err = run(capsys, "bound", "--alpha", "2",
+                                 "--fisher", args["--fisher"], "--dpsi", args["--dpsi"])
+            assert code == 2
+            assert out == ""
+            assert name in err
+
     def test_dpsi_needs_fisher(self, capsys):
         code, out, err = run(capsys, "bound", "--alpha", "1", "--info", "120",
                              "--dpsi", "0,1")

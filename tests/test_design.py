@@ -18,15 +18,14 @@ from nonregdesign.design import (
     design_info_directional,
     direction_free_info_psi,
     e_optimal_design,
-    min_over_sphere,
     optimize_design_cutting_plane,
     pi_curve,
     regressor_matrix,
-    sphere_grid,
     symmetrize,
     uniform_design,
 )
 from nonregdesign.hellinger import InfoMethod
+from sphere_oracle import dense_oracle, grid_oracle, kink_oracle
 
 TWO_POINT = Design(A=1.0, points=((-1.0, 0.5), (1.0, 0.5)))
 THREE_POINT_06 = Design(A=1.0, points=((-1.0, 0.2), (0.0, 0.6), (1.0, 0.2)))
@@ -165,53 +164,6 @@ class TestDirectional:
         assert v_pos == v_neg
 
 
-class TestMinOverSphere:
-    def test_eigen_case_d2(self):
-        u, val = min_over_sphere(lambda u: float(u[0] ** 2 + 4.0 * u[1] ** 2), 2)
-        assert val == pytest.approx(1.0, abs=1e-10)
-        assert abs(u[0]) == pytest.approx(1.0, abs=1e-6)
-
-    def test_two_point_design_objective(self):
-        f = regressor_matrix(np.array([-1.0, 1.0]), 1)
-        u, val = min_over_sphere(lambda u: 0.5 * float(np.abs(f @ u).sum()), 2)
-        assert val == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-9)
-        assert abs(abs(u[0]) - abs(u[1])) < 1e-6
-
-    def test_quadratic_inner_objective_pi_06(self):
-        rows = regressor_matrix(np.array([0.0, 1.0, -1.0]), 2)
-
-        def obj(u):
-            vals = np.abs(rows @ u) ** 2
-            return float(0.6 * vals[0] + 0.2 * vals[1] + 0.2 * vals[2])
-
-        _, val = min_over_sphere(obj, 3)
-        assert val == pytest.approx(0.2, abs=1e-9)
-
-    def test_dimension_outside_2_3_rejected(self):
-        for d in (1, 4):
-            with pytest.raises(ValueError, match=r"2\.\.3"):
-                min_over_sphere(lambda u: float(u @ u), d)
-            with pytest.raises(ValueError, match=r"2\.\.3"):
-                sphere_grid(d)
-
-    def test_antipodal_value_match(self):
-        def obj(u):
-            return float(abs(u[0]) ** 1.3 + 0.5 * abs(u[1]) ** 1.3)
-
-        u, _ = min_over_sphere(obj, 2)
-        assert obj(np.asarray(u)) == obj(-np.asarray(u))
-
-    def test_value_not_above_axis_evaluations(self):
-        def obj(u):
-            return float(np.sum(np.abs(u) ** 1.5) + u[0] ** 2)
-
-        _, val = min_over_sphere(obj, 3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1.0
-            assert val <= obj(e) + 1e-12
-
-
 class TestDesignInfo:
     def test_one_point_design_degenerate(self):
         d = Design(A=1.0, points=((0.0, 1.0),))
@@ -269,95 +221,6 @@ class TestDesignInfo:
         assert attained == pytest.approx(res.J, rel=1e-12)
 
 
-def _kink_oracle(f, ws, alpha):
-    """Smallest criterion value over the null directions of the rows (d = 2)
-    or their pairwise cross products (d = 3), from numpy alone.  The rows a
-    ray annihilates are left out of its sum, so rounding residue does not
-    enter |.|^alpha."""
-    n = len(f)
-    if f.shape[1] == 2:
-        rays = [(np.array([-f[k, 1], f[k, 0]]), {k}) for k in range(n)]
-    else:
-        rays = [
-            (np.cross(f[i], f[j]), {i, j}) for i in range(n) for j in range(i + 1, n)
-        ]
-    best = math.inf
-    for u, zero in rays:
-        u = u / np.linalg.norm(u)
-        value = sum(ws[k] * abs(f[k] @ u) ** alpha for k in range(n) if k not in zero)
-        best = min(best, value)
-    return best
-
-
-def _oracle_grid(d):
-    """Dense angle grid over [0, pi] (d = 2, shape (20001, 2)) or lat-long grid
-    over the upper hemisphere (d = 3, shape (241, 960, 3), rows by latitude)."""
-    if d == 2:
-        t = np.linspace(0.0, math.pi, 20001)
-        return np.stack([np.cos(t), np.sin(t)], axis=1)
-    th, ph = np.meshgrid(
-        np.linspace(0.0, 0.5 * math.pi, 241),
-        np.linspace(0.0, 2.0 * math.pi, 960, endpoint=False),
-        indexing="ij",
-    )
-    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
-
-
-def _grid_values(f, ws, alpha):
-    us = _oracle_grid(f.shape[1])
-    flat = us.reshape(-1, f.shape[1])
-    vals = np.concatenate([
-        np.abs(flat[s:s + 20_000] @ f.T) ** alpha @ ws for s in range(0, len(flat), 20_000)
-    ])
-    return us, vals.reshape(us.shape[:-1])
-
-
-def _grid_oracle(f, ws, alpha):
-    """Smallest criterion value over a dense angle (d = 2) or lat-long (d = 3) grid."""
-    return float(np.min(_grid_values(f, ws, alpha)[1]))
-
-
-def _dense_oracle(f, ws, alpha, starts=12):
-    """Sphere minimum from numpy and SciPy alone: the dense grid of
-    ``_grid_oracle``, then a Nelder-Mead polish from the lowest grid point of
-    each basin (a point no higher than its grid neighbours).  Nelder-Mead
-    and Powell alternate until a round gains nothing: either alone can stall
-    in the narrow valley along a kink circle f_i'u = 0."""
-    from scipy.optimize import minimize
-
-    us, vals = _grid_values(f, ws, alpha)
-    if f.shape[1] == 2:
-        basin = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-    else:
-        padded = np.pad(vals, ((1, 1), (0, 0)), mode="edge")
-        basin = (vals <= padded[:-2]) & (vals <= padded[2:])
-        basin &= (vals <= np.roll(vals, 1, axis=1)) & (vals <= np.roll(vals, -1, axis=1))
-        basin[0, 1:] = False  # the pole row is a single direction
-    cands, cand_vals = us[basin], vals[basin]
-    order = np.argsort(cand_vals, kind="stable")[:starts]
-
-    def g(v):
-        return float(ws @ np.abs(f @ (v / np.linalg.norm(v))) ** alpha)
-
-    best = float(np.min(vals))
-    methods = [
-        ("Powell", {"xtol": 1e-14, "ftol": 1e-17, "maxfev": 5_000}),
-        ("Nelder-Mead", {"xatol": 1e-13, "fatol": 1e-17, "maxiter": 2_000}),
-    ]
-    for u in cands[order]:
-        value = g(u)
-        for _ in range(10):
-            start = value
-            for method, options in methods:
-                res = minimize(g, u, method=method, options=options)
-                if res.fun < value:
-                    u, value = res.x, float(res.fun)
-            if not value < start:
-                break
-        best = min(best, value)
-    return best
-
-
 class TestExactSphereOracle:
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
@@ -368,8 +231,8 @@ class TestExactSphereOracle:
             f = np.vander(d.xs, degree + 1, increasing=True)
             res = design_info(d, alpha, 1.0, degree)
             assert res.method is InfoMethod.KINK_ENUMERATION
-            assert res.J == pytest.approx(_kink_oracle(f, d.ws, alpha), rel=1e-12)
-            assert res.J <= _grid_oracle(f, d.ws, alpha) * (1.0 + 1e-12)
+            assert res.J == pytest.approx(kink_oracle(f, d.ws, alpha), rel=1e-12)
+            assert res.J <= grid_oracle(f, d.ws, alpha) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_alpha2_is_lambda_min(self, degree):
@@ -400,11 +263,7 @@ class TestExactSphereOracle:
         res = design_info(Design(A=1.0, points=((0.0, 1.0),)), 2.0, 1.0, 1)
         assert res.degenerate and res.method is InfoMethod.SPHERE_SEARCH
 
-    def test_exact_paths_skip_the_grid_search(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("min_over_sphere called")
-
-        monkeypatch.setattr(design_module, "min_over_sphere", refuse)
+    def test_exact_paths_skip_the_grid_search(self):
         for degree in (1, 2):
             for alpha in (0.5, 1.0, 1.5, 2.0):
                 design_info(THREE_POINT_06, alpha, 1.0, degree)
@@ -427,17 +286,6 @@ class TestExactSphereOracle:
         f_val, slope = _three_point_inner(a, alpha)(pi)
         assert f_val == pytest.approx(value, rel=1e-12)
         assert slope <= 0.0
-
-    def test_sphere_grid_is_cached_and_read_only(self):
-        # 0.05-degree steps at d = 2 and 20,000 points at d = 3: the grid of
-        # the generic min_over_sphere; no design-layer value depends on it
-        for d, size in [(2, 3600), (3, 20_000)]:
-            g = sphere_grid(d)
-            assert g.shape == (size, d)
-            assert sphere_grid(d) is g
-            assert not g.flags.writeable
-            with pytest.raises(ValueError):
-                g[0, 0] = 0.0
 
 
 def _three_point(a, pi):
@@ -507,7 +355,7 @@ class TestBranchAndBound:
             f = regressor_matrix(d.xs, degree)
             res = design_info(d, alpha, 1.0, degree)
             assert res.method is InfoMethod.BRANCH_AND_BOUND
-            oracle = _dense_oracle(f, d.ws, alpha)
+            oracle = dense_oracle(f, d.ws, alpha)
             # certificate: at most 1e-10 above the minimum, which the
             # oracle's evaluated points cannot undercut
             assert res.J <= oracle * (1.0 + 1e-10)
@@ -525,7 +373,7 @@ class TestBranchAndBound:
         # to a second kink, the (1.5, 1.1) optimum, and a flat (pitchfork) minimum
         f, ws = _three_point(a, pi)
         value = _three_point_inner(a, alpha)(pi)[0]
-        oracle = _dense_oracle(f, ws, alpha)
+        oracle = dense_oracle(f, ws, alpha)
         assert value <= oracle * (1.0 + 1e-10)
         assert value == pytest.approx(oracle, rel=1e-9)
 
@@ -591,14 +439,14 @@ class TestBranchAndBound:
             d = random_balanced_design(rng, a=2.0)
             f = regressor_matrix(d.xs, degree)
             res = design_info(d, alpha, 1.0, degree)
-            assert res.J <= _dense_oracle(f, d.ws, alpha) * (1.0 + 1e-10)
+            assert res.J <= dense_oracle(f, d.ws, alpha) * (1.0 + 1e-10)
 
     def test_cutting_plane_gap_is_a_certificate(self):
         # the solve once reported info 6.6e-5 away from the value of its own
         # design, above the 1e-5 gap it certified
         sol = _solve(2, 2.0, 1.2)
         f = regressor_matrix(sol.design.xs, 2)
-        assert sol.info == pytest.approx(_dense_oracle(f, sol.design.ws, 1.2), rel=1e-9)
+        assert sol.info == pytest.approx(dense_oracle(f, sol.design.ws, 1.2), rel=1e-9)
         assert sol.gap <= CuttingPlaneConfig().gap_tol * (sol.info + sol.gap)
 
 
@@ -633,13 +481,9 @@ class TestDirectionFreePsi:
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3, 1.8, 2.0])
     @pytest.mark.parametrize("degree", [1, 2])
-    def test_square_dpsi_is_design_info_of_mapped_design(self, degree, alpha, monkeypatch):
+    def test_square_dpsi_is_design_info_of_mapped_design(self, degree, alpha):
         # x -> (x - c) / s maps f(x) to M f(x), so D_psi = M'^-1 turns
         # F D_psi^-1 into the regressor rows of the mapped support points
-        def no_search(*args, **kwargs):
-            raise AssertionError("min_over_sphere was called")
-
-        monkeypatch.setattr(design_module, "min_over_sphere", no_search)
         rng = np.random.default_rng(5)
         c, s = 0.3, 1.7
         m = np.array([[1.0, 0.0], [-c / s, 1.0 / s]])
@@ -689,6 +533,75 @@ class TestDirectionFreePsi:
         for d_psi in (np.eye(2), np.array([[0.0, 1.0]])):
             with pytest.raises(ValueError, match=match):
                 direction_free_info_psi(TWO_POINT, d_psi, alpha, j_tilde, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_dpsi_named(self, bad):
+        # NaN once failed inside the SVD ("did not converge") and inf as "must
+        # have full row rank"
+        for d_psi in (np.array([[bad, 1.0]]), np.array([[bad, 1.0], [0.0, 1.0]])):
+            with pytest.raises(ValueError, match="d_psi must be finite"):
+                direction_free_info_psi(TWO_POINT, d_psi, 1.0, 1.0, 1)
+
+
+def _ratio(f, ws, alpha, d_psi, u):
+    return float(ws @ np.abs(f @ u) ** alpha / np.linalg.norm(d_psi @ u) ** alpha)
+
+
+class TestWideDpsi:
+    """psi = D_psi theta with fewer rows than coefficients: the ratio
+    inf_u J(u) / |D_psi u|^alpha, against closed forms and the dense oracle."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_two_point_quadratic_identifies_slope_not_intercept(self, alpha):
+        # support {-1, 1} leaves u = (1, 0, -1) null: theta_1 and
+        # theta_0 + theta_2 are identified, theta_0 is not.  The
+        # grid-plus-Nelder-Mead search gave the intercept 4.6e-23 at alpha = 1.5
+        slope = direction_free_info_psi(TWO_POINT, [[0.0, 1.0, 0.0]], alpha, 1.0, 2)
+        assert slope == pytest.approx(min(1.0, 2.0 ** (alpha - 1.0)), rel=1e-10)
+        pair = [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+        both = direction_free_info_psi(TWO_POINT, pair, alpha, 1.0, 2)
+        assert both == pytest.approx(2.0 ** ((alpha - 2.0) / 2.0), rel=1e-10)
+        assert direction_free_info_psi(TWO_POINT, [[1.0, 0.0, 0.0]], alpha, 1.0, 2) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_one_point_design_identifies_its_mean(self, degree, alpha):
+        # one support point identifies f(x0)'theta alone, and J(u) =
+        # |f(x0)'u|^alpha makes its ratio j_tilde in every direction
+        one = Design([(0.4, 1.0)], 1.0, require_balance=False)
+        f0 = regressor_matrix(np.array([0.4]), degree)
+        value = direction_free_info_psi(one, f0, alpha, 1.3, degree)
+        assert value == pytest.approx(1.3, rel=1e-14)
+        scaled = direction_free_info_psi(one, 2.0 * f0, alpha, 1.3, degree)
+        assert scaled == pytest.approx(1.3 * 2.0**-alpha, rel=1e-14)
+        other = regressor_matrix(np.array([-0.2]), degree)
+        assert direction_free_info_psi(one, other, alpha, 1.3, degree) == 0.0
+
+    def test_ratio_branch_and_bound_stays_small(self, monkeypatch):
+        # the slope of THREE_POINT_06 is smallest at u = (0, 1, 0), on the
+        # kink circle of f(0): 0.2 (1 + 1) = 0.4 for every alpha >= 1
+        monkeypatch.setattr(design_module, "_BB_MAX_CELLS", 2048)
+        for alpha in (1.05, 1.5, 1.9):
+            value = direction_free_info_psi(THREE_POINT_06, [[0.0, 1.0, 0.0]], alpha, 1.0, 2)
+            assert value == pytest.approx(0.4, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 3)])
+    def test_random_dpsi_agrees_with_dense_oracle(self, shape, alpha):
+        rng = np.random.default_rng(800 + 10 * shape[0] + shape[1] + int(10 * alpha))
+        degree = shape[1] - 1
+        for _ in range(2):
+            d = random_balanced_design(rng, a=1.5)
+            d_psi = rng.normal(size=shape)
+            f = regressor_matrix(d.xs, degree)
+            value = direction_free_info_psi(d, d_psi, alpha, 1.0, degree)
+            # four polish starts keep the 24 oracle calls near 15 s
+            oracle = dense_oracle(f, d.ws, alpha, d_psi, starts=4)
+            assert value <= oracle * (1.0 + 1e-10)
+            assert value == pytest.approx(oracle, rel=1e-8)
+            if alpha >= 1.0:  # below 1, rounding residue of f_i'u = 0 enters |.|^alpha
+                ties, _, _ = design_module._sphere_min(f, d.ws, alpha, 1.0, d_psi)
+                assert _ratio(f, d.ws, alpha, d_psi, ties[0]) == pytest.approx(value, rel=1e-12)
 
 
 class TestSymmetrize:

@@ -109,6 +109,18 @@ class TestDensity:
                 direct = math.log(m.density(z + e)) - math.log(m.density(z))
                 assert m.log_density_diff(z, e) == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("family", [ErrorFamily.GAMMA, ErrorFamily.WEIBULL])
+    def test_log_density_diff_at_tiny_z(self, family):
+        # expm1(beta * log1p(e / z)) overflows here: the Weibull value was NaN
+        # at z = 1e-300 and 1e-200, and -inf at 1e-170
+        m = ErrorModel(family, 1.9, 1.0)
+        z = np.array([1e-300, 1e-200, 1e-170, 1e-100, 0.5])
+        vals = m.log_density_diff(z, 1e-3)
+        for zi, v in zip(z, vals):
+            direct = math.log(m.density(zi + 1e-3)) - math.log(m.density(zi))
+            assert v == pytest.approx(direct, rel=1e-12)
+            assert m.log_density_diff(float(zi), 1e-3) == pytest.approx(v, rel=1e-15)
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_log_density_diff_on_arrays(self, family):
         beta = 1.0 if family is ErrorFamily.EXPONENTIAL else 1.6
