@@ -43,8 +43,6 @@ _WEIGHT_TOL = 1e-10
 _BALANCE_TOL = 1e-8
 _DISTINCT_TOL = 1e-12
 _TIE_RTOL = 1e-12  # sphere minimizers this close in value count as tied
-_DROP_SLACK_FACTOR = 10.0  # cuts slack by this many gap tolerances age out
-_DROP_PATIENCE = 5  # consecutive slack iterations before a cut is dropped
 _PI_TOL = 1e-5  # final bracket width of the pi_curve bisection
 _GRID_SIZE = 101  # default candidate grid of design-opt and e_optimal_design
 _WEIGHT_FLOOR = 1e-12  # solver weights at or below this are dropped from designs
@@ -147,7 +145,7 @@ class DesignSolution:
     design: Design
     info: float
     worst_direction: tuple[float, ...]
-    cuts_used: int
+    cuts_used: int  # seed cuts plus every cut the loop added; none is dropped
     gap: float
     stop: StopReason
 
@@ -759,56 +757,34 @@ def _seed_directions(d: int) -> list[np.ndarray]:
     return dirs
 
 
-def _solve_master(
-    phi: np.ndarray, strict: bool = True
+def _solve_cut_lp(
+    phi: np.ndarray, spread: np.ndarray | None = None, t_target: float = 0.0
 ) -> tuple[np.ndarray, float] | None:
-    """max t s.t. phi_u . w >= t per cut, w in the simplex."""
-    n_cuts, g = phi.shape
-    n = g + 1  # weights + t
-    rows = []
-    rhs = []
-    senses = []
-    for k in range(n_cuts):
-        rows.append(np.concatenate([phi[k], [-1.0]]))
-        rhs.append(0.0)
-        senses.append(Sense.GE)
-    rows.append(np.concatenate([np.ones(g), [0.0]]))
-    rhs.append(1.0)
-    senses.append(Sense.EQ)
-    domains = [Domain.NON_NEGATIVE] * g + [Domain.FREE]
-    c = np.zeros(n)
-    c[-1] = 1.0
-    lp = LinearProgram(c, np.array(rows), np.array(rhs), senses, domains, maximize=True)
-    sol = solve_lp(lp)
-    if sol.status is not LpStatus.OPTIMAL:
-        if strict:
-            raise AssertionError(f"master LP returned {sol.status}")
-        return None
-    return sol.x[:g], float(sol.x[g])
+    """The cut LP: w in the simplex, a free t, and t <= phi_u . w per cut.
 
-
-def _solve_tiebreak(
-    phi: np.ndarray, xs_vars: np.ndarray, t_target: float
-) -> np.ndarray | None:
-    """Among weight vectors with all cuts >= t_target, maximize spread.
-
-    Vertex solutions concentrate weight on extreme support, realising the
-    smaller-support preference among near-ties.
+    Without ``spread`` it maximizes t (the Kelley master); with it, it
+    maximizes spread . w subject to t >= t_target (the tie-break).  Each cut
+    row is written t - phi_u . w <= 0 and starts at its slack, so phase one
+    carries only the simplex row and the target row.  Returns (w, t), or
+    None when the LP is not solved.
     """
     n_cuts, g = phi.shape
-    rows = [phi[k] for k in range(n_cuts)]
-    rhs = [t_target] * n_cuts
-    senses: list[Sense] = [Sense.GE] * n_cuts
-    rows.append(np.ones(g))
-    rhs.append(1.0)
-    senses.append(Sense.EQ)
-    lp = LinearProgram(
-        xs_vars**2, np.array(rows), np.array(rhs), senses, maximize=True
-    )
+    rows = [np.hstack([-phi, np.ones((n_cuts, 1))]), np.append(np.ones(g), 0.0)]
+    rhs = [0.0] * n_cuts + [1.0]
+    senses = [Sense.LE] * n_cuts + [Sense.EQ]
+    if spread is None:
+        c = np.append(np.zeros(g), 1.0)
+    else:
+        c = np.append(spread, 0.0)
+        rows.append(np.append(np.zeros(g), 1.0))
+        rhs.append(t_target)
+        senses.append(Sense.GE)
+    domains = [Domain.NON_NEGATIVE] * g + [Domain.FREE]
+    lp = LinearProgram(c, np.vstack(rows), rhs, senses, domains, maximize=True)
     sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
         return None
-    return sol.x
+    return sol.x[:g], float(sol.x[g])
 
 
 def optimize_design_cutting_plane(
@@ -825,11 +801,11 @@ def optimize_design_cutting_plane(
     over all balanced ones.  The variables are therefore the weight at 0
     and the weights of the +-x pairs of ``grid``, which must be symmetric
     about 0.  Kelley's method on that simplex: the master LP maximizes the
-    worst accumulated cut, the separation oracle is the sphere minimizer at
-    the incumbent design, and cuts slack for several consecutive iterations
-    are dropped to keep the LPs small.  The loop stops once the gap falls
-    within ``config.gap_tol`` of the master bound, at ``config.max_cuts``,
-    or when the oracle returns a direction already cut; ``stop`` says which.
+    worst accumulated cut, and the separation oracle is the sphere minimizer
+    at the incumbent design.  Every cut is kept, so the master bound never
+    rises.  The loop stops once the gap falls within ``config.gap_tol`` of
+    the master bound, at ``config.max_cuts`` cuts, or when the oracle
+    returns a direction already cut; ``stop`` says which.
 
     The optimal design does not depend on ``j_tilde``, so the solve runs at
     unit scale and only the reported ``info`` and ``gap`` are multiplied by
@@ -859,12 +835,13 @@ def optimize_design_cutting_plane(
 
     cuts: list[np.ndarray] = [np.asarray(u, float) for u in _seed_directions(d)]
     phi_rows: list[np.ndarray] = [cut_row(u) for u in cuts]
-    slack_runs: list[int] = [0 for _ in cuts]
 
     best: tuple[float, Design, np.ndarray, np.ndarray] | None = None
     while True:
-        phi = np.array(phi_rows)
-        w, t_upper = _solve_master(phi)
+        master = _solve_cut_lp(np.array(phi_rows))
+        if master is None:
+            raise AssertionError("master LP not solved")
+        w, t_upper = master
         incumbent = to_design(w)
         val, u_star = unit_info(incumbent)
         if best is None or val > best[0]:
@@ -876,28 +853,12 @@ def optimize_design_cutting_plane(
         if len(cuts) >= config.max_cuts:
             stop = StopReason.MAX_CUTS
             break
-        # cut management: age out persistently slack cuts
-        slack = phi @ w - t_upper
-        thresh = _DROP_SLACK_FACTOR * tol
-        for k in range(len(cuts)):
-            slack_runs[k] = slack_runs[k] + 1 if slack[k] > thresh else 0
-        if len(cuts) > d + 1:
-            keep = [
-                k
-                for k in range(len(cuts))
-                if slack_runs[k] < _DROP_PATIENCE or k >= len(cuts) - (d + 1)
-            ]
-            if len(keep) < len(cuts):
-                cuts = [cuts[k] for k in keep]
-                phi_rows = [phi_rows[k] for k in keep]
-                slack_runs = [slack_runs[k] for k in keep]
         # separation: add the worst direction of the incumbent
         if any(abs(float(u_star @ u)) > 1.0 - 1e-12 for u in cuts):
             stop = StopReason.REPEATED_CUT  # grid resolution limit reached
             break
         cuts.append(u_star)
         phi_rows.append(cut_row(u_star))
-        slack_runs.append(0)
 
     val, incumbent, u_star, w_inc = best
     # The tie-break and condense steps accept a candidate only if its
@@ -911,9 +872,10 @@ def optimize_design_cutting_plane(
     tie_phi = list(phi_rows)
     tie_cuts = list(cuts)
     for _ in range(50):
-        w_tie = _solve_tiebreak(np.array(tie_phi), var_xs, t_target)
-        if w_tie is None:
+        tie = _solve_cut_lp(np.array(tie_phi), var_xs**2, t_target)
+        if tie is None:
             break
+        w_tie = tie[0]
         cand = to_design(w_tie)
         cand_val, cand_u = unit_info(cand)
         if cand_val >= min(val, t_upper - tol):
@@ -930,7 +892,7 @@ def optimize_design_cutting_plane(
         keep = w_inc > floor
         if int(keep.sum()) < d or bool(keep.all()):
             continue
-        restricted = _solve_master(np.array(tie_phi)[:, keep], strict=False)
+        restricted = _solve_cut_lp(np.array(tie_phi)[:, keep])
         if restricted is None:
             continue
         w_full = np.zeros_like(w_inc)

@@ -1,6 +1,6 @@
 """Dense two-phase primal simplex for small linear programs.
 
-Deliberately self-contained and deterministic: the design solver's master
+Deliberately self-contained and deterministic: the design solver's cut
 LPs and the envelope estimator's tied fits both need bit-for-bit
 reproducible vertices, which rules out threaded or heuristically-perturbed
 backends.  The envelope estimator fits most replicates from its LP's dual
@@ -15,7 +15,14 @@ parts, rows are normalised to non-negative right-hand sides, and ``<=`` /
 columns respectively.  Phase one minimises the artificial mass (skipped when
 a slack basis is already feasible); phase two runs Dantzig pricing and
 switches permanently to Bland's rule after a run of degenerate pivots, which
-guarantees termination.
+guarantees termination.  The design solver writes its cut rows as
+``t - phi . w <= 0``: they start at their slacks, so phase one carries only
+the simplex row and the tie-break's target row.
+
+The ratio test lets the smallest basis label leave among tied rows.  Before
+Bland's rule takes over it first passes over tied rows whose pivot element
+is below 1e-3 of the largest tied one: any of them keeps the step, and a
+tiny pivot would leave a near-singular basis behind.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ MAX_VARS = 500
 MAX_ROWS = 2000
 _PIVOT_TOL = 1e-10  # smallest pivot element and reduced cost acted upon
 _FEAS_TOL = 1e-8  # row and sign violation allowed in a reported optimum
+_TIE_PIVOT_RATIO = 1e-3  # on a ratio tie, pivots below this share of the largest are passed over
 
 
 class Sense(enum.Enum):
@@ -123,7 +131,7 @@ def _choose_entering(red: np.ndarray, allowed: np.ndarray, bland: bool):
     return int(candidates[np.argmin(red[candidates])])
 
 
-def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int, m: int):
+def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int, m: int, bland: bool):
     a = T[:m, col]
     rhs = T[:m, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -132,6 +140,11 @@ def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int, m: int):
     if not np.isfinite(best):
         return None
     ties = np.where(ratios <= best + 1e-12 * max(1.0, abs(best)))[0]
+    if ties.size > 1 and not bland:
+        # any tied row keeps the step; a tiny pivot element among them
+        # would leave a near-singular basis behind
+        pivots = a[ties]
+        ties = ties[pivots >= _TIE_PIVOT_RATIO * pivots.max()]
     # Bland-compatible tie-break: smallest basis label leaves
     return int(ties[np.argmin(basis[ties])])
 
@@ -159,7 +172,7 @@ def _run_simplex(
         col = _choose_entering(red, allowed, bland)
         if col is None:
             return "optimal", pivots
-        row = _choose_leaving(T, basis, col, m)
+        row = _choose_leaving(T, basis, col, m, bland)
         if row is None:
             return "unbounded", pivots
         _pivot(T, basis, row, col)

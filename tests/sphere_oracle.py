@@ -4,8 +4,8 @@ Rebuilds min_{|u|=1} sum_i w_i |f_i'u|^alpha, or with a matrix D the ratio
 sum_i w_i |f_i'u|^alpha / |D u|^alpha, from numpy and SciPy alone: nothing
 here imports the package under test.  A dense angle (d = 2) or
 latitude-longitude (d = 3) grid finds the basins, Powell and Nelder-Mead
-polish the lowest of them, and the kink rays where |f_i'u|^alpha bends are
-evaluated as well.
+polish the lowest of them in tangent coordinates of the sphere, and the
+kink rays where |f_i'u|^alpha bends are evaluated as well.
 """
 
 from __future__ import annotations
@@ -104,6 +104,15 @@ def dense_oracle(f, ws, alpha, d_psi=None, starts=12) -> float:
         den = float(np.linalg.norm(d_psi @ u)) ** alpha
         return value / den if den > 0.0 else math.inf
 
+    def polish(u, method, options):
+        # tangent coordinates at u: in R^d the objective is constant along
+        # rays, a flat direction that can hold Nelder-Mead to its cap
+        basis = np.linalg.svd(u[None])[2][1:]
+        res = minimize(lambda s: g(u + s @ basis), np.zeros(len(basis)),
+                       method=method, options=options)
+        v = u + res.x @ basis
+        return v / np.linalg.norm(v), float(res.fun)
+
     best = min(float(np.min(vals)), kink_oracle(f, ws, alpha, d_psi))
     methods = [
         ("Powell", {"xtol": 1e-14, "ftol": 1e-17, "maxfev": 5_000}),
@@ -114,9 +123,9 @@ def dense_oracle(f, ws, alpha, d_psi=None, starts=12) -> float:
         for _ in range(10):
             start = value
             for method, options in methods:
-                res = minimize(g, u, method=method, options=options)
-                if res.fun < value:
-                    u, value = res.x, float(res.fun)
+                v, fun = polish(u, method, options)
+                if fun < value:
+                    u, value = v, fun
             if not value < start:
                 break
         best = min(best, value)

@@ -95,6 +95,18 @@ class TestDesignOpt:
         assert float(rows[0]["info"]) == pytest.approx(summary["info"], rel=1e-10)
         assert len(rows[0]["worst_direction"].split()) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ("--A", "3", "--alpha", "1.4"),
+        ("--A", "3", "--alpha", "1.2", "--grid-size", "51"),
+        ("--A", "4", "--alpha", "1.6"),
+    ])
+    def test_quadratic_masters_that_once_crashed(self, capsys, tmp_path, extra):
+        # the master LP with ">=" cut rows raised LpError on these inputs
+        code, out, err = run(capsys, "design-opt", "--degree", "2", *extra,
+                             "--out-dir", str(tmp_path))
+        assert code == 0, err
+        assert json.loads(out)["info"] > 0.0
+
     def test_jtilde_override(self, capsys, tmp_path):
         code, out, _ = run(capsys, "design-opt", "--degree", "1", "--A", "1",
                            "--alpha", "1.4", "--jtilde", "1",

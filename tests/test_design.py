@@ -735,6 +735,38 @@ class TestCuttingPlaneSolver:
         assert sol.cuts_used <= 8
         assert sol.gap > 1e-4
 
+    @pytest.mark.parametrize("a,alpha", [(2.0, 1.0), (1.5, 1.5)])
+    def test_every_cut_is_kept(self, monkeypatch, a, alpha):
+        # The Kelley loop alternates master LP and oracle call until the
+        # tie-break's first LP, which has a target row; condense LPs come later.
+        events = []
+        solve_cut_lp = design_module._solve_cut_lp
+        info = design_module.design_info
+
+        def record_lp(phi, *args):
+            res = solve_cut_lp(phi, *args)
+            events.append(("lp", len(phi), res[1] if not args else None))
+            return res
+
+        def record_info(*args):
+            res = info(*args)
+            events.append(("info", np.asarray(res.direction)))
+            return res
+
+        monkeypatch.setattr(design_module, "_solve_cut_lp", record_lp)
+        monkeypatch.setattr(design_module, "design_info", record_info)
+        sol = optimize_design_cutting_plane(default_grid(a), alpha, 1.0, 2)
+        kelley = events[:next(k for k, e in enumerate(events) if e[0] == "lp" and e[2] is None)]
+        bounds = [e[2] for e in kelley[::2]]
+        added = [e[1] for e in kelley[1::2]][:-1]  # the last oracle call adds no cut
+        seeds = design_module._seed_directions(3)
+        assert [e[1] for e in kelley[::2]] == [len(seeds) + k for k in range(len(bounds))]
+        assert all(t1 <= t0 * (1.0 + 1e-12) for t0, t1 in zip(bounds, bounds[1:]))
+        cuts = np.array(seeds + added)
+        overlap = np.abs(cuts @ cuts.T) - np.eye(len(cuts))
+        assert overlap.max() <= 1.0 - 1e-12
+        assert sol.cuts_used == len(seeds) + len(added)
+
     def test_degree_below_one_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             design_info(TWO_POINT, 1.0, 1.0, 0)

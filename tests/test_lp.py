@@ -224,3 +224,53 @@ def test_deterministic_resolve():
     assert a.iterations == b.iterations
     assert np.array_equal(a.x, b.x)
     assert a.objective == b.objective
+
+
+# Kelley master max t s.t. phi_u . w >= t per cut, w in the simplex, of the
+# alpha = 1.4 quadratic design solve on the 101-point grid over [-3, 3]: the
+# 14 cut directions it held when its ">=" form crashed.  In phase one a ratio
+# tie took a 1.1e-10 pivot element over tied ones of 2.6 to 19; the tableau
+# drifted after it, and the basis it ended at gave a weight of -8.2e-3.
+_TIE_MASTER_CUTS = np.array([
+    (0.0, 1.0, 0.0),
+    (0.9938715494835256, -1.3017959410459724e-17, -0.1105411377144986),
+    (0.45651738511143836, 0.8755317825895268, -0.15822760431296523),
+    (0.2930426085220285, 0.950137584352518, -0.10660487977277083),
+    (0.5987120306372995, -0.7756535486307251, -0.19976355239814095),
+    (0.1787956425935464, -0.9817678417782293, -0.06452924174107784),
+    (0.9922996937610705, 1.2255034934006688e-13, -0.12386007331535746),
+    (0.34917306951141946, 0.9308473817967717, -0.10770942080462904),
+    (0.5507830601294704, -0.8175061801838319, -0.16829042169908665),
+    (0.11944530296264602, -0.9921727754220491, -0.036414328381423854),
+    (0.2367262819200022, -0.9688741425170576, -0.07241245341906348),
+    (0.9932006956149801, 4.1029263320169215e-12, -0.11641468219223729),
+    (0.5056926106951714, 0.8464659957549915, -0.1666442363804185),
+    (0.6393328750486987, 0.7416151968986675, -0.20312649903672297),
+])
+
+
+def test_ratio_tie_skips_a_tiny_pivot():
+    from scipy.optimize import linprog
+
+    xs = np.linspace(-3.0, 3.0, 101)[50:]  # 0 and the positive half
+    f_pos = np.vander(xs, 3, increasing=True)
+    f_neg = np.vander(-xs, 3, increasing=True)
+    alpha = 1.4
+    phi = 0.5 * (np.abs(_TIE_MASTER_CUTS @ f_pos.T) ** alpha
+                 + np.abs(_TIE_MASTER_CUTS @ f_neg.T) ** alpha)
+    n_cuts, g = phi.shape
+    A = np.vstack([
+        np.hstack([phi, -np.ones((n_cuts, 1))]),
+        np.append(np.ones(g), 0.0),
+    ])
+    b = np.append(np.zeros(n_cuts), 1.0)
+    c = np.append(np.zeros(g), 1.0)
+    senses = [Sense.GE] * n_cuts + [Sense.EQ]
+    domains = [Domain.NON_NEGATIVE] * g + [Domain.FREE]
+    sol = solve_lp(LinearProgram(c, A, b, senses, domains, maximize=True))
+    ref = linprog(-c, A_ub=-A[:-1], b_ub=-b[:-1], A_eq=A[-1:], b_eq=b[-1:],
+                  bounds=[(0.0, None)] * g + [(None, None)], method="highs")
+    assert sol.status is LpStatus.OPTIMAL
+    assert ref.status == 0
+    assert -ref.fun == pytest.approx(0.8436542498, abs=1e-9)
+    assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
