@@ -57,6 +57,8 @@ _BB_POLISH_ROUNDS = 20  # at most this many rounds per incumbent polish
 _BB_POLISH_RTOL = 1e-13  # a round that gains less than this (relative) ends the polish
 _BB_KINK_FLOOR = 1e-9  # floor of |f_i'u| / |f_i| where a power of it would blow up
 _BB_KINK_NEAR = 1e-3  # terms with |f_j'u| / |f_j| below this get a kink step
+_BB_CAP_RADII = np.array([0.3, 0.1, 0.03, 0.01, 0.003, 0.001])  # tangent radii tried for a cap
+_BB_CAP_RTOL = 0.5 * _BB_RTOL  # a certified cap holds g >= g(u) (1 - this): room for rounding
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,31 @@ def _kink_candidates(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cand[keep] / norms[keep, None], rows[keep]
 
 
+def _mirror(u: np.ndarray) -> np.ndarray:
+    """u, or each row of u, with entry 1 negated: the image of x -> -x."""
+    v = np.array(u, dtype=float)
+    v[..., 1] = -v[..., 1]
+    return v
+
+
+def _is_mirror_symmetric(f: np.ndarray, ws: np.ndarray) -> bool:
+    """True when ``_mirror`` of the rows f_i, with their positive weights,
+    gives the same multiset, compared exactly after sorting.  Then
+    sum_i w_i |f_i'u|^alpha is unchanged by u -> ``_mirror``(u)."""
+    rows = np.column_stack([f, ws])[ws > 0.0]
+    flipped = _mirror(rows)
+    return bool(np.array_equal(
+        rows[np.lexsort(rows.T[::-1])], flipped[np.lexsort(flipped.T[::-1])]
+    ))
+
+
+def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row by row, True where a is lexicographically no greater than b."""
+    delta = a - b
+    first = np.argmax(delta != 0.0, axis=1)[:, None]
+    return np.take_along_axis(delta, first, axis=1)[:, 0] <= 0.0
+
+
 def _is_degenerate(eigvals: np.ndarray) -> bool:
     """True when ascending moment-matrix eigenvalues leave a null direction."""
     return bool(eigvals[0] <= _DEGENERATE_RTOL * max(1.0, eigvals[-1]))
@@ -252,15 +279,23 @@ def _split_cells(cells: np.ndarray) -> np.ndarray:
     ])
 
 
-def _initial_cells(d: int) -> np.ndarray:
+def _initial_cells(d: int, mirror: bool) -> np.ndarray:
     """Cells covering a hemisphere: 64 arcs of [0, pi) at d = 2, and the 4
-    upper octahedral faces, each split three times, at d = 3."""
+    upper octahedral faces, each split three times, at d = 3.
+
+    With ``mirror`` the objective is unchanged by u_1 -> -u_1, and the cells
+    cover the half u_1 >= 0 of the hemisphere only: up to sign every
+    direction has a mirror image there.  That is 32 arcs of [0, pi/2] and
+    the faces [e1, e2, e3] and [e2, -e1, e3], the first cells of the full
+    hemisphere.
+    """
     if d == 2:
-        t = np.arange(65) * (math.pi / 64)
+        t = np.arange(33 if mirror else 65) * (math.pi / 64)
         v = np.stack([np.cos(t), np.sin(t)], axis=1)
         return np.stack([v[:-1], v[1:]], axis=1)
     e1, e2, e3 = np.eye(3)
     cells = np.array([[e1, e2, e3], [e2, -e1, e3], [-e1, -e2, e3], [-e2, e1, e3]])
+    cells = cells[:2] if mirror else cells
     for _ in range(3):
         cells = _split_cells(cells)
     return cells
@@ -450,6 +485,46 @@ def _kink_step(
     return u * math.cos(theta) + e * math.sin(theta)
 
 
+def _certified_cap(
+    f: np.ndarray, ws: np.ndarray, alpha: float, u: np.ndarray, value: float
+) -> float:
+    """Angle of a cap around +-u on which g >= value * (1 - ``_BB_CAP_RTOL``),
+    or 0 when no radius of ``_BB_CAP_RADII`` passes; ``value`` = g(u).
+
+    Take x = u + T'y with T a tangent basis at u and |y| <= R, so that x / |x|
+    covers every direction within atan(R) of u.  h(x) = sum_i w_i |f_i'x|^alpha
+    is convex and C^1, and with p = F u its Hessian along the segment is
+    at least Q = sum_i kappa_i (T f_i)(T f_i)', kappa_i = alpha (alpha - 1)
+    w_i M_i^(alpha - 2), because |f_i'x| <= M_i = |p_i| + R |T f_i| and
+    alpha - 2 < 0 (a kink only adds curvature).  So h(x) >= g + gamma'y +
+    y'Qy / 2, gamma the Riemannian gradient, and since g(x / |x|) =
+    h(x) / (1 + |y|^2)^(alpha / 2) with (1 + s)^(alpha / 2) <= 1 + alpha s / 2,
+    g(x / |x|) >= g (1 - eps) once gamma'y + y'(Q - alpha g)y / 2 >= -eps g.
+    With mu = lambda_min(Q) - alpha g > 0 that holds when |gamma|^2 <= 2 mu eps g.
+    The largest radius that passes is returned.
+    """
+    t = np.linalg.svd(u[None, :])[2][1:]
+    p = f @ u
+    ft = f @ t.T
+    grad = (alpha * ws * np.abs(p) ** (alpha - 1.0) * np.sign(p)) @ ft
+    m = np.abs(p) + _BB_CAP_RADII[:, None] * np.linalg.norm(ft, axis=1)
+    kappa = alpha * (alpha - 1.0) * ws * m ** (alpha - 2.0)
+    mu = np.linalg.eigvalsh(np.einsum("ri,ij,ik->rjk", kappa, ft, ft))[:, 0] - alpha * value
+    ok = (mu > 0.0) & (grad @ grad <= 2.0 * _BB_CAP_RTOL * value * mu)
+    return math.atan(_BB_CAP_RADII[np.argmax(ok)]) if ok.any() else 0.0
+
+
+def _inside_cap(
+    centres: np.ndarray, radii: np.ndarray, u: np.ndarray, angle: float
+) -> np.ndarray:
+    """True for each cap (centre, radius) that lies inside the cap of ``angle``
+    around +-u.  Angles come from chords, accurate for tiny ones too."""
+    chord = np.minimum(
+        np.linalg.norm(centres - u, axis=1), np.linalg.norm(centres + u, axis=1)
+    )
+    return 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0)) + radii <= angle
+
+
 def _ratio_bounds(
     f: np.ndarray, f_norm: np.ndarray, ws: np.ndarray, alpha: float,
     c: np.ndarray, r: np.ndarray, d_psi: np.ndarray, lam: float, v: float,
@@ -491,15 +566,19 @@ def _kink_snap(f: np.ndarray, f_norm: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _branch_and_bound(
-    f: np.ndarray, ws: np.ndarray, alpha: float, d_psi: np.ndarray | None = None
+    f: np.ndarray, ws: np.ndarray, alpha: float, d_psi: np.ndarray | None = None,
+    mirror: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Certified min_{|u|=1} sum_i w_i |f_i'u|^alpha for 1 < alpha < 2.
 
-    Cells of a hemisphere (the objective is even) are evaluated level by
-    level, all of a level's cells in array operations of at most
-    ``_BB_CHUNK`` cells.  The incumbent is the best cell centre seen, polished
-    by ``_polish`` after each improvement.  A cell is dropped once
-    its lower bound (``_cell_bounds``) reaches best * (1 - 1e-10), and the
+    Cells of a hemisphere (the objective is even), or of its half u_1 >= 0
+    when ``mirror`` says the objective is unchanged by u_1 -> -u_1, are
+    evaluated level by level, all of a level's cells in array operations of
+    at most ``_BB_CHUNK`` cells.  The incumbent is the best cell centre seen,
+    polished by ``_polish`` after each improvement, and ``_certified_cap``
+    then tries to certify a cap around the polished point.  A cell is
+    dropped once its lower bound (``_cell_bounds``) reaches
+    best * (1 - 1e-10), or once it lies inside a certified cap, and the
     rest are split.  When no cell remains the incumbent is within 1e-10
     relative of the minimum.  A design with a null direction (minimum 0)
     would never drop the cells around it; ``_sphere_min`` answers it before
@@ -512,8 +591,9 @@ def _branch_and_bound(
     keep = ws > 0.0
     f, ws = f[keep], ws[keep]
     f_norm = np.linalg.norm(f, axis=1)
-    cells = _initial_cells(f.shape[1])
+    cells = _initial_cells(f.shape[1], mirror)
     best_u, best = cells[0, 0], math.inf
+    caps: list[tuple[np.ndarray, float]] = []  # certified (u, angle); each stays valid
     if d_psi is not None:  # a finite incumbent, which the ratio bound needs
         _, sv, vt = np.linalg.svd(d_psi)
         best_u, lam = vt[0], sv[0] ** 2
@@ -538,8 +618,13 @@ def _branch_and_bound(
                     best_u, best = u, value
         elif values[i] < best:
             best_u, best = _polish(f, ws, alpha, centres[i], float(values[i]))
-        cut = best * (1.0 - _BB_RTOL) if d_psi is None else 0.0
-        cells = _split_cells(cells[lower < cut])
+            angle = _certified_cap(f, ws, alpha, best_u, best)
+            if angle > 0.0:
+                caps.append((best_u, angle))
+        live = lower < (best * (1.0 - _BB_RTOL) if d_psi is None else 0.0)
+        for u, angle in caps:
+            live &= ~_inside_cap(centres, radii, u, angle)
+        cells = _split_cells(cells[live])
         if not len(cells):
             return best_u, best
     raise RuntimeError(f"sphere branch-and-bound did not finish in {_BB_MAX_LEVELS} levels")
@@ -559,6 +644,10 @@ def _sphere_min(
     alpha <= 1 it is the smallest value over the kink rays of
     ``_kink_candidates`` (KINK_ENUMERATION).  At 1 < alpha < 2
     ``_branch_and_bound`` certifies it to 1e-10 relative (BRANCH_AND_BOUND).
+    When ``_is_mirror_symmetric`` holds (every design ``pi_curve`` and the
+    cutting-plane solver pass), both paths search one half of the mirror
+    u_1 -> -u_1: the kink enumeration keeps the lexicographically smaller
+    ray of each mirror pair, and the branch-and-bound covers u_1 >= 0.
 
     A wide ``d_psi`` (q x d, q < d) divides the objective by |d_psi u|^alpha.
     It is exactly 0 at a null direction n of F'WF with d_psi n != 0; other
@@ -590,6 +679,7 @@ def _sphere_min(
             value = j_tilde * num / float(np.linalg.norm(d_psi @ basis)) ** alpha
             return _canonical_sign(basis.T), value, InfoMethod.CLOSED_FORM
         f, d_psi, vals, vecs = f @ basis, d_psi @ basis, vals[~null], np.eye(basis.shape[1])
+    mirror = d_psi is None and alpha < 2.0 and _is_mirror_symmetric(f, ws)
     if alpha == 2.0 and d_psi is None:
         tied = vals <= vals[0] + _TIE_RTOL * abs(vals[-1])
         ties = _canonical_sign(vecs[:, tied].T)
@@ -603,6 +693,10 @@ def _sphere_min(
     elif alpha <= 1.0:
         rays, rows = _kink_candidates(f)
         rays = _canonical_sign(rays)
+        if mirror:
+            # one ray per mirror pair: the one _argmin_lex picks from a tie
+            half = _lex_le(rays, _canonical_sign(_mirror(rays)))
+            rays, rows = rays[half], rows[half]
         proj = np.abs(rays @ f.T)
         # zero by construction: keeps rounding residue out of |.|^alpha
         np.put_along_axis(proj, rows, 0.0, axis=1)
@@ -615,7 +709,7 @@ def _sphere_min(
         order = np.concatenate([[best], tied[tied != best]])
         ties, value, method = rays[order], float(vals[best]), InfoMethod.KINK_ENUMERATION
     else:
-        u, value = _branch_and_bound(f, ws, alpha, d_psi)
+        u, value = _branch_and_bound(f, ws, alpha, d_psi, mirror)
         ties, value = _canonical_sign(u)[None, :], j_tilde * value
         method = InfoMethod.BRANCH_AND_BOUND
     if basis is not None:

@@ -5,7 +5,8 @@ sum_i w_i |f_i'u|^alpha / |D u|^alpha, from numpy and SciPy alone: nothing
 here imports the package under test.  A dense angle (d = 2) or
 latitude-longitude (d = 3) grid finds the basins, Powell and Nelder-Mead
 polish the lowest of them in tangent coordinates of the sphere, and the
-kink rays where |f_i'u|^alpha bends are evaluated as well.
+kink rays where |f_i'u|^alpha bends are evaluated as well.  ``cap_samples``
+gives dense directions inside a cap, to check a claimed bound on it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,24 @@ def oracle_grid(d: int) -> np.ndarray:
         indexing="ij",
     )
     return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+
+
+def cap_samples(u, angle: float, n: int = 40) -> np.ndarray:
+    """Unit directions within ``angle`` of u: u itself, rings at n radii
+    (evenly spaced and geometrically spaced down to 1e-6 of ``angle``, the
+    last on the boundary) and, at d = 3, n azimuths per ring."""
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    tangent = np.linalg.svd(u[None])[2][1:]
+    radii = angle * np.concatenate([np.linspace(0.0, 1.0, n), np.geomspace(1e-6, 1.0, n)])
+    if len(u) == 2:
+        rho = np.concatenate([radii, radii])
+        dirs = np.repeat([tangent[0], -tangent[0]], len(radii), axis=0)
+    else:
+        phi = np.arange(n) * (2.0 * math.pi / n)
+        rho = np.repeat(radii, n)
+        dirs = np.tile(np.cos(phi)[:, None] * tangent[0] + np.sin(phi)[:, None] * tangent[1],
+                       (len(radii), 1))
+    return np.cos(rho)[:, None] * u + np.sin(rho)[:, None] * dirs
 
 
 def _objective(us, f, ws, alpha, d_psi):

@@ -25,7 +25,7 @@ from nonregdesign.design import (
     uniform_design,
 )
 from nonregdesign.hellinger import InfoMethod
-from sphere_oracle import dense_oracle, grid_oracle, kink_oracle
+from sphere_oracle import cap_samples, dense_oracle, grid_oracle, kink_oracle
 
 TWO_POINT = Design(A=1.0, points=((-1.0, 0.5), (1.0, 0.5)))
 THREE_POINT_06 = Design(A=1.0, points=((-1.0, 0.2), (0.0, 0.6), (1.0, 0.2)))
@@ -342,6 +342,70 @@ def _cell_samples(cell):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def _record_caps(monkeypatch) -> list:
+    """Route ``_certified_cap`` through a recorder of (f, ws, alpha, u, value, angle)."""
+    caps = []
+    certify = design_module._certified_cap
+
+    def recorded(f, ws, alpha, u, value):
+        angle = certify(f, ws, alpha, u, value)
+        caps.append((f, ws, alpha, u, value, angle))
+        return angle
+
+    monkeypatch.setattr(design_module, "_certified_cap", recorded)
+    return caps
+
+
+CAP_RADII = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
+
+
+def _probe_caps(f, ws, alpha, rng, starts=24) -> list:
+    """Polish from random starts and try a cap at each polished point, so that
+    caps around every local minimum are tried, not only around incumbents.
+    Returns the polished points, which probe the caps of the others."""
+    probes = []
+    for _ in range(starts):
+        u = rng.normal(size=f.shape[1])
+        u /= np.linalg.norm(u)
+        u, value = design_module._polish(f, ws, alpha, u, float(np.abs(f @ u) ** alpha @ ws))
+        design_module._certified_cap(f, ws, alpha, u, value)
+        probes.append(u)
+    return probes
+
+
+def _assert_caps_hold(caps, probes=()) -> int:
+    """Every certified cap keeps g >= value (1 - 5e-11), its claim, up to
+    rounding, on its dense samples and at each probe direction inside it
+    (a claim that implies the 1e-10 certificate); returns how many caps
+    were certified."""
+    certified = 0
+    for f, ws, alpha, u, value, angle in caps:
+        if angle == 0.0:
+            continue
+        certified += 1
+        # the angle is atan of a tangent radius the certificate tried
+        assert any(math.isclose(math.tan(angle), r, rel_tol=1e-12) for r in CAP_RADII)
+        pts = cap_samples(u, angle)
+        inside = [
+            v for v in probes
+            if 2.0 * math.asin(min(1.0, 0.5 * min(
+                np.linalg.norm(v - u), np.linalg.norm(v + u)))) <= angle
+        ]
+        if inside:
+            pts = np.vstack([pts, inside])
+        g = np.abs(pts @ f.T) ** alpha @ ws
+        assert g.min() >= value * (1.0 - 5e-11 - 1e-14), (angle, value, g.min())
+    return certified
+
+
+# three-point cases (A, alpha, pi): those of the dense-oracle test below, an
+# interior minimum with a wide cap, and the pi_curve optimum at (2, 1.5)
+CAP_CASES = [
+    (1.5, 1.2, 0.625286), (2.0, 1.05, 0.7), (1.5, 1.1, 0.60162), (1.0, 1.5, 0.6),
+    (2.0, 1.5, 0.7), (2.0, 1.5, 0.7476539611816406),
+]
+
+
 @pytest.mark.filterwarnings("error")
 class TestBranchAndBound:
     """The certified 1 < alpha < 2 sphere minimum, against package-free checks."""
@@ -402,6 +466,51 @@ class TestBranchAndBound:
             seen[min(k, 2)] += 1
         assert min(seen.values()) >= 20, seen
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.9])
+    def test_certified_caps_hold_on_dense_samples(self, monkeypatch, degree, alpha):
+        # the caps the search certifies around its incumbents, caps tried at
+        # every local minimum, and caps tried a small step off the minimizer,
+        # where a wrong certificate would claim a value the minimizer undercuts
+        rng = np.random.default_rng(900 + 10 * degree + int(100 * alpha))
+        caps = _record_caps(monkeypatch)
+        certified = 0
+        for k in range(6):
+            d = random_balanced_design(rng, a=1.5)
+            d = symmetrize(d) if k % 2 else d
+            f, ws = regressor_matrix(d.xs, degree), d.ws
+            u = np.asarray(design_info(d, alpha, 1.0, degree).direction)
+            probes = [u] + _probe_caps(f, ws, alpha, rng)
+            t = np.linalg.svd(u[None])[2][1:]
+            for step in (1e-8, 1e-6, 1e-4, 1e-2):
+                v = math.cos(step) * u + math.sin(step) * (rng.normal(size=len(t)) @ t)
+                v /= np.linalg.norm(v)
+                design_module._certified_cap(f, ws, alpha, v, float(np.abs(f @ v) ** alpha @ ws))
+            certified += _assert_caps_hold(caps, probes)
+            caps.clear()
+        assert certified >= 1
+
+    @pytest.mark.parametrize("a,alpha,pi", CAP_CASES)
+    def test_three_point_caps_hold_on_dense_samples(self, monkeypatch, a, alpha, pi):
+        caps = _record_caps(monkeypatch)
+        f, ws = _three_point(a, pi)
+        ties, _, _ = design_module._sphere_min(f, ws, alpha, 1.0)
+        assert caps
+        probes = [ties[0]] + _probe_caps(f, ws, alpha, np.random.default_rng(int(1e6 * pi)))
+        _assert_caps_hold(caps, probes)
+
+    def test_pitchfork_gets_no_cap(self, monkeypatch):
+        # at the flat minimum of (A, alpha) = (1, 1.5) near pi* = 0.6000023 the
+        # curvature bound mu is not positive, so the search runs without a cap
+        caps = _record_caps(monkeypatch)
+        _three_point_inner(1.0, 1.5)(0.6000023)
+        assert caps and all(angle == 0.0 for *_, angle in caps)
+
+    def test_interior_minimum_gets_a_wide_cap(self, monkeypatch):
+        caps = _record_caps(monkeypatch)
+        _three_point_inner(2.0, 1.5)(0.7)
+        assert max(angle for *_, angle in caps) >= 0.05
+
     def test_cell_and_level_caps_raise(self, monkeypatch):
         monkeypatch.setattr(design_module, "_BB_MAX_CELLS", 100)
         with pytest.raises(RuntimeError, match="live cells"):
@@ -448,6 +557,72 @@ class TestBranchAndBound:
         f = regressor_matrix(sol.design.xs, 2)
         assert sol.info == pytest.approx(dense_oracle(f, sol.design.ws, 1.2), rel=1e-9)
         assert sol.gap <= CuttingPlaneConfig().gap_tol * (sol.info + sol.gap)
+
+
+def _mirrored(u):
+    """The image of u under x -> -x, which negates entry 1, signed so that
+    its first nonzero entry is positive."""
+    v = np.array(u, dtype=float)
+    v[1] = -v[1]
+    return -v if v[np.flatnonzero(v)[0]] < 0.0 else v
+
+
+class TestMirrorHalf:
+    """Symmetric designs search half the sphere; the answers must not move."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("alpha", [1.2, 1.7])
+    def test_symmetric_designs_agree_with_oracle_and_full_hemisphere(self, degree, alpha):
+        rng = np.random.default_rng(950 + 10 * degree + int(10 * alpha))
+        cases = [symmetrize(random_balanced_design(rng, a=1.5)) for _ in range(2)]
+        # minima at the far end of the half; in the last, at degree 1 and
+        # alpha = 1.2, a local minimum in the near quarter is 10% higher
+        cases += [
+            Design([(-0.5, 0.5), (0.5, 0.5)], 1.5),
+            Design([(-1.4, 0.3), (0.0, 0.4), (1.4, 0.3)], 1.5),
+            Design([(-1.5, 0.2), (-0.3, 0.3), (0.3, 0.3), (1.5, 0.2)], 1.5),
+        ]
+        for d in cases:
+            f, ws = regressor_matrix(d.xs, degree), d.ws
+            assert design_module._is_mirror_symmetric(f, ws)
+            res = design_info(d, alpha, 1.0, degree)
+            oracle = dense_oracle(f, ws, alpha)
+            assert res.J <= oracle * (1.0 + 1e-10)
+            assert res.J == pytest.approx(oracle, rel=1e-9)
+            # one weight 1 ulp up breaks the exact symmetry: full hemisphere
+            nudged = ws.copy()
+            nudged[0] = np.nextafter(nudged[0], 1.0)
+            assert not design_module._is_mirror_symmetric(f, nudged)
+            _, full, _ = design_module._sphere_min(f, nudged, alpha, 1.0)
+            assert res.J == pytest.approx(full, rel=1e-10)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    def test_half_kink_enumeration_matches_the_full_one(self, monkeypatch, degree, alpha):
+        rng = np.random.default_rng(970 + 10 * degree + int(10 * alpha))
+        cases = [symmetrize(random_balanced_design(rng, a=2.0)) for _ in range(6)]
+        cases.append(Design([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)], 1.0))  # exact ties
+        half = []
+        for d in cases:
+            f = regressor_matrix(d.xs, degree)
+            assert design_module._is_mirror_symmetric(f, d.ws)
+            half.append(design_module._sphere_min(f, d.ws, alpha, 1.0))
+        monkeypatch.setattr(design_module, "_is_mirror_symmetric", lambda f, ws: False)
+        for d, (ties, value, method) in zip(cases, half):
+            f = regressor_matrix(d.xs, degree)
+            _, full, full_method = design_module._sphere_min(f, d.ws, alpha, 1.0)
+            assert method is full_method is InfoMethod.KINK_ENUMERATION
+            assert abs(value - full) <= np.spacing(full)
+            # the kept ray of a mirror pair is the lexicographically smaller one
+            assert tuple(ties[0]) <= tuple(_mirrored(ties[0]))
+
+    def test_mirror_test_is_exact_and_ignores_zero_weights(self):
+        f = regressor_matrix(np.array([-1.0, 0.0, 0.5, 1.0]), 2)
+        assert design_module._is_mirror_symmetric(f, np.array([0.25, 0.5, 0.0, 0.25]))
+        assert not design_module._is_mirror_symmetric(f, np.array([0.25, 0.25, 0.25, 0.25]))
+        assert not design_module._is_mirror_symmetric(
+            f, np.array([0.25, 0.5, 0.0, np.nextafter(0.25, 1.0)])
+        )
 
 
 class TestDirectionFreePsi:
@@ -902,6 +1077,49 @@ class TestPiCurve:
         assert fs[0] == pytest.approx(0.2, abs=1e-5)
         assert fs[1] == pytest.approx(5.0 / 9.0, abs=1e-5)
         assert fs[2] == pytest.approx(0.75, abs=1e-5)
+
+    # pi_curve rows recorded before the certified cap and the mirror half
+    # were added to the branch-and-bound: a changed bisection step moves pi
+    PINNED = {
+        1.0: [(1.1, 0.5173301696777344, 0.3533122323501752),
+              (1.25, 0.5453605651855469, 0.3470636837918997),
+              (1.5, 0.6000022888183594, 0.29906975615612047),
+              (1.75, 0.6000022888183594, 0.24456890899076267),
+              (1.9, 0.6000022888183594, 0.21675967734074433)],
+        1.5: [(1.1, 0.6016197204589844, 0.5448342030734573),
+              (1.25, 0.6366157531738281, 0.5686191913335724),
+              (1.5, 0.6803398132324219, 0.5872434218653749),
+              (1.75, 0.7149467468261719, 0.5795430540825948),
+              (1.9, 0.7375984191894531, 0.5669400237546359)],
+        2.0: [(1.1, 0.6774330139160156, 0.6552174291245891),
+              (1.25, 0.7118415832519531, 0.6853600789016496),
+              (1.5, 0.7476539611816406, 0.713742381016116),
+              (1.75, 0.7811546325683594, 0.7360956179336738),
+              (1.9, 0.8002281188964844, 0.7455631979813256)],
+    }
+
+    @pytest.mark.parametrize("a", sorted(PINNED))
+    def test_pinned_rows(self, a):
+        rows = pi_curve(a, [alpha for alpha, _, _ in self.PINNED[a]])
+        for (alpha, pi, f), pinned in zip(rows, self.PINNED[a]):
+            assert alpha == pinned[0]
+            assert pi == pytest.approx(pinned[1], abs=1e-12)
+            assert f == pytest.approx(pinned[2], rel=1e-10)
+
+    def test_branch_and_bound_levels_stay_few(self, monkeypatch):
+        # each _split_cells call is one level (three more build the d = 3
+        # starting cells of each call); 357 over the 18 calls before the
+        # certified cap and the mirror half
+        calls = []
+        split = design_module._split_cells
+
+        def counted(cells):
+            calls.append(len(cells))
+            return split(cells)
+
+        monkeypatch.setattr(design_module, "_split_cells", counted)
+        pi_curve(2.0, [1.5])
+        assert len(calls) <= 200
 
     def test_monotone_in_alpha(self):
         rows = pi_curve(1.5, [1.0, 1.25, 1.5, 1.75, 2.0])
