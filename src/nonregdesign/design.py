@@ -856,9 +856,9 @@ def _solve_cut_lp(
 ) -> tuple[np.ndarray, float] | None:
     """The cut LP: w in the simplex, a free t, and t <= phi_u . w per cut.
 
-    Without ``spread`` it maximizes t (the Kelley master); with it, it
-    maximizes spread . w subject to t >= t_target (the tie-break).  Each cut
-    row is written t - phi_u . w <= 0 and starts at its slack, so phase one
+    Without ``spread`` it maximizes t (the master and condense LPs); with
+    it, it maximizes spread . w subject to t >= t_target.  Each cut row is
+    written t - phi_u . w <= 0 and starts at its slack, so phase one
     carries only the simplex row and the target row.  Returns (w, t), or
     None when the LP is not solved.
     """
@@ -899,7 +899,12 @@ def optimize_design_cutting_plane(
     at the incumbent design.  Every cut is kept, so the master bound never
     rises.  The loop stops once the gap falls within ``config.gap_tol`` of
     the master bound, at ``config.max_cuts`` cuts, or when the oracle
-    returns a direction already cut; ``stop`` says which.
+    returns a direction already cut; ``stop`` says which.  Two LPs on the
+    loop's cuts then finish from its best verified value J: one maximizes
+    the spread sum w_i x_i^2 at t >= J (1 - 1e-12), the other re-solves the
+    master on the weights above 1e-6.  Each result is kept only if its
+    verified information is at least J (1 - 1e-12), the second only if it
+    has fewer points, so ``info`` never falls below what the loop verified.
 
     The optimal design does not depend on ``j_tilde``, so the solve runs at
     unit scale and only the reported ``info`` and ``gap`` are multiplied by
@@ -928,6 +933,9 @@ def optimize_design_cutting_plane(
         return res.J, np.asarray(res.direction, dtype=float)
 
     cuts: list[np.ndarray] = [np.asarray(u, float) for u in _seed_directions(d)]
+    if config.max_cuts < len(cuts):
+        raise ValueError(f"max_cuts must be at least {len(cuts)} (the seed cuts) "
+                         f"at degree {degree}, got {config.max_cuts}")
     phi_rows: list[np.ndarray] = [cut_row(u) for u in cuts]
 
     best: tuple[float, Design, np.ndarray, np.ndarray] | None = None
@@ -955,48 +963,28 @@ def optimize_design_cutting_plane(
         phi_rows.append(cut_row(u_star))
 
     val, incumbent, u_star, w_inc = best
-    # The tie-break and condense steps accept a candidate only if its
-    # verified information is at least min(val, t_upper - tol): a converged
-    # gap stays within tolerance, and an unconverged one never widens.
-    # Tie-break: the optimum can be a large flat face (piecewise-linear
-    # criterion), so maximize the spread sum w_i x_i^2 over designs whose
-    # *verified* information stays within tolerance — itself a small
-    # cutting-plane loop, since the cut polytope overestimates that face.
-    t_target = val - 1e-9 * max(1.0, abs(val))
-    tie_phi = list(phi_rows)
-    tie_cuts = list(cuts)
-    for _ in range(50):
-        tie = _solve_cut_lp(np.array(tie_phi), var_xs**2, t_target)
-        if tie is None:
-            break
-        w_tie = tie[0]
-        cand = to_design(w_tie)
+    phi = np.array(phi_rows)
+    target = val * (1.0 - _TIE_RTOL)
+    # Spread: the optimum can be a large flat face (piecewise-linear
+    # criterion); pick its most spread design that the cuts allow.
+    spread = _solve_cut_lp(phi, var_xs**2, target)
+    if spread is not None:
+        cand = to_design(spread[0])
         cand_val, cand_u = unit_info(cand)
-        if cand_val >= min(val, t_upper - tol):
-            incumbent, val, u_star, w_inc = cand, cand_val, cand_u, w_tie
-            break
-        if any(abs(float(cand_u @ u)) > 1.0 - 1e-12 for u in tie_cuts):
-            break
-        tie_cuts.append(cand_u)
-        tie_phi.append(cut_row(cand_u))
-    # Condense: drop near-zero weights and re-solve the master on the kept
-    # support (the accumulated cuts pin the active directions), accepting the
-    # smaller design under the same rule.
-    for floor in (1e-6, 1e-4, 1e-3):
-        keep = w_inc > floor
-        if int(keep.sum()) < d or bool(keep.all()):
-            continue
-        restricted = _solve_cut_lp(np.array(tie_phi)[:, keep])
-        if restricted is None:
-            continue
-        w_full = np.zeros_like(w_inc)
-        w_full[keep] = restricted[0]
-        cand = to_design(w_full)
-        if len(cand.points) >= len(incumbent.points):
-            continue
-        cand_val, cand_u = unit_info(cand)
-        if cand_val >= min(val, t_upper - tol):
-            incumbent, val, u_star, w_inc = cand, cand_val, cand_u, w_full
+        if cand_val >= target:
+            incumbent, val, u_star, w_inc = cand, cand_val, cand_u, spread[0]
+    # Condense: drop near-zero weights and re-solve the master on the rest.
+    keep = w_inc > 1e-6
+    if d <= int(keep.sum()) < keep.size:
+        restricted = _solve_cut_lp(phi[:, keep])
+        if restricted is not None:
+            w_full = np.zeros_like(w_inc)
+            w_full[keep] = restricted[0]
+            cand = to_design(w_full)
+            if len(cand.points) < len(incumbent.points):
+                cand_val, cand_u = unit_info(cand)
+                if cand_val >= target:
+                    incumbent, val, u_star = cand, cand_val, cand_u
     return DesignSolution(
         design=incumbent,
         info=j_tilde * val,

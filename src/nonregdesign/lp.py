@@ -17,7 +17,7 @@ a slack basis is already feasible); phase two runs Dantzig pricing and
 switches permanently to Bland's rule after a run of degenerate pivots, which
 guarantees termination.  The design solver writes its cut rows as
 ``t - phi . w <= 0``: they start at their slacks, so phase one carries only
-the simplex row and the tie-break's target row.
+the simplex row and the spread LP's target row.
 
 The ratio test lets the smallest basis label leave among tied rows.  Before
 Bland's rule takes over it first passes over tied rows whose pivot element

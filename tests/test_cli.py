@@ -131,6 +131,15 @@ class TestDesignOpt:
         assert code == 3
         assert "max_cuts" in err
 
+    def test_cut_cap_below_the_seed_cuts_exits_2(self, capsys, tmp_path):
+        # degree 2 seeds 6 cuts, so a cap of 5 is a validation error
+        code, _, err = run(capsys, "design-opt", "--degree", "2", "--A", "1",
+                           "--alpha", "1", "--max-cuts", "5",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "max_cuts must be at least 6" in err
+        assert not (tmp_path / "design.json").exists()
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

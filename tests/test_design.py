@@ -913,7 +913,7 @@ class TestCuttingPlaneSolver:
     @pytest.mark.parametrize("a,alpha", [(2.0, 1.0), (1.5, 1.5)])
     def test_every_cut_is_kept(self, monkeypatch, a, alpha):
         # The Kelley loop alternates master LP and oracle call until the
-        # tie-break's first LP, which has a target row; condense LPs come later.
+        # spread LP, which has a target row; the condense LP comes later.
         events = []
         solve_cut_lp = design_module._solve_cut_lp
         info = design_module.design_info
@@ -941,6 +941,32 @@ class TestCuttingPlaneSolver:
         overlap = np.abs(cuts @ cuts.T) - np.eye(len(cuts))
         assert overlap.max() <= 1.0 - 1e-12
         assert sol.cuts_used == len(seeds) + len(added)
+
+    @pytest.mark.parametrize("a,alpha", [(3.0, 1.2), (2.0, 1.0), (1.0, 2.0)])
+    def test_finish_keeps_the_verified_best(self, monkeypatch, a, alpha):
+        # The finish starts at the first LP with a spread argument.  It may
+        # not report less than the loop verified, and each of its two LPs
+        # costs at most one oracle call.
+        events = []
+        solve_cut_lp = design_module._solve_cut_lp
+        info = design_module.design_info
+
+        def record_lp(phi, *args):
+            events.append(("lp", bool(args)))
+            return solve_cut_lp(phi, *args)
+
+        def record_info(*args):
+            res = info(*args)
+            events.append(("info", res.J))
+            return res
+
+        monkeypatch.setattr(design_module, "_solve_cut_lp", record_lp)
+        monkeypatch.setattr(design_module, "design_info", record_info)
+        sol = optimize_design_cutting_plane(default_grid(a), alpha, 1.0, 2)
+        split = events.index(("lp", True))
+        loop_best = max(e[1] for e in events[:split] if e[0] == "info")
+        assert sol.info >= (1.0 - 2e-12) * loop_best
+        assert sum(e[0] == "info" for e in events[split:]) <= 2
 
     def test_degree_below_one_rejected(self):
         with pytest.raises(ValueError, match="degree"):
@@ -971,6 +997,14 @@ class TestCuttingPlaneSolver:
         for j_tilde in (-1.0, math.nan):
             with pytest.raises(ValueError, match="j_tilde must be positive"):
                 optimize_design_cutting_plane(default_grid(1.0), 1.0, j_tilde, 1)
+        # the cap must cover the 2 (degree + 1) seed cuts
+        for max_cuts in (4, 5):
+            cfg = CuttingPlaneConfig(max_cuts=max_cuts)
+            with pytest.raises(ValueError, match="max_cuts must be at least 6"):
+                optimize_design_cutting_plane(default_grid(1.0, 11), 1.0, 1.0, 2, cfg)
+        cfg = CuttingPlaneConfig(max_cuts=4)
+        sol = optimize_design_cutting_plane(default_grid(1.0, 11), 1.0, 1.0, 1, cfg)
+        assert sol.cuts_used <= 4
 
 
 @functools.lru_cache(maxsize=None)
@@ -993,7 +1027,9 @@ def random_grid_design(rng: np.random.Generator, grid: np.ndarray) -> Design:
 
 
 class TestSymmetricFormulation:
-    CASES = [(1, 1.0, 1.4), (2, 1.0, 1.0), (2, 2.0, 1.0), (2, 1.0, 2.0), (2, 2.0, 0.5)]
+    # the last three are inputs where a tie-break loop once added its own cuts
+    CASES = [(1, 1.0, 1.4), (2, 1.0, 1.0), (2, 2.0, 1.0), (2, 1.0, 2.0), (2, 2.0, 0.5),
+             (2, 3.0, 1.2), (2, 2.0, 1.4), (2, 1.5, 1.5)]
 
     @pytest.mark.parametrize("degree,a,alpha", CASES)
     def test_designs_are_symmetric_and_ascending(self, degree, a, alpha):
@@ -1002,6 +1038,25 @@ class TestSymmetricFormulation:
         assert np.all(np.diff(xs) > 0.0)
         np.testing.assert_array_equal(xs, -xs[::-1])
         np.testing.assert_array_equal(sol.design.ws, sol.design.ws[::-1])
+        assert sol.stop is StopReason.CONVERGED
+        assert sol.gap <= 1e-5 * (sol.info + sol.gap)
+        assert design_info(sol.design, alpha, 1.0, degree).J == pytest.approx(sol.info, rel=1e-12)
+
+    # info and stop at grid 101; supports are not pinned, since they still
+    # depend on the master LP's vertex path
+    PINNED = {
+        (2, 2.0, 1.0): 0.7079246302670361,
+        (2, 1.5, 1.5): 0.5900809822413203,
+        (2, 2.0, 1.4): 0.7223785579589443,
+        (2, 1.0, 2.0): 0.19999985151550617,
+        (2, 2.0, 0.5): 0.7638591392104026,
+        (1, 2.0, 1.4): 1.0,
+    }
+
+    @pytest.mark.parametrize("degree,a,alpha", sorted(PINNED))
+    def test_pinned_solutions(self, degree, a, alpha):
+        sol = _solve(degree, a, alpha)
+        assert sol.info == pytest.approx(self.PINNED[degree, a, alpha], rel=1e-10)
         assert sol.stop is StopReason.CONVERGED
 
     @pytest.mark.parametrize("a", [1.5, 2.0])
