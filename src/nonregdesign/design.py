@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hellinger import InfoMethod, InfoResult, _check_unit
-from .lp import Domain, LinearProgram, LpStatus, Sense, solve_lp
+from .lp import Domain, LinearProgram, LpStatus, Sense, Tableau, solve_lp
 
 _WEIGHT_TOL = 1e-10
 _BALANCE_TOL = 1e-8
@@ -851,16 +851,15 @@ def _seed_directions(d: int) -> list[np.ndarray]:
     return dirs
 
 
-def _solve_cut_lp(
+def _cut_lp(
     phi: np.ndarray, spread: np.ndarray | None = None, t_target: float = 0.0
-) -> tuple[np.ndarray, float] | None:
+) -> LinearProgram:
     """The cut LP: w in the simplex, a free t, and t <= phi_u . w per cut.
 
-    Without ``spread`` it maximizes t (the master and condense LPs); with
-    it, it maximizes spread . w subject to t >= t_target.  Each cut row is
-    written t - phi_u . w <= 0 and starts at its slack, so phase one
-    carries only the simplex row and the target row.  Returns (w, t), or
-    None when the LP is not solved.
+    Without ``spread`` it maximizes t (the first master); with it, it
+    maximizes spread . w subject to t >= t_target.  Each cut row is written
+    t - phi_u . w <= 0 and starts at its slack, so phase one carries only
+    the simplex row and the target row.
     """
     n_cuts, g = phi.shape
     rows = [np.hstack([-phi, np.ones((n_cuts, 1))]), np.append(np.ones(g), 0.0)]
@@ -874,11 +873,7 @@ def _solve_cut_lp(
         rhs.append(t_target)
         senses.append(Sense.GE)
     domains = [Domain.NON_NEGATIVE] * g + [Domain.FREE]
-    lp = LinearProgram(c, np.vstack(rows), rhs, senses, domains, maximize=True)
-    sol = solve_lp(lp)
-    if sol.status is not LpStatus.OPTIMAL:
-        return None
-    return sol.x[:g], float(sol.x[g])
+    return LinearProgram(c, np.vstack(rows), rhs, senses, domains, maximize=True)
 
 
 def optimize_design_cutting_plane(
@@ -896,15 +891,16 @@ def optimize_design_cutting_plane(
     and the weights of the +-x pairs of ``grid``, which must be symmetric
     about 0.  Kelley's method on that simplex: the master LP maximizes the
     worst accumulated cut, and the separation oracle is the sphere minimizer
-    at the incumbent design.  Every cut is kept, so the master bound never
-    rises.  The loop stops once the gap falls within ``config.gap_tol`` of
-    the master bound, at ``config.max_cuts`` cuts, or when the oracle
-    returns a direction already cut; ``stop`` says which.  Two LPs on the
-    loop's cuts then finish from its best verified value J: one maximizes
-    the spread sum w_i x_i^2 at t >= J (1 - 1e-12), the other re-solves the
-    master on the weights above 1e-6.  Each result is kept only if its
-    verified information is at least J (1 - 1e-12), the second only if it
-    has fewer points, so ``info`` never falls below what the loop verified.
+    at the incumbent design.  The master is one live ``Tableau``: the seed
+    cuts are solved by the two-phase simplex, and each later cut is added
+    as a row and repaired by dual simplex pivots.  Every cut is kept, so
+    the master bound never rises.  The loop stops once the gap falls within
+    ``config.gap_tol`` of the master bound, at ``config.max_cuts`` cuts, or
+    when the oracle returns a direction already cut; ``stop`` says which.
+    One LP on the loop's cuts then finishes from its best verified value J:
+    it maximizes the spread sum w_i x_i^2 at t >= J, and its design is kept
+    if its verified information is at least J (1 - 1e-12), so ``info``
+    never falls below what the loop verified by more than roundoff.
 
     The optimal design does not depend on ``j_tilde``, so the solve runs at
     unit scale and only the reported ``info`` and ``gap`` are multiplied by
@@ -938,16 +934,17 @@ def optimize_design_cutting_plane(
                          f"at degree {degree}, got {config.max_cuts}")
     phi_rows: list[np.ndarray] = [cut_row(u) for u in cuts]
 
-    best: tuple[float, Design, np.ndarray, np.ndarray] | None = None
+    master = Tableau(_cut_lp(np.array(phi_rows)))
+    sol = master.solve()
+    best: tuple[float, Design, np.ndarray] | None = None
     while True:
-        master = _solve_cut_lp(np.array(phi_rows))
-        if master is None:
+        if sol.status is not LpStatus.OPTIMAL:
             raise AssertionError("master LP not solved")
-        w, t_upper = master
+        w, t_upper = sol.x[:-1], float(sol.x[-1])
         incumbent = to_design(w)
         val, u_star = unit_info(incumbent)
         if best is None or val > best[0]:
-            best = (val, incumbent, u_star, w)
+            best = (val, incumbent, u_star)
         tol = config.gap_tol * t_upper
         if t_upper - best[0] <= tol:
             stop = StopReason.CONVERGED
@@ -961,30 +958,19 @@ def optimize_design_cutting_plane(
             break
         cuts.append(u_star)
         phi_rows.append(cut_row(u_star))
+        sol = master.add_row(np.append(-phi_rows[-1], 1.0), 0.0)
 
-    val, incumbent, u_star, w_inc = best
-    phi = np.array(phi_rows)
-    target = val * (1.0 - _TIE_RTOL)
+    val, incumbent, u_star = best
     # Spread: the optimum can be a large flat face (piecewise-linear
-    # criterion); pick its most spread design that the cuts allow.
-    spread = _solve_cut_lp(phi, var_xs**2, target)
-    if spread is not None:
-        cand = to_design(spread[0])
+    # criterion); pick its most spread design that the cuts allow at the
+    # verified value, and keep it unless its own value falls more than
+    # roundoff below.
+    spread = solve_lp(_cut_lp(np.array(phi_rows), var_xs**2, val))
+    if spread.status is LpStatus.OPTIMAL:
+        cand = to_design(spread.x[:-1])
         cand_val, cand_u = unit_info(cand)
-        if cand_val >= target:
-            incumbent, val, u_star, w_inc = cand, cand_val, cand_u, spread[0]
-    # Condense: drop near-zero weights and re-solve the master on the rest.
-    keep = w_inc > 1e-6
-    if d <= int(keep.sum()) < keep.size:
-        restricted = _solve_cut_lp(phi[:, keep])
-        if restricted is not None:
-            w_full = np.zeros_like(w_inc)
-            w_full[keep] = restricted[0]
-            cand = to_design(w_full)
-            if len(cand.points) < len(incumbent.points):
-                cand_val, cand_u = unit_info(cand)
-                if cand_val >= target:
-                    incumbent, val, u_star = cand, cand_val, cand_u
+        if cand_val >= val * (1.0 - _TIE_RTOL):
+            incumbent, val, u_star = cand, cand_val, cand_u
     return DesignSolution(
         design=incumbent,
         info=j_tilde * val,

@@ -1,4 +1,5 @@
-"""Dense two-phase primal simplex for small linear programs.
+"""Dense simplex for small linear programs: two-phase primal, and dual
+simplex repair after a row is added.
 
 Deliberately self-contained and deterministic: the design solver's cut
 LPs and the envelope estimator's tied fits both need bit-for-bit
@@ -15,16 +16,28 @@ parts, rows are normalised to non-negative right-hand sides, and ``<=`` /
 columns respectively.  Phase one minimises the artificial mass (skipped when
 a slack basis is already feasible); phase two runs Dantzig pricing and
 switches permanently to Bland's rule after a run of degenerate pivots, which
-guarantees termination.  The design solver writes its cut rows as
-``t - phi . w <= 0``: they start at their slacks, so phase one carries only
-the simplex row and the spread LP's target row.
+guarantees termination.  ``solve_lp`` does exactly this on a fresh
+``Tableau``.
 
-The ratio test lets the smallest basis label leave among tied rows.  Before
-Bland's rule takes over it first passes over tied rows whose pivot element
-is below 1e-3 of the largest tied one: any of them keeps the step, and a
-tiny pivot would leave a near-singular basis behind.
+A ``Tableau`` stays live after it is solved: ``Tableau.add_row`` appends a
+row ``a . x <= b`` with its slack basic, subtracts the basic rows from it,
+and runs the same pivot kernel as a dual simplex until every basic value is
+non-negative, then as the primal for any reduced cost that roundoff left
+negative.  Phase one never runs again and the standard form is never
+rebuilt.  The design solver's Kelley loop keeps its master this way: each
+master is the last one plus one cut row ``t - phi . w <= 0``, so a master
+costs a few pivots instead of a solve from the slack basis.  Every solution,
+first or repaired, is refined against the original rows and verified to
+1e-8 on every row and sign.
+
+The primal ratio test lets the smallest basis label leave among tied rows.
+Before Bland's rule takes over it first passes over tied rows whose pivot
+element is below 1e-3 of the largest tied one: any of them keeps the step,
+and a tiny pivot would leave a near-singular basis behind.  The dual ratio
+test lets the most negative basic value leave and, among tied columns,
+enters the one with the largest pivot element (under Bland's rule, the
+smallest basis label leaves and the smallest column label enters).
 """
-
 from __future__ import annotations
 
 import enum
@@ -149,17 +162,52 @@ def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int, m: int, bland: b
     return int(ties[np.argmin(basis[ties])])
 
 
+def _choose_dual_pivot(
+    T: np.ndarray, basis: np.ndarray, red: np.ndarray, allowed: np.ndarray, bland: bool
+):
+    """Dual ratio test: returns (row, col), or (row, None) when ``row`` proves
+    the program infeasible, or (None, None) when every basic value is at
+    least -1e-10.
+
+    The most negative basic value leaves (under Bland's rule, the smallest
+    basis label among the negative ones).  The entering column keeps every
+    reduced cost non-negative; among tied columns the largest pivot element
+    enters, since reduced costs of zero tie often on a flat optimal face and
+    a tiny pivot would throw the basic values far out (under Bland's rule,
+    the smallest column label enters).
+    """
+    rhs = T[:, -1]
+    rows = np.where(rhs < -_PIVOT_TOL)[0]
+    if rows.size == 0:
+        return None, None
+    row = int(rows[np.argmin(basis[rows] if bland else rhs[rows])])
+    a = T[row, :-1]
+    cols = np.where(allowed & (a < -_PIVOT_TOL))[0]
+    if cols.size == 0:
+        return row, None
+    ratios = np.maximum(red[cols], 0.0) / -a[cols]
+    best = ratios.min()
+    ties = cols[ratios <= best + 1e-12 * max(1.0, best)]
+    if bland:
+        return row, int(ties[0])
+    return row, int(ties[np.argmax(-a[ties])])
+
+
 def _run_simplex(
     T: np.ndarray,
     basis: np.ndarray,
     cost: np.ndarray,
     allowed: np.ndarray,
     max_pivots: int,
+    dual: bool = False,
 ) -> tuple[str, int]:
     """Optimise ``cost`` over the canonical tableau in place.
 
-    Returns ("optimal" | "unbounded", pivots).  Appends a working objective
-    row to the tableau view internally via a separate reduced-cost vector.
+    The primal simplex returns ("optimal" | "unbounded", pivots); the dual
+    simplex, from a basis whose reduced costs are non-negative, returns
+    ("optimal" | "infeasible", pivots).  Both switch to Bland's rule after
+    a run of degenerate pivots.  Reduced costs are kept in a separate
+    vector, not in an objective row of the tableau.
     """
     m = T.shape[0]
     red = cost.copy()
@@ -169,12 +217,19 @@ def _run_simplex(
     bland = False
     pivots = 0
     while True:
-        col = _choose_entering(red, allowed, bland)
-        if col is None:
-            return "optimal", pivots
-        row = _choose_leaving(T, basis, col, m, bland)
-        if row is None:
-            return "unbounded", pivots
+        if dual:
+            row, col = _choose_dual_pivot(T, basis, red, allowed, bland)
+            if row is None:
+                return "optimal", pivots
+            if col is None:
+                return "infeasible", pivots
+        else:
+            col = _choose_entering(red, allowed, bland)
+            if col is None:
+                return "optimal", pivots
+            row = _choose_leaving(T, basis, col, m, bland)
+            if row is None:
+                return "unbounded", pivots
         _pivot(T, basis, row, col)
         red = cost - cost[basis] @ T[:, :-1]
         new_obj = float(cost[basis] @ T[:, -1])
@@ -190,6 +245,262 @@ def _run_simplex(
             raise LpError(f"pivot cap {max_pivots} exceeded; possible cycling")
 
 
+class Tableau:
+    """The simplex tableau of one program, kept live so rows can be added.
+
+    ``solve`` runs the two-phase primal simplex from the slack start.
+    ``add_row`` then appends a row ``a . x <= b`` with its slack basic,
+    reduces it against the current basis, and restores feasibility with
+    dual simplex pivots, followed by primal pivots for any reduced cost
+    that roundoff left negative; phase one never runs again.  Both return
+    an ``LpSolution`` refined and verified against the original rows, the
+    added ones included.  ``lp`` is the program solved so far, added rows
+    last.
+    """
+
+    def __init__(self, lp: LinearProgram) -> None:
+        m, n = lp.A.shape
+
+        # split free variables into x = u - v
+        col_of_var: list[tuple[int, int | None]] = []
+        cols: list[np.ndarray] = []
+        costs: list[float] = []
+        sign = -1.0 if lp.maximize else 1.0
+        for j in range(n):
+            col_of_var.append((len(cols), None))
+            cols.append(lp.A[:, j].copy())
+            costs.append(sign * lp.c[j])
+            if lp.domains[j] is Domain.FREE:
+                col_of_var[-1] = (col_of_var[-1][0], len(cols))
+                cols.append(-lp.A[:, j])
+                costs.append(-sign * lp.c[j])
+        A_std = np.column_stack(cols) if cols else np.zeros((m, 0))
+        b_std = lp.b.copy()
+        senses = list(lp.senses)
+
+        # normalise to b >= 0
+        for i in range(m):
+            if b_std[i] < 0.0:
+                A_std[i] *= -1.0
+                b_std[i] *= -1.0
+                if senses[i] is Sense.LE:
+                    senses[i] = Sense.GE
+                elif senses[i] is Sense.GE:
+                    senses[i] = Sense.LE
+
+        n_struct = A_std.shape[1]
+        slack_cols = []
+        art_rows = []
+        for i, s in enumerate(senses):
+            if s is Sense.LE:
+                e = np.zeros(m)
+                e[i] = 1.0
+                slack_cols.append(e)
+            elif s is Sense.GE:
+                e = np.zeros(m)
+                e[i] = -1.0
+                slack_cols.append(e)
+                art_rows.append(i)
+            else:
+                art_rows.append(i)
+        n_slack = len(slack_cols)
+        n_art = len(art_rows)
+
+        blocks = [A_std]
+        if n_slack:
+            blocks.append(np.column_stack(slack_cols))
+        if n_art:
+            art_block = np.zeros((m, n_art))
+            for k, i in enumerate(art_rows):
+                art_block[i, k] = 1.0
+            blocks.append(art_block)
+        T = np.column_stack(blocks + [b_std])
+
+        # starting basis: slacks on LE rows, artificials elsewhere
+        basis = np.full(m, -1, dtype=int)
+        slack_idx = 0
+        for i, s in enumerate(senses):
+            if s is Sense.LE:
+                basis[i] = n_struct + slack_idx
+            if s in (Sense.LE, Sense.GE):
+                slack_idx += 1
+        for k, i in enumerate(art_rows):
+            basis[i] = n_struct + n_slack + k
+        if np.any(basis < 0):  # pragma: no cover - defensive
+            raise LpError("failed to build a starting basis")
+
+        self.lp = lp
+        self._T = T
+        self._basis = basis
+        # pristine copy for the refinement solve (tableau pivots drift)
+        self._A0 = T[:, :-1].copy()
+        self._b0 = T[:, -1].copy()
+        self._rows = np.arange(m)
+        self._pos = np.array([pos for pos, _ in col_of_var], dtype=int)
+        self._neg = np.array([neg for _, neg in col_of_var if neg is not None], dtype=int)
+        self._free = np.array([neg is not None for _, neg in col_of_var], dtype=bool)
+        self._le = np.array([s is Sense.LE for s in lp.senses], dtype=bool)
+        self._ge = np.array([s is Sense.GE for s in lp.senses], dtype=bool)
+        self._c_std = np.array(costs)
+        self._n_struct = n_struct
+        self._n_slack = n_slack
+        self._n_art = n_art
+        self._status: LpStatus | None = None
+
+    def solve(self, max_pivots: int | None = None) -> LpSolution:
+        """Two-phase primal simplex from the slack start."""
+        T, basis = self._T, self._basis
+        m = T.shape[0]
+        n_struct, n_slack, n_art = self._n_struct, self._n_slack, self._n_art
+        n_total = n_struct + n_slack + n_art
+        if max_pivots is None:
+            max_pivots = 2000 + 200 * (m + n_total)
+
+        iterations = 0
+        art_mask = np.zeros(n_total, dtype=bool)
+        art_mask[n_struct + n_slack :] = True
+
+        if n_art:
+            cost1 = np.zeros(n_total + 1)
+            cost1[n_struct + n_slack :] = 1.0
+            cost1 = cost1[:-1]
+            allowed = np.ones(n_total, dtype=bool)
+            status, piv = _run_simplex(T, basis, cost1, allowed, max_pivots)
+            iterations += piv
+            phase1_obj = float(cost1[basis] @ T[:, -1])
+            if status != "optimal" or phase1_obj > _FEAS_TOL:
+                return self._finish(LpStatus.INFEASIBLE, iterations)
+            # drive remaining artificials out of the basis (they sit at zero)
+            drop_rows = []
+            for i in range(m):
+                if art_mask[basis[i]]:
+                    pivot_col = None
+                    for j in range(n_struct + n_slack):
+                        if abs(T[i, j]) > _PIVOT_TOL:
+                            pivot_col = j
+                            break
+                    if pivot_col is None:
+                        drop_rows.append(i)  # redundant row
+                    else:
+                        _pivot(T, basis, i, pivot_col)
+                        iterations += 1
+            if drop_rows:
+                keep = np.array([i for i in range(m) if i not in set(drop_rows)])
+                T = self._T = T[keep]
+                basis = self._basis = basis[keep]
+                self._rows = self._rows[keep]
+
+        cost2 = np.zeros(n_total)
+        cost2[:n_struct] = self._c_std
+        status, piv = _run_simplex(T, basis, cost2, ~art_mask, max_pivots)
+        iterations += piv
+        if status == "unbounded":
+            return self._finish(LpStatus.UNBOUNDED, iterations)
+        return self._finish(LpStatus.OPTIMAL, iterations)
+
+    def add_row(self, a, b: float) -> LpSolution:
+        """Add the row ``a . x <= b`` to a solved program and re-optimise.
+
+        The previous optimal basis stays dual feasible, so dual simplex
+        pivots restore primal feasibility without phase one.  The returned
+        iteration count covers this re-optimisation only.
+        """
+        if self._status is not LpStatus.OPTIMAL:
+            raise LpError("rows can only be added to a solved program")
+        a = np.asarray(a, dtype=float)
+        lp = self.lp
+        if a.shape != lp.c.shape:
+            raise ValueError(f"row has shape {a.shape}, expected {lp.c.shape}")
+        grown = LinearProgram(  # checks the size and finiteness
+            lp.c, np.vstack([lp.A, a]), np.append(lp.b, b),
+            lp.senses + (Sense.LE,), lp.domains, lp.maximize,
+        )
+        if self._n_art:
+            # artificials are nonbasic after phase one and may never re-enter
+            self._T = np.delete(self._T, np.s_[-1 - self._n_art : -1], axis=1)
+            self._A0 = self._A0[:, : -self._n_art]
+            self._n_art = 0
+        T, basis = self._T, self._basis
+        m, width = T.shape
+        n_cols = width - 1
+
+        row = np.zeros(n_cols + 2)
+        row[self._pos] = a
+        row[self._neg] = -a[self._free]
+        row[n_cols] = 1.0  # the new slack
+        row[-1] = b
+        A0 = np.zeros((self._A0.shape[0] + 1, n_cols + 1))
+        A0[:-1, :-1] = self._A0
+        A0[-1] = row[:-1]
+        self._A0 = A0
+        self._b0 = np.append(self._b0, b)
+        self._rows = np.append(self._rows, A0.shape[0] - 1)
+
+        # the new row in the current basis: subtract the basic columns' rows
+        T_new = np.zeros((m + 1, n_cols + 2))
+        T_new[:m, :n_cols] = T[:, :-1]
+        T_new[:m, -1] = T[:, -1]
+        T_new[m] = row - row[basis] @ T_new[:m]
+        basis = np.append(basis, n_cols)
+        self._T, self._basis = T_new, basis
+        self._n_slack += 1
+        self._le = np.append(self._le, True)
+        self._ge = np.append(self._ge, False)
+        self.lp = grown
+
+        cost = np.zeros(n_cols + 1)
+        cost[: self._n_struct] = self._c_std
+        allowed = np.ones(n_cols + 1, dtype=bool)
+        max_pivots = 2000 + 200 * (m + 1 + n_cols + 1)
+        status, piv = _run_simplex(T_new, basis, cost, allowed, max_pivots, dual=True)
+        if status == "infeasible":
+            return self._finish(LpStatus.INFEASIBLE, piv)
+        status, more = _run_simplex(T_new, basis, cost, allowed, max_pivots)
+        if status == "unbounded":  # pragma: no cover - a row cannot unbound an optimum
+            return self._finish(LpStatus.UNBOUNDED, piv + more)
+        return self._finish(LpStatus.OPTIMAL, piv + more)
+
+    def _finish(self, status: LpStatus, iterations: int) -> LpSolution:
+        self._status = status
+        if status is not LpStatus.OPTIMAL:
+            return LpSolution(status, None, None, iterations)
+        lp, T, basis = self.lp, self._T, self._basis
+        x_std = np.zeros(T.shape[1] - 1)
+        x_basic = T[:, -1]
+        # refinement: re-solve the final basis system against the original data,
+        # discarding error accumulated across tableau updates
+        try:
+            refined = np.linalg.solve(self._A0[np.ix_(self._rows, basis)], self._b0[self._rows])
+            if np.all(np.isfinite(refined)):
+                x_basic = refined
+        except np.linalg.LinAlgError:  # keep tableau values for a singular basis
+            pass
+        x_std[basis] = x_basic
+        x = x_std[self._pos]
+        x[self._free] -= x_std[self._neg]
+
+        # verify primal feasibility of the reported point
+        resid = lp.A @ x - lp.b
+        ok = np.where(
+            self._le,
+            resid <= _FEAS_TOL,
+            np.where(self._ge, resid >= -_FEAS_TOL, np.abs(resid) <= _FEAS_TOL),
+        )
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise LpError(
+                f"optimal basis violates row {i} by {resid[i]:.3e}; "
+                "numerical breakdown"
+            )
+        negative = ~self._free & (x < -_FEAS_TOL)
+        if negative.any():
+            j = int(np.argmax(negative))
+            raise LpError(f"variable {j} negative at {x[j]:.3e}")
+
+        objective = float(lp.c @ x)
+        return LpSolution(LpStatus.OPTIMAL, x, objective, iterations)
+
+
 def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
     """Solve the program; statuses are Optimal, Infeasible, or Unbounded.
 
@@ -197,162 +508,4 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
     (verified, not assumed) and the reported objective is exact for the
     returned point.
     """
-    m, n = lp.A.shape
-
-    # split free variables into x = u - v
-    col_of_var: list[tuple[int, int | None]] = []
-    cols: list[np.ndarray] = []
-    costs: list[float] = []
-    sign = -1.0 if lp.maximize else 1.0
-    for j in range(n):
-        col_of_var.append((len(cols), None))
-        cols.append(lp.A[:, j].copy())
-        costs.append(sign * lp.c[j])
-        if lp.domains[j] is Domain.FREE:
-            col_of_var[-1] = (col_of_var[-1][0], len(cols))
-            cols.append(-lp.A[:, j])
-            costs.append(-sign * lp.c[j])
-    A_std = np.column_stack(cols) if cols else np.zeros((m, 0))
-    c_std = np.array(costs)
-    b_std = lp.b.copy()
-    senses = list(lp.senses)
-
-    # normalise to b >= 0
-    for i in range(m):
-        if b_std[i] < 0.0:
-            A_std[i] *= -1.0
-            b_std[i] *= -1.0
-            if senses[i] is Sense.LE:
-                senses[i] = Sense.GE
-            elif senses[i] is Sense.GE:
-                senses[i] = Sense.LE
-
-    n_struct = A_std.shape[1]
-    slack_cols = []
-    art_rows = []
-    for i, s in enumerate(senses):
-        if s is Sense.LE:
-            e = np.zeros(m)
-            e[i] = 1.0
-            slack_cols.append(e)
-        elif s is Sense.GE:
-            e = np.zeros(m)
-            e[i] = -1.0
-            slack_cols.append(e)
-            art_rows.append(i)
-        else:
-            art_rows.append(i)
-    n_slack = len(slack_cols)
-    n_art = len(art_rows)
-
-    blocks = [A_std]
-    if n_slack:
-        blocks.append(np.column_stack(slack_cols))
-    if n_art:
-        art_block = np.zeros((m, n_art))
-        for k, i in enumerate(art_rows):
-            art_block[i, k] = 1.0
-        blocks.append(art_block)
-    T = np.column_stack(blocks + [b_std])
-    n_total = n_struct + n_slack + n_art
-    # pristine copy for the final refinement solve (tableau pivots drift)
-    A0 = T[:, :-1].copy()
-    b0 = T[:, -1].copy()
-    rows_idx = np.arange(m)
-
-    # starting basis: slacks on LE rows, artificials elsewhere
-    basis = np.full(m, -1, dtype=int)
-    slack_idx = 0
-    art_idx = 0
-    for i, s in enumerate(senses):
-        if s is Sense.LE:
-            basis[i] = n_struct + slack_idx
-        if s in (Sense.LE, Sense.GE):
-            slack_idx += 1
-    for k, i in enumerate(art_rows):
-        basis[i] = n_struct + n_slack + k
-    if np.any(basis < 0):  # pragma: no cover - defensive
-        raise LpError("failed to build a starting basis")
-
-    if max_pivots is None:
-        max_pivots = 2000 + 200 * (m + n_total)
-
-    iterations = 0
-    art_mask = np.zeros(n_total, dtype=bool)
-    art_mask[n_struct + n_slack :] = True
-
-    if n_art:
-        cost1 = np.zeros(n_total + 1)
-        cost1[n_struct + n_slack :] = 1.0
-        cost1 = cost1[:-1]
-        allowed = np.ones(n_total, dtype=bool)
-        status, piv = _run_simplex(T, basis, cost1, allowed, max_pivots)
-        iterations += piv
-        phase1_obj = float(cost1[basis] @ T[:, -1])
-        if status != "optimal" or phase1_obj > _FEAS_TOL:
-            return LpSolution(LpStatus.INFEASIBLE, None, None, iterations)
-        # drive remaining artificials out of the basis (they sit at zero)
-        drop_rows = []
-        for i in range(m):
-            if art_mask[basis[i]]:
-                pivot_col = None
-                for j in range(n_struct + n_slack):
-                    if abs(T[i, j]) > _PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col is None:
-                    drop_rows.append(i)  # redundant row
-                else:
-                    _pivot(T, basis, i, pivot_col)
-                    iterations += 1
-        if drop_rows:
-            keep = np.array([i for i in range(m) if i not in set(drop_rows)])
-            T = T[keep]
-            basis = basis[keep]
-            rows_idx = rows_idx[keep]
-            m = T.shape[0]
-
-    cost2 = np.zeros(n_total)
-    cost2[:n_struct] = c_std
-    allowed = ~art_mask
-    status, piv = _run_simplex(T, basis, cost2, allowed, max_pivots)
-    iterations += piv
-    if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, None, iterations)
-
-    x_std = np.zeros(n_total)
-    x_basic = T[:, -1]
-    # refinement: re-solve the final basis system against the original data,
-    # discarding error accumulated across tableau updates
-    try:
-        refined = np.linalg.solve(A0[np.ix_(rows_idx, basis)], b0[rows_idx])
-        if np.all(np.isfinite(refined)):
-            x_basic = refined
-    except np.linalg.LinAlgError:  # keep tableau values for a singular basis
-        pass
-    x_std[basis] = x_basic
-    x = np.empty(n)
-    for j, (pos, neg) in enumerate(col_of_var):
-        x[j] = x_std[pos] - (x_std[neg] if neg is not None else 0.0)
-
-    # verify primal feasibility of the reported point
-    resid = lp.A @ x - lp.b
-    for i, s in enumerate(lp.senses):
-        ok = (
-            resid[i] <= _FEAS_TOL
-            if s is Sense.LE
-            else resid[i] >= -_FEAS_TOL
-            if s is Sense.GE
-            else abs(resid[i]) <= _FEAS_TOL
-        )
-        if not ok:
-            raise LpError(
-                f"optimal basis violates row {i} by {resid[i]:.3e}; "
-                "numerical breakdown"
-            )
-    for j in range(n):
-        if lp.domains[j] is Domain.NON_NEGATIVE and x[j] < -_FEAS_TOL:
-            raise LpError(f"variable {j} negative at {x[j]:.3e}")
-
-    objective = float(lp.c @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, objective, iterations)
+    return Tableau(lp).solve(max_pivots)

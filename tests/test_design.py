@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonregdesign.design as design_module
+import nonregdesign.lp as lp_module
 from nonregdesign.design import (
     CuttingPlaneConfig,
     Design,
@@ -25,6 +26,8 @@ from nonregdesign.design import (
     uniform_design,
 )
 from nonregdesign.hellinger import InfoMethod
+from nonregdesign.lp import Domain, LpStatus, Sense
+from lp_oracle import oracle_solve
 from sphere_oracle import cap_samples, dense_oracle, grid_oracle, kink_oracle
 
 TWO_POINT = Design(A=1.0, points=((-1.0, 0.5), (1.0, 0.5)))
@@ -913,29 +916,11 @@ class TestCuttingPlaneSolver:
     @pytest.mark.parametrize("a,alpha", [(2.0, 1.0), (1.5, 1.5)])
     def test_every_cut_is_kept(self, monkeypatch, a, alpha):
         # The Kelley loop alternates master LP and oracle call until the
-        # spread LP, which has a target row; the condense LP comes later.
-        events = []
-        solve_cut_lp = design_module._solve_cut_lp
-        info = design_module.design_info
-
-        def record_lp(phi, *args):
-            res = solve_cut_lp(phi, *args)
-            events.append(("lp", len(phi), res[1] if not args else None))
-            return res
-
-        def record_info(*args):
-            res = info(*args)
-            events.append(("info", np.asarray(res.direction)))
-            return res
-
-        monkeypatch.setattr(design_module, "_solve_cut_lp", record_lp)
-        monkeypatch.setattr(design_module, "design_info", record_info)
-        sol = optimize_design_cutting_plane(default_grid(a), alpha, 1.0, 2)
-        kelley = events[:next(k for k, e in enumerate(events) if e[0] == "lp" and e[2] is None)]
-        bounds = [e[2] for e in kelley[::2]]
-        added = [e[1] for e in kelley[1::2]][:-1]  # the last oracle call adds no cut
+        # spread LP; the master is one live tableau, grown a cut row at a time.
+        sol, _, masters, added = _record_kelley(monkeypatch, 2, a, alpha, 101)
+        bounds = [m.objective for _, m in masters]
         seeds = design_module._seed_directions(3)
-        assert [e[1] for e in kelley[::2]] == [len(seeds) + k for k in range(len(bounds))]
+        assert [len(lp.b) - 1 for lp, _ in masters] == [len(seeds) + k for k in range(len(bounds))]
         assert all(t1 <= t0 * (1.0 + 1e-12) for t0, t1 in zip(bounds, bounds[1:]))
         cuts = np.array(seeds + added)
         overlap = np.abs(cuts @ cuts.T) - np.eye(len(cuts))
@@ -944,29 +929,51 @@ class TestCuttingPlaneSolver:
 
     @pytest.mark.parametrize("a,alpha", [(3.0, 1.2), (2.0, 1.0), (1.0, 2.0)])
     def test_finish_keeps_the_verified_best(self, monkeypatch, a, alpha):
-        # The finish starts at the first LP with a spread argument.  It may
-        # not report less than the loop verified, and each of its two LPs
-        # costs at most one oracle call.
+        # The finish starts at the spread LP, the first call to solve_lp
+        # (the live master never calls it).  It may not report less than the
+        # loop verified, and costs at most two oracle calls.
         events = []
-        solve_cut_lp = design_module._solve_cut_lp
+        solve_lp = design_module.solve_lp
         info = design_module.design_info
 
-        def record_lp(phi, *args):
-            events.append(("lp", bool(args)))
-            return solve_cut_lp(phi, *args)
+        def record_lp(lp):
+            events.append(("lp", True))
+            return solve_lp(lp)
 
         def record_info(*args):
             res = info(*args)
             events.append(("info", res.J))
             return res
 
-        monkeypatch.setattr(design_module, "_solve_cut_lp", record_lp)
+        monkeypatch.setattr(design_module, "solve_lp", record_lp)
         monkeypatch.setattr(design_module, "design_info", record_info)
         sol = optimize_design_cutting_plane(default_grid(a), alpha, 1.0, 2)
         split = events.index(("lp", True))
         loop_best = max(e[1] for e in events[:split] if e[0] == "info")
         assert sol.info >= (1.0 - 2e-12) * loop_best
         assert sum(e[0] == "info" for e in events[split:]) <= 2
+
+    def test_master_pivots_stay_few(self, monkeypatch):
+        # kernel pivots of the live master over the Kelley loop at (2, 2, 1);
+        # re-solving each master from the slack basis took 2,410; 269 now
+        pivots = []
+        loop_pivots = []
+        pivot = lp_module._pivot
+        solve_lp = design_module.solve_lp
+
+        def counted(*args):
+            pivots.append(1)
+            return pivot(*args)
+
+        def spread(lp):
+            if Sense.GE in lp.senses:  # the spread LP's target row
+                loop_pivots.append(len(pivots))
+            return solve_lp(lp)
+
+        monkeypatch.setattr(lp_module, "_pivot", counted)
+        monkeypatch.setattr(design_module, "solve_lp", spread)
+        optimize_design_cutting_plane(default_grid(2.0), 1.0, 1.0, 2)
+        assert loop_pivots[0] <= 600
 
     def test_degree_below_one_rejected(self):
         with pytest.raises(ValueError, match="degree"):
@@ -1101,6 +1108,106 @@ class TestSymmetricFormulation:
         assert sol1.worst_direction == sol2.worst_direction
         assert sol2.info == 3.7 * sol1.info
         assert sol2.gap == 3.7 * sol1.gap
+
+
+def _record_kelley(monkeypatch, degree, a, alpha, size):
+    """Solve on ``default_grid(a, size)``; return the solution, the live
+    master, each master program with its solution, and the directions cut
+    after the seeds, in order."""
+    live, masters, directions = [], [], []
+    info = design_module.design_info
+    solve_lp = design_module.solve_lp
+
+    class RecordingMaster(design_module.Tableau):
+        def __init__(self, lp):
+            super().__init__(lp)
+            live.append(self)
+
+        def solve(self, *args):
+            return self._record(super().solve(*args))
+
+        def add_row(self, *args):
+            return self._record(super().add_row(*args))
+
+        def _record(self, sol):
+            masters.append((self.lp, sol))
+            return sol
+
+    def record_info(*args):
+        res = info(*args)
+        directions.append(np.asarray(res.direction))
+        return res
+
+    def spread(lp):
+        directions.append(None)  # the loop ends here
+        return solve_lp(lp)
+
+    monkeypatch.setattr(design_module, "Tableau", RecordingMaster)
+    monkeypatch.setattr(design_module, "design_info", record_info)
+    monkeypatch.setattr(design_module, "solve_lp", spread)
+    sol = optimize_design_cutting_plane(default_grid(a, size), alpha, 1.0, degree)
+    end = next(k for k, u in enumerate(directions) if u is None)
+    added = directions[:end - 1]  # the last oracle call adds no cut
+    assert len(masters) == len(added) + 1
+    return sol, live[0], masters, added
+
+
+def _highs_max(lp):
+    from scipy.optimize import linprog
+
+    le = np.array([s is Sense.LE for s in lp.senses])
+    bounds = [(0.0, None) if d is Domain.NON_NEGATIVE else (None, None) for d in lp.domains]
+    ref = linprog(-lp.c, A_ub=lp.A[le], b_ub=lp.b[le], A_eq=lp.A[~le], b_eq=lp.b[~le],
+                  bounds=bounds, method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
+class TestLiveMaster:
+    # the Kelley master is one tableau: its first program is solved by the
+    # two-phase simplex, every later one by dual simplex pivots after a row
+    # is added; each is checked against solvers that share no code with it
+    CASES = [(2, 2.0, 1.0), (2, 1.5, 1.5), (2, 2.0, 0.5)]
+
+    @pytest.mark.parametrize("degree,a,alpha", CASES)
+    def test_every_master_matches_highs(self, monkeypatch, degree, a, alpha):
+        _, _, masters, _ = _record_kelley(monkeypatch, degree, a, alpha, 101)
+        for lp, sol in masters:
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective == pytest.approx(_highs_max(lp), rel=1e-10)
+
+    @pytest.mark.parametrize("degree,a,alpha", CASES)
+    def test_every_master_matches_vertex_enumeration(self, monkeypatch, degree, a, alpha):
+        _, _, masters, _ = _record_kelley(monkeypatch, degree, a, alpha, 7)
+        assert len(masters) >= 4
+        for lp, sol in masters:
+            status, value = oracle_solve(lp)
+            assert status == "optimal"
+            assert sol.objective == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("degree,a,alpha", CASES)
+    def test_duplicate_and_mirror_rows_change_nothing(self, monkeypatch, degree, a, alpha):
+        # every cut again, then the cut of every mirrored direction
+        # (u0, -u1, u2), which gives the same row on symmetric weights; a
+        # from-scratch solve once broke down on a master of such rows
+        _, master, masters, added = _record_kelley(monkeypatch, degree, a, alpha, 101)
+        _, last = masters[-1]
+        n_cuts = len(master.lp.b) - 1
+        rows = [row for row, s in zip(master.lp.A, master.lp.senses) if s is Sense.LE]
+        assert len(rows) == n_cuts
+        var_xs = default_grid(a)[50:]
+        f_pos = regressor_matrix(var_xs, degree)
+        f_neg = regressor_matrix(-var_xs, degree)
+        for u in design_module._seed_directions(degree + 1) + added:
+            m = u * np.array([1.0, -1.0, 1.0])
+            phi = 0.5 * (np.abs(f_pos @ m) ** alpha + np.abs(f_neg @ m) ** alpha)
+            rows.append(np.append(-phi, 1.0))
+        for row in rows:
+            sol = master.add_row(row, 0.0)
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective == pytest.approx(last.objective, rel=1e-12)
+            np.testing.assert_allclose(sol.x, last.x, rtol=0.0, atol=1e-12)
+        assert len(master.lp.b) == 1 + 3 * n_cuts
 
 
 class TestPiCurve:

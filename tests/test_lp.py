@@ -10,6 +10,7 @@ from nonregdesign.lp import (
     LpError,
     LpStatus,
     Sense,
+    Tableau,
     solve_lp,
 )
 
@@ -274,3 +275,66 @@ def test_ratio_tie_skips_a_tiny_pivot():
     assert ref.status == 0
     assert -ref.fun == pytest.approx(0.8436542498, abs=1e-9)
     assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# a live tableau grown a row at a time
+
+
+def _split_boxed_lp(seed: int):
+    """A random boxed program as its box alone plus the rows to add."""
+    lp = random_boxed_lp(seed)
+    n = lp.c.size
+    m = lp.A.shape[0] - n
+    box = LinearProgram(lp.c, lp.A[m:], lp.b[m:], lp.senses[m:], maximize=lp.maximize)
+    return box, lp.A[:m], lp.b[:m]
+
+
+def test_added_rows_match_a_solve_from_scratch():
+    for seed in range(200):
+        box, rows, rhs = _split_boxed_lp(seed)
+        tab = Tableau(box)
+        assert tab.solve().status is LpStatus.OPTIMAL
+        for k, (row, b) in enumerate(zip(rows, rhs)):
+            sol = tab.add_row(row, b)
+            partial = LinearProgram(
+                box.c, np.vstack([box.A, rows[: k + 1]]), np.append(box.b, rhs[: k + 1]),
+                [Sense.LE] * (len(box.b) + k + 1), maximize=box.maximize,
+            )
+            want_status, want_value = oracle_solve(partial)
+            if want_status == "infeasible":
+                assert sol.status is LpStatus.INFEASIBLE, f"seed {seed}"
+                with pytest.raises(LpError, match="solved"):
+                    tab.add_row(row, b)
+                break
+            assert sol.status is LpStatus.OPTIMAL, f"seed {seed}"
+            assert sol.objective == pytest.approx(want_value, abs=1e-7), f"seed {seed}"
+            assert sol.objective == pytest.approx(solve_lp(partial).objective, abs=1e-9)
+            assert np.all(partial.A @ sol.x - partial.b <= 1e-8)
+            assert np.all(sol.x >= -1e-8)
+
+
+def test_added_row_after_phase_one():
+    # max x + 2y on x + y = 1, y <= 1 needs phase one; the added row
+    # x >= 0.25 is repaired by dual pivots, and the artificial column never
+    # re-enters
+    tab = Tableau(LinearProgram([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0],
+                                [Sense.EQ, Sense.LE], ["free", "non-negative"], maximize=True))
+    sol = tab.solve()
+    np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-12)
+    sol = tab.add_row([-1.0, 0.0], -0.25)
+    assert sol.status is LpStatus.OPTIMAL
+    np.testing.assert_allclose(sol.x, [0.25, 0.75], atol=1e-12)
+    assert sol.objective == pytest.approx(1.75, abs=1e-12)
+
+
+def test_add_row_needs_a_solved_program():
+    lp = LinearProgram([1.0], [[1.0]], [1.0], [Sense.LE], maximize=True)
+    with pytest.raises(LpError, match="solved"):
+        Tableau(lp).add_row([1.0], 0.5)
+    tab = Tableau(lp)
+    tab.solve()
+    with pytest.raises(ValueError, match="shape"):
+        tab.add_row([1.0, 2.0], 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        tab.add_row([np.inf], 0.5)
