@@ -1,16 +1,19 @@
 """End-to-end acceptance suite: twelve numbered criteria, one test each.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
-per criterion.  Each test states its tolerance inline; failures carry the
-computed-versus-expected numbers in the assertion message.
+per criterion, plus one for a golden digest of the ``pi_curve`` grid.  Each
+test states its tolerance inline; failures carry the computed-versus-expected
+numbers in the assertion message.
 """
 
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
+import nonregdesign.design as design_module
 from nonregdesign.bounds import FiniteModelPair, fisher_lower_bound, two_point_risk_check
 from nonregdesign.design import (
     Design,
@@ -50,11 +53,26 @@ PI_A_VALUES = (1.0, 1.5, 2.0)
 
 @pytest.fixture(scope="module")
 def pi_grid():
-    """Full weight-at-zero curve grid, shared by criteria 5, 6 and 10."""
-    t0 = time.perf_counter()
-    rows = {a: pi_curve(a, PI_ALPHAS) for a in PI_A_VALUES}
-    elapsed = time.perf_counter() - t0
-    return rows, elapsed
+    """Full weight-at-zero curve grid, shared by criteria 5, 6 and 10, with
+    the sphere-oracle calls each of its points took."""
+    calls: list[int] = []
+    inner = design_module._three_point_inner
+
+    def counted(a, alpha):
+        f_of_pi = inner(a, alpha)
+        calls.append(0)
+
+        def f(pi):
+            calls[-1] += 1
+            return f_of_pi(pi)
+        return f
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design_module, "_three_point_inner", counted)
+        t0 = time.perf_counter()
+        rows = {a: pi_curve(a, PI_ALPHAS) for a in PI_A_VALUES}
+        elapsed = time.perf_counter() - t0
+    return rows, elapsed, calls
 
 
 def _pi_at(rows, a, alpha):
@@ -151,7 +169,7 @@ def test_criterion_04_linear_model_two_point_optimum():
 
 
 def test_criterion_05_pi_curve_endpoints(pi_grid):
-    rows, elapsed = pi_grid
+    rows, elapsed, _ = pi_grid
     # At alpha = 1 the criterion is positively homogeneous and piecewise
     # linear in u, so its sphere minimum sits on a pairwise null ray of the
     # rows f(0), f(A), f(-A).  On the ray f(A) x f(-A) ~ (A^2, 0, -1) it is
@@ -183,7 +201,7 @@ def test_criterion_05_pi_curve_endpoints(pi_grid):
 
 
 def test_criterion_06_pi_curve_monotonicity(pi_grid):
-    rows, _ = pi_grid
+    rows, _, _ = pi_grid
     for a in PI_A_VALUES:
         pis = np.array([pi for _, pi, _ in rows[a]])
         worst = float(np.diff(pis).min())
@@ -192,6 +210,19 @@ def test_criterion_06_pi_curve_monotonicity(pi_grid):
         across_a = np.array([rows[a][i][1] for a in PI_A_VALUES])
         worst = float(np.diff(across_a).min())
         assert worst >= -1e-6, f"alpha={alpha}: pi decreases in A by {-worst:.2e}"
+
+
+def test_pi_curve_grid_digest(pi_grid):
+    # SHA-256 of the 63 rows as first computed by bisection on the sign of the
+    # slope (18 oracle calls a point, 1,134 in all); the cut-model search must
+    # end on the same lattice cells, so every byte of every row stays put
+    rows, _, calls = pi_grid
+    text = "\n".join(f"{alpha!r},{pi!r},{f!r}" for a in PI_A_VALUES
+                     for alpha, pi, f in rows[a])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "eddc958451f78977c1ea32f0dc560718209ac42ec4cedda005c59333ddce3ffb"
+    assert len(calls) == len(PI_A_VALUES) * len(PI_ALPHAS)
+    assert max(calls) <= 18 and sum(calls) <= 550, (max(calls), sum(calls))
 
 
 def test_criterion_07_symmetrization_and_concavity():
@@ -267,7 +298,7 @@ def _risks(designs, model, seed=7, n=120, reps=1000):
 
 
 def test_criterion_10_risk_orderings(pi_grid):
-    rows, _ = pi_grid
+    rows, _, _ = pi_grid
     t0 = time.perf_counter()
 
     # linear model: two-point optimum versus uniform competitors

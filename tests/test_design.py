@@ -1241,7 +1241,8 @@ class TestPiCurve:
         assert fs[2] == pytest.approx(0.75, abs=1e-5)
 
     # pi_curve rows recorded before the certified cap and the mirror half
-    # were added to the branch-and-bound: a changed bisection step moves pi
+    # were added to the branch-and-bound, and before the cut-model search
+    # replaced bisection: a slope of the wrong sign at any lattice trial moves pi
     PINNED = {
         1.0: [(1.1, 0.5173301696777344, 0.3533122323501752),
               (1.25, 0.5453605651855469, 0.3470636837918997),
@@ -1268,10 +1269,72 @@ class TestPiCurve:
             assert pi == pytest.approx(pinned[1], abs=1e-12)
             assert f == pytest.approx(pinned[2], rel=1e-10)
 
-    def test_branch_and_bound_levels_stay_few(self, monkeypatch):
+    # (1, 1) and (2, 1) have kinks at alpha = 1, (1, 1.5) and (1, 1.9) sit
+    # on the pitchfork plateau, (2, 2) has a double lambda_min
+    SEARCH_POINTS = [(1.0, 1.0), (2.0, 1.0), (1.5, 1.1), (2.0, 1.5),
+                     (1.0, 1.5), (1.0, 1.9), (2.0, 2.0)]
+    BENCH_POINTS = [(1.0, 1.0), (2.0, 1.0), (1.5, 1.1), (1.0, 1.5),
+                    (2.0, 1.5), (2.0, 2.0)]
+
+    @pytest.fixture(scope="class")
+    def searched(self):
+        """pi_curve row and oracle calls (final f included) per search point."""
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for a, alpha in self.SEARCH_POINTS:
+                calls = []
+
+                def counted(a, alpha, calls=calls):
+                    f_of_pi = _three_point_inner(a, alpha)
+
+                    def f(pi):
+                        calls.append(pi)
+                        return f_of_pi(pi)
+                    return f
+
+                mp.setattr(design_module, "_three_point_inner", counted)
+                (row,) = pi_curve(a, [alpha])
+                out[a, alpha] = row, len(calls)
+        return out
+
+    @staticmethod
+    def bisection(a, alpha):
+        """The former pi_curve search: bisection on the slope's sign to 1e-5."""
+        f_of_pi = _three_point_inner(a, alpha)
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-5:
+            mid = 0.5 * (lo + hi)
+            if f_of_pi(mid)[1] > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        pi = 0.5 * (lo + hi)
+        return (alpha, pi, f_of_pi(pi)[0])
+
+    @pytest.mark.parametrize("point", SEARCH_POINTS, ids=lambda p: f"{p[0]:g}-{p[1]:g}")
+    def test_search_ends_on_the_bisection_cell(self, searched, point):
+        a, alpha = point
+        row, _ = searched[point]
+        assert row == self.bisection(a, alpha)
+        # certificate: the lattice cell around pi has the slope's sign change
+        f_of_pi = _three_point_inner(a, alpha)
+        left, right = row[1] - 2.0**-18, row[1] + 2.0**-18
+        assert left == 0.0 or f_of_pi(left)[1] > 0.0
+        assert right == 1.0 or f_of_pi(right)[1] <= 0.0
+
+    def test_search_takes_fewer_oracle_calls(self, searched):
+        # bisection took 18 calls at every point, 108 over the bench points
+        calls = {point: n for point, (_, n) in searched.items()}
+        assert max(calls.values()) <= 18, calls
+        assert sum(calls[p] for p in self.BENCH_POINTS) <= 45, calls
+
+    @pytest.mark.parametrize("a, bound", [(2.0, 70), (1.0, 150)])
+    def test_branch_and_bound_levels_stay_few(self, monkeypatch, a, bound):
         # each _split_cells call is one level (three more build the d = 3
-        # starting cells of each call); 357 over the 18 calls before the
-        # certified cap and the mirror half
+        # starting cells of each call).  At alpha = 1.5, 53 at A = 2 and 128
+        # at the plateau A = 1 over the cut-model search's 6 and 10 calls;
+        # 138 and 262 over bisection's 18, 357 at A = 2 before the certified
+        # cap and the mirror half
         calls = []
         split = design_module._split_cells
 
@@ -1280,8 +1343,8 @@ class TestPiCurve:
             return split(cells)
 
         monkeypatch.setattr(design_module, "_split_cells", counted)
-        pi_curve(2.0, [1.5])
-        assert len(calls) <= 200
+        pi_curve(a, [1.5])
+        assert len(calls) <= bound
 
     def test_monotone_in_alpha(self):
         rows = pi_curve(1.5, [1.0, 1.25, 1.5, 1.75, 2.0])
