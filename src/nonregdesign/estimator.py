@@ -34,10 +34,13 @@ nondegenerate optimal dual vertex pins the primal optimum uniquely, so that
 theta is the one the simplex would find.  A fit is certified only if its best
 basis is nondegenerate, every other basis is worse by a clear margin, and the
 envelope check passes.  Every other fit -- a tie, where the optimal face may
-be an edge and the simplex's vertex is what is reported, non-finite responses,
-or any fit of a design with more than ``_MAX_BASES`` bases -- runs the dense
-simplex (``_envelope_fit``).  ``smith_fit`` runs the kernel on a batch of one
-and ``sim`` on chunks of replicates, so both report the same theta.
+be an edge, non-finite responses, or any fit of a design with more than
+``_MAX_BASES`` bases -- runs the dense simplex (``_envelope_fit``).  On a tie
+the simplex reports the optimal point where it stops, which need not be a
+vertex: it splits each free coefficient into two non-negative columns and
+can stop with both at zero, inside the optimal edge.  ``smith_fit`` runs
+the kernel on a batch of one and ``sim`` on chunks of replicates, so both
+report the same theta.
 """
 
 from __future__ import annotations

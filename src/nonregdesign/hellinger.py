@@ -21,11 +21,13 @@ one-sided location families: ``J = c * (1 + beta*r(beta))`` where ``c`` is
 the small-y constant of the error density and ``r`` an explicit
 one-dimensional integral.
 
-SciPy is imported on first use, not with this module: ``scipy.integrate``
-by :func:`hellinger_sq_numeric` and by :func:`r_beta` (so
-:func:`location_info`).  The closed forms, the location-family ``h`` and
-the ladder fit need none of it, apart from the gamma error's CDF and
-normaliser in :mod:`nonregdesign.models`.
+SciPy is imported on first use, not with this module, and only where no
+elementary form exists: ``scipy.integrate`` by :func:`hellinger_sq_numeric`
+and by :func:`r_beta` at ``beta != 1`` (so :func:`location_info`), and
+``scipy.special`` by the gamma error's CDF at ``beta != 1`` in
+:mod:`nonregdesign.models`.  The closed forms and the ladder fit need none
+of it, nor does the location-family ``h`` of Weibull errors, nor the ``h``
+and :func:`location_info` of any ``beta = 1`` (exponential) member.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import enum
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -170,13 +172,13 @@ class EpsilonLadder:
         return self.eps0 * self.ratio ** np.arange(self.count)
 
 
-def _quad(f, a, b, atol=1e-15, rtol=1e-10):
-    """One quadrature panel; returns (value, error estimate)."""
+def _quad(f, a, b):
+    """One QUADPACK panel to 1e-15 absolute or 1e-10 relative; (value, error)."""
     from scipy import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, epsabs=atol, epsrel=rtol, limit=200)
+        val, err = integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-10, limit=200)
     return val, err
 
 
@@ -443,7 +445,7 @@ def location_h_fn(model: ErrorModel) -> Callable[[np.ndarray, np.ndarray], float
     return h
 
 
-def r_beta(beta: float, rtol: float = 1e-12) -> float:
+def r_beta(beta: float) -> float:
     """The information integral ``r(beta)`` of the one-sided location model.
 
     With ``b = (beta - 1) / 2``,
@@ -454,9 +456,9 @@ def r_beta(beta: float, rtol: float = 1e-12) -> float:
     terms plus a ``w**b``-weighted smooth integral; the ``w > 1`` part is
     mapped onto ``[0, 1]`` by ``w = 1/t``, giving a ``t**(-2b)``-weighted
     smooth integral.  Both weighted pieces go through QUADPACK's
-    algebraic-weight rule, which is reliable even as ``beta`` approaches 2
-    where the tail decays as slowly as ``w**(beta-3)``.  ``r(1) = 0``
-    exactly.
+    algebraic-weight rule to 1e-12 relative, which is reliable even as
+    ``beta`` approaches 2 where the tail decays as slowly as
+    ``w**(beta-3)``.  ``r(1) = 0`` exactly, with no quadrature.
     """
     if not 1.0 <= beta < 2.0:
         raise ValueError(f"beta={beta} outside the non-regular range [1, 2)")
@@ -478,7 +480,7 @@ def r_beta(beta: float, rtol: float = 1e-12) -> float:
             weight="alg",
             wvar=(b, 0.0),
             epsabs=1e-14,
-            epsrel=rtol,
+            epsrel=1e-12,
         )
 
         def tail_smooth(t: float) -> float:
@@ -494,7 +496,7 @@ def r_beta(beta: float, rtol: float = 1e-12) -> float:
             weight="alg",
             wvar=(-2.0 * b, 0.0),
             epsabs=1e-14,
-            epsrel=rtol,
+            epsrel=1e-12,
         )
     val = s1 - 2.0 * s2 + s3 + tail
     if e2 + et > max(1e-12, 1e-8 * val):

@@ -3,12 +3,15 @@ simplex repair after a row is added.
 
 Deliberately self-contained and deterministic: the design solver's cut
 LPs and the envelope estimator's tied fits both need bit-for-bit
-reproducible vertices, which rules out threaded or heuristically-perturbed
-backends.  The envelope estimator fits most replicates from its LP's dual
-vertices (``estimator._certified_fits``) and calls this solver only for
-replicates whose optimal face may be more than a vertex and for designs
-with too many bases to enumerate.  Scale target is a few hundred variables
-and a couple thousand rows, dense.
+reproducible optima, which rules out threaded or heuristically-perturbed
+backends.  A reported optimum is a basic solution of the split standard
+form below, not always a vertex of the original program: with both
+columns of a free variable nonbasic it can sit inside an optimal edge.
+The envelope estimator fits most replicates from its LP's dual vertices
+(``estimator._certified_fits``) and calls this solver only for replicates
+whose optimal face may be more than a vertex and for designs with too many
+bases to enumerate.  Scale target is a few hundred variables and a couple
+thousand rows, dense.
 
 Standard-form handling: free variables are split into positive and negative
 parts, rows are normalised to non-negative right-hand sides, and ``<=`` /
@@ -41,7 +44,6 @@ smallest basis label leaves and the smallest column label enters).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +127,11 @@ class LpSolution:
     x: np.ndarray | None
     objective: float | None
     iterations: int
+
+
+def _pivot_cap(T: np.ndarray) -> int:
+    """Pivots allowed to one solve or repair of ``T``; more raise ``LpError``."""
+    return 2000 + 200 * (T.shape[0] + T.shape[1] - 1)
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -347,14 +354,13 @@ class Tableau:
         self._n_art = n_art
         self._status: LpStatus | None = None
 
-    def solve(self, max_pivots: int | None = None) -> LpSolution:
+    def solve(self) -> LpSolution:
         """Two-phase primal simplex from the slack start."""
         T, basis = self._T, self._basis
         m = T.shape[0]
         n_struct, n_slack, n_art = self._n_struct, self._n_slack, self._n_art
         n_total = n_struct + n_slack + n_art
-        if max_pivots is None:
-            max_pivots = 2000 + 200 * (m + n_total)
+        max_pivots = _pivot_cap(T)
 
         iterations = 0
         art_mask = np.zeros(n_total, dtype=bool)
@@ -451,7 +457,7 @@ class Tableau:
         cost = np.zeros(n_cols + 1)
         cost[: self._n_struct] = self._c_std
         allowed = np.ones(n_cols + 1, dtype=bool)
-        max_pivots = 2000 + 200 * (m + 1 + n_cols + 1)
+        max_pivots = _pivot_cap(T_new)
         status, piv = _run_simplex(T_new, basis, cost, allowed, max_pivots, dual=True)
         if status == "infeasible":
             return self._finish(LpStatus.INFEASIBLE, piv)
@@ -501,11 +507,11 @@ class Tableau:
         return LpSolution(LpStatus.OPTIMAL, x, objective, iterations)
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the program; statuses are Optimal, Infeasible, or Unbounded.
 
     On Optimal the returned point satisfies every row within 1e-8
     (verified, not assumed) and the reported objective is exact for the
     returned point.
     """
-    return Tableau(lp).solve(max_pivots)
+    return Tableau(lp).solve()

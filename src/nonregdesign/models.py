@@ -16,7 +16,6 @@ Three building blocks:
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,14 +26,6 @@ import numpy as np
 # overflowing without changing any value.
 _Z_CAP = 1e154
 _EXPM1_CAP = 700.0  # expm1 overflows just above 709.78
-
-
-@functools.cache
-def _gamma(x: float) -> float:
-    """SciPy's gamma function, cached: density calls it once per quadrature node."""
-    from scipy import special  # loaded on first use, not at package import
-
-    return special.gamma(x)
 
 
 class ErrorFamily(enum.Enum):
@@ -90,26 +81,12 @@ class ErrorModel:
         out[np.isnan(y)] = np.nan
         pos = (y >= 0.0) & (y < self.sigma * _Z_CAP)
         z = np.where(pos, y, 1.0) / self.sigma
-        if self.family is ErrorFamily.GAMMA:
-            if self.beta == 1.0:
-                vals = np.exp(-z) / self.sigma
-            else:
-                vals = (
-                    z ** (self.beta - 1.0)
-                    * np.exp(-z)
-                    / (_gamma(self.beta) * self.sigma)
-                )
-        elif self.family is ErrorFamily.WEIBULL:
-            if self.beta == 1.0:
-                vals = np.exp(-z) / self.sigma
-            else:
-                vals = (
-                    (self.beta / self.sigma)
-                    * z ** (self.beta - 1.0)
-                    * np.exp(-(z**self.beta))
-                )
-        else:  # exponential, beta = 1
+        if self.beta == 1.0:  # every family's beta = 1 member is the exponential
             vals = np.exp(-z) / self.sigma
+        elif self.family is ErrorFamily.GAMMA:
+            vals = z ** (self.beta - 1.0) * np.exp(-z) / (math.gamma(self.beta) * self.sigma)
+        else:
+            vals = (self.beta / self.sigma) * z ** (self.beta - 1.0) * np.exp(-(z**self.beta))
         out[pos] = vals[pos] if vals.ndim else vals
         if out.ndim == 0:
             return float(out)
@@ -123,11 +100,7 @@ class ErrorModel:
         if self.beta == 1.0:  # every family's beta = 1 member is the exponential
             return math.exp(-z) / self.sigma
         if self.family is ErrorFamily.GAMMA:
-            return (
-                z ** (self.beta - 1.0)
-                * math.exp(-z)
-                / (float(_gamma(self.beta)) * self.sigma)
-            )
+            return z ** (self.beta - 1.0) * math.exp(-z) / (math.gamma(self.beta) * self.sigma)
         try:
             zb = z**self.beta
         except OverflowError:  # exp(-zb) underflows to 0 long before this
@@ -138,14 +111,14 @@ class ErrorModel:
         """Distribution function, exact (no quadrature); zero for ``y < 0``."""
         y = np.asarray(y, dtype=float)
         z = np.clip(y, 0.0, self.sigma * _Z_CAP) / self.sigma
-        if self.family is ErrorFamily.GAMMA:
-            from scipy import special
+        if self.beta == 1.0:
+            vals = -np.expm1(-z)
+        elif self.family is ErrorFamily.GAMMA:
+            from scipy import special  # no elementary form at beta != 1
 
             vals = special.gammainc(self.beta, z)
-        elif self.family is ErrorFamily.WEIBULL:
-            vals = -np.expm1(-(z**self.beta))
         else:
-            vals = -np.expm1(-z)
+            vals = -np.expm1(-(z**self.beta))
         if vals.ndim == 0:
             return float(vals)
         return vals
@@ -161,23 +134,23 @@ class ErrorModel:
         if (z <= 0.0).any():  # the method, not np.any: half the call overhead
             raise ValueError("z must be positive")
         ratio = np.log1p(e / z)
-        if self.family is ErrorFamily.GAMMA:
-            vals = (self.beta - 1.0) * ratio - e / self.sigma
-        elif self.family is ErrorFamily.WEIBULL:
-            if z.max() <= self.sigma * _Z_CAP and self.beta * ratio.max() <= _EXPM1_CAP:
-                grow = np.expm1(self.beta * ratio)  # finite, and so is (z / sigma)**beta
-                vals = (self.beta - 1.0) * ratio - (z / self.sigma) ** self.beta * grow
-            else:  # where zb overflows, z * grow ~ beta * e is formed first; where
-                # grow does, zb is negligible and the difference cancels nothing
-                with np.errstate(over="ignore", invalid="ignore"):
-                    grow = np.expm1(self.beta * ratio)
-                    zb = (z / self.sigma) ** self.beta
-                    split = z ** (self.beta - 1.0) * (z * grow) / self.sigma**self.beta
-                    jump = ((z + e) / self.sigma) ** self.beta - zb
-                    diff = np.where(np.isinf(grow), jump, zb * grow)
-                    vals = (self.beta - 1.0) * ratio - np.where(np.isinf(zb), split, diff)
-        else:
+        if self.beta == 1.0:
             vals = np.full_like(z, -e / self.sigma)
+        elif self.family is ErrorFamily.GAMMA:
+            vals = (self.beta - 1.0) * ratio - e / self.sigma
+        elif z.max() <= self.sigma * _Z_CAP and self.beta * ratio.max() <= _EXPM1_CAP:
+            # Weibull, where grow and (z / sigma)**beta are finite
+            grow = np.expm1(self.beta * ratio)
+            vals = (self.beta - 1.0) * ratio - (z / self.sigma) ** self.beta * grow
+        else:  # where zb overflows, z * grow ~ beta * e is formed first; where
+            # grow does, zb is negligible and the difference cancels nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                grow = np.expm1(self.beta * ratio)
+                zb = (z / self.sigma) ** self.beta
+                split = z ** (self.beta - 1.0) * (z * grow) / self.sigma**self.beta
+                jump = ((z + e) / self.sigma) ** self.beta - zb
+                diff = np.where(np.isinf(grow), jump, zb * grow)
+                vals = (self.beta - 1.0) * ratio - np.where(np.isinf(zb), split, diff)
         if vals.ndim == 0:
             return float(vals)
         return vals
@@ -185,7 +158,7 @@ class ErrorModel:
     def small_y_constant(self) -> float:
         """The constant ``c`` in ``p0(y) ~ beta * c * y**(beta-1)`` at 0."""
         if self.family is ErrorFamily.GAMMA:
-            return 1.0 / (self.beta * _gamma(self.beta) * self.sigma**self.beta)
+            return 1.0 / (self.beta * math.gamma(self.beta) * self.sigma**self.beta)
         if self.family is ErrorFamily.WEIBULL:
             return self.sigma**-self.beta
         return 1.0 / self.sigma
@@ -194,7 +167,7 @@ class ErrorModel:
         if self.family is ErrorFamily.GAMMA:
             return self.beta * self.sigma
         if self.family is ErrorFamily.WEIBULL:
-            return self.sigma * _gamma(1.0 + 1.0 / self.beta)
+            return self.sigma * math.gamma(1.0 + 1.0 / self.beta)
         return self.sigma
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

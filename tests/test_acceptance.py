@@ -143,12 +143,17 @@ def test_criterion_02_location_information_agreement():
 
 
 def test_criterion_03_r_beta_quadrature():
+    # With H = beta / 2, r(beta) + 1/beta is the Mandelbrot-Van Ness constant
+    # of fractional Brownian motion, Gamma(H + 1/2)^2 / (Gamma(2H + 1) sin(pi H))
     assert r_beta(1.0) == 0.0  # exactly
     for beta in np.arange(1.05, 2.0, 0.05):
-        coarse = r_beta(float(beta), rtol=1e-8)
-        fine = r_beta(float(beta), rtol=1e-12)
-        assert abs(coarse - fine) <= 1e-6, (
-            f"beta={beta:.2f}: meshes differ by {abs(coarse - fine):.2e}"
+        beta = float(beta)
+        exact = math.gamma((beta + 1.0) / 2.0) ** 2 / (
+            math.gamma(beta + 1.0) * math.sin(math.pi * beta / 2.0)
+        ) - 1.0 / beta
+        got = r_beta(beta)
+        assert abs(got - exact) <= 1e-10 * exact, (
+            f"beta={beta:.2f}: quadrature {got!r} vs closed form {exact!r}"
         )
 
 

@@ -255,6 +255,24 @@ class TestCertifiedFits:
         _, certified = _certified_fits(_envelope(xs, 2), ys)
         assert 50 <= (~certified).sum() <= 180
 
+    def test_a_tie_can_stop_inside_the_optimal_edge(self):
+        # The optimal face is theta0 = 0 with slope in [-1, 1].  The simplex
+        # splits the free slope into two non-negative columns and stops with
+        # both at zero: an optimal point of the edge, but not a vertex of it.
+        # A tie rule that moves this fit should update the pin.
+        data = Dataset([-1, -1, 0, 0, 1, 1], [1.0, 1.5, 0.0, 0.2, 1.0, 1.3], 1)
+        theta = smith_fit(data)
+        np.testing.assert_array_equal(theta, [0.0, 0.0])
+        assert residuals(data, theta).min() >= 0.0
+        rows = np.vander([-1.0, 0.0, 1.0], 2, increasing=True)
+        vertices = enumerate_vertices(rows, np.array([1.0, 0.0, 1.0]))
+        c = data.design_matrix().sum(axis=0)
+        best = max(float(c @ v) for v in vertices)
+        assert float(c @ theta) == best == 0.0
+        optimal = [v for v in vertices if float(c @ v) == best]
+        np.testing.assert_allclose(sorted(v[1] for v in optimal), [-1.0, 1.0])
+        assert not any(np.allclose(theta, v) for v in vertices)
+
     def test_degenerate_best_basis_is_not_certified(self):
         # the degenerate dual vertex belongs to three bases, whose equal
         # objectives already fail the tie margin; with one basis per vertex

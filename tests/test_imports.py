@@ -103,6 +103,41 @@ assert abs(fit.alpha - 1.0) < 0.01, fit
     run_fresh(code)
 
 
+def test_elementary_error_members_load_no_scipy(tmp_path):
+    # Gamma comes from math, and every family's beta = 1 member is the
+    # exponential, whose CDF, h and information are elementary
+    code = """
+import sys
+
+import numpy as np
+
+from nonregdesign import cli
+from nonregdesign.hellinger import estimate_alpha_and_J, location_h_fn, location_info
+from nonregdesign.models import ErrorFamily, ErrorModel
+
+for family in ErrorFamily:
+    m = ErrorModel(family, 1.0)
+    estimate_alpha_and_J(location_h_fn(m), 0.0)
+    assert location_info(m).J == 1.0
+    assert m.cdf(0.5) > 0.0
+    assert m.log_density_diff(np.array([0.5, 2.0]), 0.1).shape == (2,)
+for family in (ErrorFamily.GAMMA, ErrorFamily.WEIBULL):
+    for beta in (1.3, 1.9):
+        m = ErrorModel(family, beta)
+        assert m.density(0.3) > 0.0
+        assert m.density(np.array([0.3, 1.0])).shape == (2,)
+        assert m.mean() > 0.0 and m.small_y_constant() > 0.0
+estimate_alpha_and_J(location_h_fn(ErrorModel(ErrorFamily.WEIBULL, 1.6)), 0.0)
+assert cli.main(["info", "--family", "gamma", "--beta", "1"]) == 0
+assert cli.main([
+    "design-opt", "--degree", "2", "--A", "1", "--alpha", "1", "--grid-size", "21",
+    "--out-dir", sys.argv[1],
+]) == 0
+""" + NO_SCIPY
+    run_fresh(code, str(tmp_path))
+    assert (tmp_path / "design.json").is_file()
+
+
 def test_location_ladder_fit_loads_no_optimizer():
     # the gamma error's CDF needs scipy.special; the refit needs no scipy.optimize
     code = """
@@ -119,8 +154,8 @@ assert not loaded, loaded
     run_fresh(code)
 
 
-# Each entry point loads SciPy on first use.  A name the lazy import misses
-# fails only when that function is the first SciPy user in the process.
+# Each entry point may load SciPy on first use.  A name the lazy import
+# misses fails only when that function is the first SciPy user in the process.
 LAZY_ENTRY_POINTS = [
     "r_beta(1.5)",
     "location_info(ErrorModel(ErrorFamily.GAMMA, 1.5))",

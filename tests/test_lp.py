@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lp_oracle import oracle_solve, random_boxed_lp
+from nonregdesign import lp as lp_module
 from nonregdesign.lp import (
     Domain,
     LinearProgram,
@@ -158,7 +159,8 @@ def test_degenerate_beale_terminates():
     assert sol.objective == pytest.approx(-0.05, abs=1e-10)
 
 
-def test_pivot_cap_raises():
+def test_pivot_cap_raises(monkeypatch):
+    monkeypatch.setattr(lp_module, "_pivot_cap", lambda T: 1)
     lp = LinearProgram(
         [1.0, 1.0],
         [[1.0, 2.0], [3.0, 1.0]],
@@ -166,7 +168,7 @@ def test_pivot_cap_raises():
         [Sense.GE, Sense.GE],
     )
     with pytest.raises(LpError, match="pivot cap"):
-        solve_lp(lp, max_pivots=1)
+        solve_lp(lp)
 
 
 # ---------------------------------------------------------------------------
