@@ -21,6 +21,7 @@ where h is the squared Hellinger distance between the two distributions.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,8 +47,10 @@ class BoundInput:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not self.info_value > 0.0:
-            raise ValueError(f"info_value must be positive, got {self.info_value}")
+        if not (self.info_value > 0.0 and math.isfinite(self.info_value)):
+            raise ValueError(
+                f"info_value must be positive and finite, got {self.info_value}"
+            )
 
 
 def hellinger_constant(alpha: float) -> float:
@@ -73,8 +76,8 @@ def epsilon_diagnostic(alpha: float, info_value: float) -> float:
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    if not info_value > 0.0:
-        raise ValueError(f"info_value must be positive, got {info_value}")
+    if not (info_value > 0.0 and math.isfinite(info_value)):
+        raise ValueError(f"info_value must be positive and finite, got {info_value}")
     return (3.0 * info_value) ** (-1.0 / alpha)
 
 

@@ -38,9 +38,9 @@ be an edge, non-finite responses, or any fit of a design with more than
 ``_MAX_BASES`` bases -- runs the dense simplex (``_envelope_fit``).  On a tie
 the simplex reports the optimal point where it stops, which need not be a
 vertex: it splits each free coefficient into two non-negative columns and
-can stop with both at zero, inside the optimal edge.  ``smith_fit`` runs
-the kernel on a batch of one and ``sim`` on chunks of replicates, so both
-report the same theta.
+can stop with both at zero, inside the optimal edge.  ``fit_batch`` owns
+that policy; ``smith_fit`` runs it on a batch of one and ``sim`` on chunks
+of replicates, so both report the same theta.
 """
 
 from __future__ import annotations
@@ -245,6 +245,25 @@ def _envelope_fit(env: _Envelope, y: np.ndarray) -> np.ndarray:
     return theta
 
 
+def fit_batch(
+    env: _Envelope, ys: np.ndarray
+) -> tuple[np.ndarray, dict[int, EstimationError]]:
+    """Envelope fits of the rows of ys (R x n): the kernel for the batch,
+    then the simplex for each row it does not certify.
+
+    Returns theta (R x d) and, by row index, the error of each row whose
+    simplex fit failed; those rows of theta are meaningless.
+    """
+    theta, certified = _certified_fits(env, ys)
+    errors: dict[int, EstimationError] = {}
+    for i in np.flatnonzero(~certified).tolist():
+        try:
+            theta[i] = _envelope_fit(env, ys[i])
+        except EstimationError as exc:
+            errors[i] = exc
+    return theta, errors
+
+
 def smith_fit(data: Dataset) -> np.ndarray:
     """Maximum-likelihood lower-envelope fit, solved as a linear program.
 
@@ -258,9 +277,10 @@ def smith_fit(data: Dataset) -> np.ndarray:
     -ENVELOPE_TOL.
     """
     env = _envelope(np.asarray(data.xs), data.degree)
-    y = np.asarray(data.ys)
-    theta, certified = _certified_fits(env, y[None])
-    return theta[0] if certified[0] else _envelope_fit(env, y)
+    theta, errors = fit_batch(env, np.asarray(data.ys)[None])
+    if errors:
+        raise errors[0]
+    return theta[0]
 
 
 def residuals(data: Dataset, theta) -> np.ndarray:
@@ -269,17 +289,22 @@ def residuals(data: Dataset, theta) -> np.ndarray:
 
 
 def load_dataset_csv(path, degree: int) -> Dataset:
-    """Read a dataset from CSV with header ``x,y``."""
+    """Read a dataset from CSV with header ``x,y``; blank lines are skipped.
+
+    A row that is not two numbers raises ValueError naming its line.
+    """
     xs: list[float] = []
     ys: list[float] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [s.strip() for s in reader.fieldnames] != [
-            "x",
-            "y",
-        ]:
-            raise ValueError(f"expected CSV header 'x,y', got {reader.fieldnames}")
-        for row in reader:
-            xs.append(float(row["x"]))
-            ys.append(float(row["y"]))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [s.strip() for s in header] != ["x", "y"]:
+            raise ValueError(f"expected CSV header 'x,y', got {header}")
+        for row in filter(None, reader):
+            try:
+                x, y = row
+                xs.append(float(x))
+                ys.append(float(y))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from exc
     return Dataset(xs, ys, degree)

@@ -7,8 +7,8 @@ its errors from an independent substream derived from ``(seed, r)``, so
 results are bit-for-bit reproducible regardless of execution order.  The
 design's envelope program -- its distinct rows, identifiability and dual
 vertices -- is derived once per plan.  Replicates are drawn in order, a chunk
-at a time, and each chunk is fitted at once by ``estimator._certified_fits``;
-a replicate the kernel does not certify (a tie on the optimal face, or
+at a time, and each chunk is fitted at once by ``estimator.fit_batch``: a
+replicate its kernel does not certify (a tie on the optimal face, or
 non-finite responses) runs the dense simplex on the same draw.  So a replicate
 costs one error draw plus its share of a batched fit.  Risk is the vector of
 componentwise mean squared errors of the fitted coefficients; the total risk
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Design
-from .estimator import EstimationError, _certified_fits, _envelope, _envelope_fit
+from .estimator import _envelope, fit_batch
 from .models import RegressionModel
 
 # Replicates drawn and fitted together; fewer when n is large, so that a
@@ -128,14 +128,10 @@ def mc_risk(plan: SimPlan) -> RiskEstimate:
         for i, r in enumerate(reps):
             rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(r,)))
             ys[i] = mean + plan.model.error.sample(xs_rep.size, rng)
-        fits, certified = _certified_fits(env, ys)
+        fits, errors = fit_batch(env, ys)
+        failed.extend(start + i for i in errors)
         ok = np.ones(len(reps), dtype=bool)
-        for i in np.flatnonzero(~certified):
-            try:
-                fits[i] = _envelope_fit(env, ys[i])
-            except EstimationError:
-                failed.append(start + int(i))
-                ok[i] = False
+        ok[list(errors)] = False
         diff = fits[ok] - theta
         sq_errors.append(diff * diff)
 

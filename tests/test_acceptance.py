@@ -10,6 +10,7 @@ import hashlib
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -142,18 +143,36 @@ def test_criterion_02_location_information_agreement():
     assert elapsed < 60.0, f"criterion 2 took {elapsed:.2f} s (budget 60 s)"
 
 
+def _r_beta_mpmath(beta: float) -> mpmath.mpf:
+    """r(beta) by 30-digit tanh-sinh quadrature of its defining integral.
+
+    The head is integral_0^1 ((w + 1)^b - w^b)^2 dw with b = (beta - 1) / 2.
+    The tail w > 1 becomes integral_0^1 t^(-2b) (expm1(b log1p t) / t)^2 dt
+    under w = 1/t, and t = s^p with p = 1 / (1 - 2b) makes its weight
+    constant.
+    """
+    with mpmath.workdps(30):
+        b = (mpmath.mpf(beta) - 1) / 2
+        p = 1 / (1 - 2 * b)
+        head = mpmath.quad(lambda w: ((w + 1) ** b - w**b) ** 2, [0, 1])
+
+        def tail(s):
+            t = s**p
+            return p * (mpmath.expm1(b * mpmath.log1p(t)) / t) ** 2
+
+        return head + mpmath.quad(tail, [0, 1])
+
+
 def test_criterion_03_r_beta_quadrature():
-    # With H = beta / 2, r(beta) + 1/beta is the Mandelbrot-Van Ness constant
-    # of fractional Brownian motion, Gamma(H + 1/2)^2 / (Gamma(2H + 1) sin(pi H))
+    # r_beta evaluates the Mandelbrot-Van Ness closed form; the oracle
+    # integrates the definition instead
     assert r_beta(1.0) == 0.0  # exactly
     for beta in np.arange(1.05, 2.0, 0.05):
         beta = float(beta)
-        exact = math.gamma((beta + 1.0) / 2.0) ** 2 / (
-            math.gamma(beta + 1.0) * math.sin(math.pi * beta / 2.0)
-        ) - 1.0 / beta
+        exact = float(_r_beta_mpmath(beta))
         got = r_beta(beta)
         assert abs(got - exact) <= 1e-10 * exact, (
-            f"beta={beta:.2f}: quadrature {got!r} vs closed form {exact!r}"
+            f"beta={beta:.2f}: closed form {got!r} vs quadrature {exact!r}"
         )
 
 

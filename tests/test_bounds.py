@@ -29,6 +29,9 @@ def test_bound_input_validation():
         BoundInput(alpha=1.0, info_value=0.0)
     with pytest.raises(ValueError, match="info_value"):
         BoundInput(alpha=1.0, info_value=-2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="info_value must be positive and finite"):
+            BoundInput(alpha=1.0, info_value=bad)
 
 
 def test_constant_value():
@@ -96,6 +99,9 @@ def test_epsilon_diagnostic():
     assert epsilon_diagnostic(2.0, 12.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
     with pytest.raises(ValueError):
         epsilon_diagnostic(1.0, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="info_value must be positive and finite"):
+            epsilon_diagnostic(1.0, bad)
 
 
 # ---------------------------------------------------------------------------

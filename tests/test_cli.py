@@ -368,6 +368,14 @@ class TestBound:
     def test_zero_info_rejected(self, capsys):
         assert run(capsys, "bound", "--alpha", "1", "--info", "0")[0] == 2
 
+    @pytest.mark.parametrize("info", ["inf", "nan"])
+    def test_non_finite_info_rejected(self, capsys, info):
+        # --info inf once printed a bound of 0 and exited 0
+        code, out, err = run(capsys, "bound", "--alpha", "1", "--info", info)
+        assert code == 2
+        assert out == ""
+        assert "info_value must be positive and finite" in err
+
     def test_fisher_requires_alpha_2(self, capsys):
         code, _, err = run(capsys, "bound", "--alpha", "1",
                            "--fisher", "2,0;0,5")

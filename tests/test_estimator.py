@@ -13,6 +13,7 @@ from nonregdesign.estimator import (
     _certified_fits,
     _envelope,
     _envelope_fit,
+    fit_batch,
     load_dataset_csv,
     residuals,
     smith_fit,
@@ -243,10 +244,23 @@ class TestCertifiedFits:
         xs, ys = replicate_responses(design, theta, 200)
         degree = len(theta) - 1
         env = _envelope(xs, degree)
-        fits, certified = _certified_fits(env, ys)
+        fits, errors = fit_batch(env, ys)
+        assert not errors
+        kernel, certified = _certified_fits(env, ys)
+        np.testing.assert_array_equal(fits[certified], kernel[certified])
         for i, y in enumerate(ys):
-            want = fits[i] if certified[i] else _envelope_fit(env, y)
-            np.testing.assert_array_equal(smith_fit(Dataset(xs, y, degree)), want)
+            if not certified[i]:
+                np.testing.assert_array_equal(fits[i], _envelope_fit(env, y))
+            np.testing.assert_array_equal(smith_fit(Dataset(xs, y, degree)), fits[i])
+
+    def test_fit_batch_reports_each_failed_row(self):
+        xs, ys = replicate_responses(uniform_design(2.0, 5), (2.0, 4.0, 0.8), 6)
+        ys[[1, 4], 3] = np.nan
+        fits, errors = fit_batch(_envelope(xs, 2), ys)
+        assert list(errors) == [1, 4]
+        assert all(isinstance(e, EstimationError) for e in errors.values())
+        for i in (0, 2, 3, 5):
+            np.testing.assert_array_equal(fits[i], smith_fit(Dataset(xs, ys[i], 2)))
 
     def test_ties_are_left_to_the_simplex(self):
         # c/24 = 5/3 f(-2) + 10/3 f(1): the degenerate dual vertex is often
@@ -402,5 +416,19 @@ class TestCsvLoader:
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,two\n3,4\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 2"):
+            load_dataset_csv(path, 1)
+
+    def test_padded_header_accepted(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x, y\n-1.0, 2.5\n0.0,3.5\n\n1.0,6.25\n")
+        data = load_dataset_csv(path, 1)
+        assert data.xs == (-1.0, 0.0, 1.0)
+        assert data.ys == (2.5, 3.5, 6.25)
+
+    @pytest.mark.parametrize("row", ["1", "1,2,3"])
+    def test_wrong_field_count_names_the_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n0,1\n{row}\n3,4\n")
+        with pytest.raises(ValueError, match="line 3"):
             load_dataset_csv(path, 1)

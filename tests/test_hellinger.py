@@ -263,6 +263,23 @@ class TestRBeta:
         assert abs(coarse - fine) < 1e-6
         assert r_beta(1.5) == pytest.approx(fine, abs=1e-6)
 
+    def test_accuracy_against_40_digit_closed_form(self):
+        # rounding of the Gamma-function form: 2e-15 absolute below 1.05,
+        # where r ~ ((beta - 1)/2)**2 cancels, and 1e-12 relative above
+        # (criterion 3 checks the form itself against the integral)
+        import mpmath as mp
+        with mp.workdps(40):
+            for beta in [1.0 + k / 1000 for k in range(1, 1000)] + [1.9999]:
+                b = mp.mpf(beta)
+                exact = mp.gamma((b + 1) / 2) ** 2 / (
+                    mp.gamma(b + 1) * mp.sin(mp.pi * (2 - b) / 2)
+                ) - 1 / b
+                err = abs(r_beta(beta) - exact)
+                if beta < 1.05:
+                    assert err <= 2e-15, (beta, float(err))
+                else:
+                    assert err <= 1e-12 * exact, (beta, float(err / exact))
+
     def test_monotone_in_beta(self):
         grid = [1.0, 1.2, 1.4, 1.6, 1.8, 1.9, 1.99]
         vals = [r_beta(b) for b in grid]
@@ -503,6 +520,11 @@ class TestReparamInfo:
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError, match="gradient"):
             reparam_info(1.0, 1.0, (0.0, 0.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize("j_tilde", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_j_tilde_rejected(self, j_tilde):
+        with pytest.raises(ValueError, match="J_tilde must be finite and non-negative"):
+            reparam_info(1.0, j_tilde, [1.0], [1.0])
 
     def test_against_limit_fit_on_shifted_exponential_line(self):
         # two-parameter mean a + b*x with exponential errors observed at a

@@ -15,9 +15,7 @@ from nonregdesign.hellinger import (
     estimate_alpha_and_J,
     hellinger_sq_numeric,
     location_h_fn,
-    location_info,
     normal_density,
-    r_beta,
 )
 from nonregdesign.models import ErrorFamily, ErrorModel
 
@@ -138,6 +136,26 @@ assert cli.main([
     assert (tmp_path / "design.json").is_file()
 
 
+def test_location_information_loads_no_scipy(tmp_path):
+    # r(beta) has a closed form in math.gamma, so the information commands
+    # need no SciPy at any beta
+    code = """
+import sys
+
+from nonregdesign import cli
+
+for family in ("gamma", "weibull"):
+    assert cli.main(["info", "--family", family, "--beta", "1.5"]) == 0
+assert cli.main(["rbeta", "--beta", "1.2,1.8"]) == 0
+assert cli.main([
+    "design-opt", "--degree", "2", "--A", "1", "--alpha", "1.5", "--grid-size", "21",
+    "--out-dir", sys.argv[1],
+]) == 0
+""" + NO_SCIPY
+    run_fresh(code, str(tmp_path))
+    assert (tmp_path / "design.json").is_file()
+
+
 def test_location_ladder_fit_loads_no_optimizer():
     # the gamma error's CDF needs scipy.special; the refit needs no scipy.optimize
     code = """
@@ -157,8 +175,6 @@ assert not loaded, loaded
 # Each entry point may load SciPy on first use.  A name the lazy import
 # misses fails only when that function is the first SciPy user in the process.
 LAZY_ENTRY_POINTS = [
-    "r_beta(1.5)",
-    "location_info(ErrorModel(ErrorFamily.GAMMA, 1.5))",
     "ErrorModel(ErrorFamily.WEIBULL, 1.5).mean()",
     "ErrorModel(ErrorFamily.GAMMA, 1.5).cdf(0.3)",
     "ErrorModel(ErrorFamily.GAMMA, 1.5).density(0.3)",
@@ -172,7 +188,7 @@ def test_lazy_entry_point_matches_in_process(expr):
     code = (
         "import sys\n"
         "from nonregdesign.hellinger import (estimate_alpha_and_J, hellinger_sq_numeric,"
-        " location_h_fn, location_info, normal_density, r_beta)\n"
+        " location_h_fn, normal_density)\n"
         "from nonregdesign.models import ErrorFamily, ErrorModel\n"
         + NO_SCIPY
         + f"print(repr({expr}))\n"
