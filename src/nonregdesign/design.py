@@ -20,7 +20,8 @@ design that cannot identify every coefficient has a null direction, and its
 criterion is exactly 0; that is settled from the moment matrix before any
 search.  Otherwise the minimum is exact where its location is known: at
 alpha = 2 it is the smallest eigenvalue of the moment matrix, and at
-alpha <= 1 it lies on a kink ray, so enumerating those rays finds it.  At
+alpha <= 1 it lies on a kink ray, so enumerating those rays finds it (and
+the solver cuts the master with every violated ray at once).  At
 1 < alpha < 2 a branch-and-bound over cells of the hemisphere certifies it:
 the reported value is at most 1e-10 relative above the minimum.  The same
 paths decide the information J_xi(u) / |D_psi u|^alpha about psi = D_psi theta.
@@ -59,6 +60,7 @@ _BB_KINK_FLOOR = 1e-9  # floor of |f_i'u| / |f_i| where a power of it would blow
 _BB_KINK_NEAR = 1e-3  # terms with |f_j'u| / |f_j| below this get a kink step
 _BB_CAP_RADII = np.array([0.3, 0.1, 0.03, 0.01, 0.003, 0.001])  # tangent radii tried for a cap
 _BB_CAP_RTOL = 0.5 * _BB_RTOL  # a certified cap holds g >= g(u) (1 - this): room for rounding
+_BLOCK_CUTS = 16  # most kink-ray cuts one Kelley step adds to the master (alpha <= 1)
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,33 @@ def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     delta = a - b
     first = np.argmax(delta != 0.0, axis=1)[:, None]
     return np.take_along_axis(delta, first, axis=1)[:, 0] <= 0.0
+
+
+def _kink_values(
+    f: np.ndarray, ws: np.ndarray, alpha: float, j_tilde: float,
+    d_psi: np.ndarray | None, mirror: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every kink ray of the rows f, canonically signed, with the indices of
+    the rows it annihilates (as ``_kink_candidates``) and the objective
+    j_tilde * sum_i w_i |f_i'r|^alpha (over |d_psi r|^alpha) on it.
+
+    With ``mirror`` only one ray of each mirror pair is kept: the one
+    ``_argmin_lex`` picks from a tie.  A ray in null(d_psi) has an infinite
+    ratio.
+    """
+    rays, rows = _kink_candidates(f)
+    rays = _canonical_sign(rays)
+    if mirror:
+        half = _lex_le(rays, _canonical_sign(_mirror(rays)))
+        rays, rows = rays[half], rows[half]
+    proj = np.abs(rays @ f.T)
+    # zero by construction: keeps rounding residue out of |.|^alpha
+    np.put_along_axis(proj, rows, 0.0, axis=1)
+    vals = j_tilde * (proj**alpha @ ws)
+    if d_psi is not None:
+        den = np.linalg.norm(rays @ d_psi.T, axis=1) ** alpha
+        vals = np.divide(vals, den, out=np.full_like(vals, np.inf), where=den > 0.0)
+    return rays, rows, vals
 
 
 def _is_degenerate(eigvals: np.ndarray) -> bool:
@@ -633,7 +662,7 @@ def _branch_and_bound(
 def _sphere_min(
     f: np.ndarray, ws: np.ndarray, alpha: float, j_tilde: float,
     d_psi: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, InfoMethod]:
+) -> tuple[np.ndarray, float, InfoMethod, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """min_{|u|=1} j_tilde * sum_i w_i |f_i'u|^alpha, exactly where possible.
 
     The one place that decides a sphere minimum.  A design whose moment
@@ -642,7 +671,7 @@ def _sphere_min(
     eigenvector, labelled SPHERE_SEARCH.  Otherwise the path follows alpha.
     At alpha = 2 the minimum is j_tilde * lambda_min(F'WF) (EIGENVALUE).  At
     alpha <= 1 it is the smallest value over the kink rays of
-    ``_kink_candidates`` (KINK_ENUMERATION).  At 1 < alpha < 2
+    ``_kink_values`` (KINK_ENUMERATION).  At 1 < alpha < 2
     ``_branch_and_bound`` certifies it to 1e-10 relative (BRANCH_AND_BOUND).
     When ``_is_mirror_symmetric`` holds (every design ``pi_curve`` and the
     cutting-plane solver pass), both paths search one half of the mirror
@@ -657,27 +686,31 @@ def _sphere_min(
     kink rays with d_psi r != 0 hold the minimum, as the numerator is
     concave on each kink cell of |d_psi u| = 1.
 
-    Returns (ties, value, method).  The rows of ``ties`` are minimizers,
-    the reported direction first: an orthonormal basis of the lambda_min
-    eigenspace at alpha = 2 (one minimizer for a wide ``d_psi``), every kink
-    ray within 1e-12 relative of the minimum at alpha <= 1, and the one null
-    direction or certified incumbent otherwise.
+    Returns (ties, value, method, kinks).  The rows of ``ties`` are
+    minimizers, the reported direction first: an orthonormal basis of the
+    lambda_min eigenspace at alpha = 2 (one minimizer for a wide ``d_psi``),
+    every kink ray within 1e-12 relative of the minimum at alpha <= 1, and
+    the one null direction or certified incumbent otherwise.  On the
+    KINK_ENUMERATION path ``kinks`` is what ``_kink_values`` returned:
+    every ray searched, the rows it annihilates and its value, from the
+    same enumeration (in the coordinates of range(F'WF) after a wide
+    ``d_psi`` reduced them).  On the other paths it is None.
     """
     vals, vecs = np.linalg.eigh(_moment_matrix(f, ws))
-    basis = None
+    basis = kinks = None
     if _is_degenerate(vals):
         if d_psi is None:
-            return _canonical_sign(vecs[:, :1].T), 0.0, InfoMethod.SPHERE_SEARCH
+            return _canonical_sign(vecs[:, :1].T), 0.0, InfoMethod.SPHERE_SEARCH, None
         null = vals <= _DEGENERATE_RTOL * max(1.0, vals[-1])
         reach = np.linalg.norm(d_psi @ vecs[:, null], axis=0)
         if reach.max() > _IDENTIFIED_RTOL * np.linalg.norm(d_psi, 2):
             k = int(np.argmax(reach))
-            return _canonical_sign(vecs[:, k:k + 1].T), 0.0, InfoMethod.SPHERE_SEARCH
+            return _canonical_sign(vecs[:, k:k + 1].T), 0.0, InfoMethod.SPHERE_SEARCH, None
         basis = vecs[:, ~null]
         if basis.shape[1] == 1:
             num = float(ws @ np.abs(f @ basis[:, 0]) ** alpha)
             value = j_tilde * num / float(np.linalg.norm(d_psi @ basis)) ** alpha
-            return _canonical_sign(basis.T), value, InfoMethod.CLOSED_FORM
+            return _canonical_sign(basis.T), value, InfoMethod.CLOSED_FORM, None
         f, d_psi, vals, vecs = f @ basis, d_psi @ basis, vals[~null], np.eye(basis.shape[1])
     mirror = d_psi is None and alpha < 2.0 and _is_mirror_symmetric(f, ws)
     if alpha == 2.0 and d_psi is None:
@@ -691,19 +724,7 @@ def _sphere_min(
         ties = _canonical_sign(vecs @ ((g.T @ z[:, -1]) / np.sqrt(vals)))[None, :]
         value, method = float(j_tilde / lam[-1]), InfoMethod.EIGENVALUE
     elif alpha <= 1.0:
-        rays, rows = _kink_candidates(f)
-        rays = _canonical_sign(rays)
-        if mirror:
-            # one ray per mirror pair: the one _argmin_lex picks from a tie
-            half = _lex_le(rays, _canonical_sign(_mirror(rays)))
-            rays, rows = rays[half], rows[half]
-        proj = np.abs(rays @ f.T)
-        # zero by construction: keeps rounding residue out of |.|^alpha
-        np.put_along_axis(proj, rows, 0.0, axis=1)
-        vals = j_tilde * (proj**alpha @ ws)
-        if d_psi is not None:  # a ray in null(d_psi) has an infinite ratio
-            den = np.linalg.norm(rays @ d_psi.T, axis=1) ** alpha
-            vals = np.divide(vals, den, out=np.full_like(vals, np.inf), where=den > 0.0)
+        kinks = rays, _, vals = _kink_values(f, ws, alpha, j_tilde, d_psi, mirror)
         best = _argmin_lex(vals, rays)
         tied = np.flatnonzero(vals <= vals[best] * (1.0 + _TIE_RTOL))
         order = np.concatenate([[best], tied[tied != best]])
@@ -714,7 +735,7 @@ def _sphere_min(
         method = InfoMethod.BRANCH_AND_BOUND
     if basis is not None:
         ties = _canonical_sign(ties @ basis.T)
-    return ties, value, method
+    return ties, value, method, kinks
 
 
 def _check_criterion(alpha: float, j_tilde: float) -> None:
@@ -737,7 +758,7 @@ def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> In
     ``degree`` is 1 or 2.
     """
     _check_criterion(alpha, j_tilde)
-    ties, value, method = _sphere_min(
+    ties, value, method, _ = _sphere_min(
         regressor_matrix(design.xs, degree), design.ws, alpha, j_tilde
     )
     return InfoResult(
@@ -816,6 +837,8 @@ def uniform_design(A: float, k: int) -> Design:
 
 def default_grid(A: float, size: int = _GRID_SIZE) -> np.ndarray:
     """Equally spaced candidate grid on [-A, A]; odd size keeps 0 on it."""
+    if not (A > 0.0 and math.isfinite(A)):
+        raise ValueError(f"A must be positive and finite, got {A}")
     if size < 3 or size > 201:
         raise ValueError("grid size must lie in [3, 201]")
     if size % 2 == 0:
@@ -892,11 +915,18 @@ def optimize_design_cutting_plane(
     about 0.  Kelley's method on that simplex: the master LP maximizes the
     worst accumulated cut, and the separation oracle is the sphere minimizer
     at the incumbent design.  The master is one live ``Tableau``: the seed
-    cuts are solved by the two-phase simplex, and each later cut is added
-    as a row and repaired by dual simplex pivots.  Every cut is kept, so
-    the master bound never rises.  The loop stops once the gap falls within
+    cuts are solved by the two-phase simplex, and each oracle call adds one
+    block of cut rows, repaired by one run of dual simplex pivots.  At
+    1 < alpha <= 2 the block is the worst direction.  At alpha <= 1 the
+    oracle enumerates every kink ray of the incumbent's support, and the
+    block holds each ray below ``t_upper (1 - gap_tol)``, most violated
+    first, at most ``_BLOCK_CUTS`` of them; the minimum of every design on
+    the grid lies on such a ray, so the masters close in on the finite LP
+    over all grid rays.  A direction whose mirror is already cut is skipped, as on
+    symmetric weights it gives the same row.  Every cut is kept, so the
+    master bound never rises.  The loop stops once the gap falls within
     ``config.gap_tol`` of the master bound, at ``config.max_cuts`` cuts, or
-    when the oracle returns a direction already cut; ``stop`` says which.
+    when no offered direction is new; ``stop`` says which.
     One LP on the loop's cuts then finishes from its best verified value J:
     it maximizes the spread sum w_i x_i^2 at t >= J, and its design is kept
     if its verified information is at least J (1 - 1e-12), so ``info``
@@ -915,8 +945,15 @@ def optimize_design_cutting_plane(
     f_neg = regressor_matrix(-var_xs, degree)
     xs_full = np.concatenate([-pos[::-1], var_xs])
 
-    def cut_row(u: np.ndarray) -> np.ndarray:
-        return 0.5 * (np.abs(f_pos @ u) ** alpha + np.abs(f_neg @ u) ** alpha)
+    def cut_row(u: np.ndarray, own=()) -> np.ndarray:
+        at_pos, at_neg = np.abs(f_pos @ u), np.abs(f_neg @ u)
+        for x in own:  # the support points a kink ray annihilates: exactly 0
+            k = np.searchsorted(var_xs, abs(x))
+            if x >= 0.0:
+                at_pos[k] = 0.0
+            if x <= 0.0:
+                at_neg[k] = 0.0
+        return 0.5 * (at_pos**alpha + at_neg**alpha)
 
     def to_design(w: np.ndarray) -> Design:
         ws_full = np.concatenate([0.5 * w[:0:-1], w[:1], 0.5 * w[1:]])
@@ -924,15 +961,25 @@ def optimize_design_cutting_plane(
         ws_k = ws_full[keep]
         return Design(list(zip(xs_full[keep], ws_k / ws_k.sum())), a)
 
-    def unit_info(design: Design) -> tuple[float, np.ndarray]:
-        res = design_info(design, alpha, 1.0, degree)
-        return res.J, np.asarray(res.direction, dtype=float)
+    def oracle(design: Design):
+        """Unit-scale J and its direction, then the cuts on offer: their
+        directions, the support points each annihilates, and their values.
+        At alpha <= 1 these are every kink ray of the support, from the
+        enumeration that found J; otherwise the reported direction alone."""
+        ties, value, _, kinks = _sphere_min(
+            regressor_matrix(design.xs, degree), design.ws, alpha, 1.0
+        )
+        if kinks is None:
+            return value, ties[0], ties[:1], np.empty((1, 0)), np.full(1, value)
+        rays, rows, vals = kinks
+        return value, ties[0], rays, design.xs[rows], vals
 
     cuts: list[np.ndarray] = [np.asarray(u, float) for u in _seed_directions(d)]
     if config.max_cuts < len(cuts):
         raise ValueError(f"max_cuts must be at least {len(cuts)} (the seed cuts) "
                          f"at degree {degree}, got {config.max_cuts}")
     phi_rows: list[np.ndarray] = [cut_row(u) for u in cuts]
+    seen = np.vstack([cuts, _mirror(np.array(cuts))])  # every cut and its mirror
 
     master = Tableau(_cut_lp(np.array(phi_rows)))
     sol = master.solve()
@@ -942,7 +989,7 @@ def optimize_design_cutting_plane(
             raise AssertionError("master LP not solved")
         w, t_upper = sol.x[:-1], float(sol.x[-1])
         incumbent = to_design(w)
-        val, u_star = unit_info(incumbent)
+        val, u_star, offered, own, offered_vals = oracle(incumbent)
         if best is None or val > best[0]:
             best = (val, incumbent, u_star)
         tol = config.gap_tol * t_upper
@@ -952,13 +999,29 @@ def optimize_design_cutting_plane(
         if len(cuts) >= config.max_cuts:
             stop = StopReason.MAX_CUTS
             break
-        # separation: add the worst direction of the incumbent
-        if any(abs(float(u_star @ u)) > 1.0 - 1e-12 for u in cuts):
+        # separation: cut every offered direction below the master bound,
+        # most violated first (ties in the order _argmin_lex breaks them),
+        # unless it or its mirror (the same row on symmetric weights) is
+        # already cut
+        room = min(_BLOCK_CUTS, config.max_cuts - len(cuts))
+        block: list[tuple[np.ndarray, np.ndarray]] = []
+        below = np.flatnonzero(offered_vals < t_upper - tol)
+        below = below[np.lexsort(tuple(offered[below].T[::-1]) + (offered_vals[below],))]
+        for u, x in zip(offered[below], own[below]):
+            if np.abs(seen @ u).max() > 1.0 - 1e-12:
+                continue
+            block.append((u, x))
+            seen = np.vstack([seen, u, _mirror(u)])
+            if len(block) == room:
+                break
+        if not block:
             stop = StopReason.REPEATED_CUT  # grid resolution limit reached
             break
-        cuts.append(u_star)
-        phi_rows.append(cut_row(u_star))
-        sol = master.add_row(np.append(-phi_rows[-1], 1.0), 0.0)
+        cuts.extend(u for u, _ in block)
+        rows = [cut_row(u, x) for u, x in block]
+        phi_rows.extend(rows)
+        sol = master.add_row(np.column_stack([-np.array(rows), np.ones(len(rows))]),
+                             np.zeros(len(rows)))
 
     val, incumbent, u_star = best
     # Spread: the optimum can be a large flat face (piecewise-linear
@@ -968,7 +1031,7 @@ def optimize_design_cutting_plane(
     spread = solve_lp(_cut_lp(np.array(phi_rows), var_xs**2, val))
     if spread.status is LpStatus.OPTIMAL:
         cand = to_design(spread.x[:-1])
-        cand_val, cand_u = unit_info(cand)
+        cand_val, cand_u = oracle(cand)[:2]
         if cand_val >= val * (1.0 - _TIE_RTOL):
             incumbent, val, u_star = cand, cand_val, cand_u
     return DesignSolution(
@@ -1000,7 +1063,7 @@ def _three_point_inner(a: float, alpha: float):
 
     def f_of_pi(pi: float) -> tuple[float, float]:
         ws = np.array([pi, 0.5 * (1.0 - pi), 0.5 * (1.0 - pi)])
-        ties, value, _ = _sphere_min(rows, ws, alpha, 1.0)
+        ties, value, _, _ = _sphere_min(rows, ws, alpha, 1.0)
         if alpha == 2.0:
             slope = np.linalg.eigvalsh(ties @ s @ ties.T)[0]
         else:

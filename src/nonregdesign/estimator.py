@@ -289,13 +289,14 @@ def residuals(data: Dataset, theta) -> np.ndarray:
 
 
 def load_dataset_csv(path, degree: int) -> Dataset:
-    """Read a dataset from CSV with header ``x,y``; blank lines are skipped.
+    """Read a dataset from UTF-8 CSV with header ``x,y``; blank lines are
+    skipped, and so is a leading byte-order mark.
 
     A row that is not two numbers raises ValueError naming its line.
     """
     xs: list[float] = []
     ys: list[float] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [s.strip() for s in header] != ["x", "y"]:

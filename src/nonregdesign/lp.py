@@ -23,15 +23,15 @@ guarantees termination.  ``solve_lp`` does exactly this on a fresh
 ``Tableau``.
 
 A ``Tableau`` stays live after it is solved: ``Tableau.add_row`` appends a
-row ``a . x <= b`` with its slack basic, subtracts the basic rows from it,
-and runs the same pivot kernel as a dual simplex until every basic value is
-non-negative, then as the primal for any reduced cost that roundoff left
-negative.  Phase one never runs again and the standard form is never
-rebuilt.  The design solver's Kelley loop keeps its master this way: each
-master is the last one plus one cut row ``t - phi . w <= 0``, so a master
-costs a few pivots instead of a solve from the slack basis.  Every solution,
-first or repaired, is refined against the original rows and verified to
-1e-8 on every row and sign.
+block of rows ``A x <= b`` with their slacks basic, subtracts the basic
+rows from them, and runs the same pivot kernel as a dual simplex until
+every basic value is non-negative, then as the primal for any reduced cost
+that roundoff left negative.  Phase one never runs again and the standard
+form is never rebuilt.  The design solver's Kelley loop keeps its master
+this way: each master is the last one plus a block of cut rows
+``t - phi . w <= 0``, so a master costs a few pivots instead of a solve
+from the slack basis.  Every solution, first or repaired, is refined
+against the original rows and verified to 1e-8 on every row and sign.
 
 The primal ratio test lets the smallest basis label leave among tied rows.
 Before Bland's rule takes over it first passes over tied rows whose pivot
@@ -256,13 +256,13 @@ class Tableau:
     """The simplex tableau of one program, kept live so rows can be added.
 
     ``solve`` runs the two-phase primal simplex from the slack start.
-    ``add_row`` then appends a row ``a . x <= b`` with its slack basic,
-    reduces it against the current basis, and restores feasibility with
-    dual simplex pivots, followed by primal pivots for any reduced cost
-    that roundoff left negative; phase one never runs again.  Both return
-    an ``LpSolution`` refined and verified against the original rows, the
-    added ones included.  ``lp`` is the program solved so far, added rows
-    last.
+    ``add_row`` then appends a block of rows ``A x <= b`` with their
+    slacks basic, reduces them against the current basis, and restores
+    feasibility with dual simplex pivots, followed by primal pivots for any
+    reduced cost that roundoff left negative; phase one never runs again.
+    Both return an ``LpSolution`` refined and verified against the original
+    rows, the added ones included.  ``lp`` is the program solved so far,
+    added rows last.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -404,22 +404,30 @@ class Tableau:
             return self._finish(LpStatus.UNBOUNDED, iterations)
         return self._finish(LpStatus.OPTIMAL, iterations)
 
-    def add_row(self, a, b: float) -> LpSolution:
-        """Add the row ``a . x <= b`` to a solved program and re-optimise.
+    def add_row(self, a, b) -> LpSolution:
+        """Add the rows ``a x <= b`` to a solved program and re-optimise.
 
-        The previous optimal basis stays dual feasible, so dual simplex
-        pivots restore primal feasibility without phase one.  The returned
-        iteration count covers this re-optimisation only.
+        ``a`` is one row of n entries or a k x n block, and ``b`` its right
+        hand side or k of them.  The block grows the program and the
+        tableau once, each new slack basic; the previous optimal basis stays
+        dual feasible, so one run of dual simplex pivots restores primal
+        feasibility without phase one.  The returned iteration count covers
+        this re-optimisation only.
         """
         if self._status is not LpStatus.OPTIMAL:
             raise LpError("rows can only be added to a solved program")
-        a = np.asarray(a, dtype=float)
         lp = self.lp
-        if a.shape != lp.c.shape:
-            raise ValueError(f"row has shape {a.shape}, expected {lp.c.shape}")
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        k = a.shape[0]
+        if a.shape[1:] != lp.c.shape or b.shape != (k,):
+            raise ValueError(
+                f"rows have shape {a.shape} and right-hand sides {b.shape}, "
+                f"expected (k, {lp.c.size}) and (k,)"
+            )
         grown = LinearProgram(  # checks the size and finiteness
             lp.c, np.vstack([lp.A, a]), np.append(lp.b, b),
-            lp.senses + (Sense.LE,), lp.domains, lp.maximize,
+            lp.senses + (Sense.LE,) * k, lp.domains, lp.maximize,
         )
         if self._n_art:
             # artificials are nonbasic after phase one and may never re-enter
@@ -430,33 +438,34 @@ class Tableau:
         m, width = T.shape
         n_cols = width - 1
 
-        row = np.zeros(n_cols + 2)
-        row[self._pos] = a
-        row[self._neg] = -a[self._free]
-        row[n_cols] = 1.0  # the new slack
-        row[-1] = b
-        A0 = np.zeros((self._A0.shape[0] + 1, n_cols + 1))
-        A0[:-1, :-1] = self._A0
-        A0[-1] = row[:-1]
+        rows = np.zeros((k, n_cols + k + 1))
+        rows[:, self._pos] = a
+        rows[:, self._neg] = -a[:, self._free]
+        rows[:, n_cols : n_cols + k] = np.eye(k)  # the new slacks
+        rows[:, -1] = b
+        m0 = self._A0.shape[0]
+        A0 = np.zeros((m0 + k, n_cols + k))
+        A0[:m0, :n_cols] = self._A0
+        A0[m0:] = rows[:, :-1]
         self._A0 = A0
         self._b0 = np.append(self._b0, b)
-        self._rows = np.append(self._rows, A0.shape[0] - 1)
+        self._rows = np.append(self._rows, np.arange(m0, m0 + k))
 
-        # the new row in the current basis: subtract the basic columns' rows
-        T_new = np.zeros((m + 1, n_cols + 2))
+        # the new rows in the current basis: subtract the basic columns' rows
+        T_new = np.zeros((m + k, n_cols + k + 1))
         T_new[:m, :n_cols] = T[:, :-1]
         T_new[:m, -1] = T[:, -1]
-        T_new[m] = row - row[basis] @ T_new[:m]
-        basis = np.append(basis, n_cols)
+        T_new[m:] = rows - rows[:, basis] @ T_new[:m]
+        basis = np.append(basis, np.arange(n_cols, n_cols + k))
         self._T, self._basis = T_new, basis
-        self._n_slack += 1
-        self._le = np.append(self._le, True)
-        self._ge = np.append(self._ge, False)
+        self._n_slack += k
+        self._le = np.append(self._le, np.ones(k, dtype=bool))
+        self._ge = np.append(self._ge, np.zeros(k, dtype=bool))
         self.lp = grown
 
-        cost = np.zeros(n_cols + 1)
+        cost = np.zeros(n_cols + k)
         cost[: self._n_struct] = self._c_std
-        allowed = np.ones(n_cols + 1, dtype=bool)
+        allowed = np.ones(n_cols + k, dtype=bool)
         max_pivots = _pivot_cap(T_new)
         status, piv = _run_simplex(T_new, basis, cost, allowed, max_pivots, dual=True)
         if status == "infeasible":

@@ -1,9 +1,10 @@
 """Brute-force oracle for small linear programs, used only by tests.
 
 Enumerates every basic point of an all-inequality system ``A x <= b`` by
-solving each n-subset of rows as equalities, keeps the feasible ones, and
-optimises over that finite vertex list.  Exact up to linear-solve roundoff,
-and entirely independent of the simplex implementation under test.
+solving each n-subset of rows as equalities (a chunk of subsets per batched
+NumPy solve), keeps the feasible ones, and optimises over that finite
+vertex list.  Exact up to linear-solve roundoff, and entirely independent
+of the simplex implementation under test.
 """
 
 from __future__ import annotations
@@ -17,17 +18,22 @@ from nonregdesign.lp import Domain, LinearProgram, Sense
 FEAS_TOL = 1e-7
 
 
-def enumerate_vertices(A_ub: np.ndarray, b_ub: np.ndarray) -> list[np.ndarray]:
+def enumerate_vertices(
+    A_ub: np.ndarray, b_ub: np.ndarray, chunk: int = 50_000
+) -> list[np.ndarray]:
     m, n = A_ub.shape
     vertices: list[np.ndarray] = []
-    for rows in itertools.combinations(range(m), n):
-        M = A_ub[list(rows)]
-        if abs(np.linalg.det(M)) < 1e-9:
-            continue
-        v = np.linalg.solve(M, b_ub[list(rows)])
-        if np.all(A_ub @ v <= b_ub + FEAS_TOL):
-            vertices.append(v)
-    return vertices
+    combos = itertools.combinations(range(m), n)
+    while True:
+        # a chunk of n-subsets of rows at a time, each solved as equalities
+        rows = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, chunk)),
+                           dtype=int).reshape(-1, n)
+        if rows.size == 0:
+            return vertices
+        M = A_ub[rows]
+        regular = np.abs(np.linalg.det(M)) >= 1e-9
+        v = np.linalg.solve(M[regular], b_ub[rows[regular]][..., None])[..., 0]
+        vertices.extend(v[np.all(v @ A_ub.T <= b_ub + FEAS_TOL, axis=1)])
 
 
 def oracle_solve(lp: LinearProgram) -> tuple[str, float | None]:

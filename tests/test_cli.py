@@ -171,6 +171,17 @@ class TestDesignOpt:
         assert code == 2
         assert "--alpha" in err
 
+    @pytest.mark.parametrize("a", ["inf", "nan", "0", "-1"])
+    def test_non_finite_or_non_positive_a_exits_2(self, capsys, tmp_path, a):
+        # pyproject turns any RuntimeWarning into an error, so this also
+        # checks that the grid is never built from a bad A
+        code, out, err = run(capsys, "design-opt", "--degree", "2", "--A", a,
+                             "--alpha", "1.5", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "A must be positive and finite" in err
+        assert out == ""
+        assert not (tmp_path / "design.json").exists()
+
     def test_alpha_below_one_needs_jtilde(self, capsys):
         code, _, err = run(capsys, "design-opt", "--degree", "2", "--A", "2",
                            "--alpha", "0.5")

@@ -26,7 +26,7 @@ from nonregdesign.design import (
     uniform_design,
 )
 from nonregdesign.hellinger import InfoMethod
-from nonregdesign.lp import Domain, LpStatus, Sense
+from nonregdesign.lp import Domain, LinearProgram, LpStatus, Sense
 from lp_oracle import oracle_solve
 from sphere_oracle import cap_samples, dense_oracle, grid_oracle, kink_oracle
 
@@ -497,7 +497,7 @@ class TestBranchAndBound:
     def test_three_point_caps_hold_on_dense_samples(self, monkeypatch, a, alpha, pi):
         caps = _record_caps(monkeypatch)
         f, ws = _three_point(a, pi)
-        ties, _, _ = design_module._sphere_min(f, ws, alpha, 1.0)
+        ties, _, _, _ = design_module._sphere_min(f, ws, alpha, 1.0)
         assert caps
         probes = [ties[0]] + _probe_caps(f, ws, alpha, np.random.default_rng(int(1e6 * pi)))
         _assert_caps_hold(caps, probes)
@@ -539,7 +539,7 @@ class TestBranchAndBound:
         # alpha = 2, lambda_min alone read -5.4e-17 on {-0.3, 0.7}.
         f = regressor_matrix(np.array(xs), degree)
         ws = np.full(len(xs), 1.0 / len(xs))
-        ties, value, method = design_module._sphere_min(f, ws, alpha, 1.0)
+        ties, value, method, _ = design_module._sphere_min(f, ws, alpha, 1.0)
         assert value == 0.0 and method is InfoMethod.SPHERE_SEARCH
         assert np.abs(f @ ties[0]).max() < 1e-12
 
@@ -596,7 +596,7 @@ class TestMirrorHalf:
             nudged = ws.copy()
             nudged[0] = np.nextafter(nudged[0], 1.0)
             assert not design_module._is_mirror_symmetric(f, nudged)
-            _, full, _ = design_module._sphere_min(f, nudged, alpha, 1.0)
+            full = design_module._sphere_min(f, nudged, alpha, 1.0)[1]
             assert res.J == pytest.approx(full, rel=1e-10)
 
     @pytest.mark.parametrize("degree", [1, 2])
@@ -611,9 +611,9 @@ class TestMirrorHalf:
             assert design_module._is_mirror_symmetric(f, d.ws)
             half.append(design_module._sphere_min(f, d.ws, alpha, 1.0))
         monkeypatch.setattr(design_module, "_is_mirror_symmetric", lambda f, ws: False)
-        for d, (ties, value, method) in zip(cases, half):
+        for d, (ties, value, method, _) in zip(cases, half):
             f = regressor_matrix(d.xs, degree)
-            _, full, full_method = design_module._sphere_min(f, d.ws, alpha, 1.0)
+            _, full, full_method, _ = design_module._sphere_min(f, d.ws, alpha, 1.0)
             assert method is full_method is InfoMethod.KINK_ENUMERATION
             assert abs(value - full) <= np.spacing(full)
             # the kept ray of a mirror pair is the lexicographically smaller one
@@ -778,7 +778,7 @@ class TestWideDpsi:
             assert value <= oracle * (1.0 + 1e-10)
             assert value == pytest.approx(oracle, rel=1e-8)
             if alpha >= 1.0:  # below 1, rounding residue of f_i'u = 0 enters |.|^alpha
-                ties, _, _ = design_module._sphere_min(f, d.ws, alpha, 1.0, d_psi)
+                ties = design_module._sphere_min(f, d.ws, alpha, 1.0, d_psi)[0]
                 assert _ratio(f, d.ws, alpha, d_psi, ties[0]) == pytest.approx(value, rel=1e-12)
 
 
@@ -913,19 +913,31 @@ class TestCuttingPlaneSolver:
         assert sol.cuts_used <= 8
         assert sol.gap > 1e-4
 
-    @pytest.mark.parametrize("a,alpha", [(2.0, 1.0), (1.5, 1.5)])
+    @pytest.mark.parametrize("a,alpha", [(2.0, 1.0), (2.0, 0.5), (1.5, 1.5)])
     def test_every_cut_is_kept(self, monkeypatch, a, alpha):
         # The Kelley loop alternates master LP and oracle call until the
-        # spread LP; the master is one live tableau, grown a cut row at a time.
-        sol, _, masters, added = _record_kelley(monkeypatch, 2, a, alpha, 101)
+        # spread LP; the master is one live tableau, grown one block of cut
+        # rows per oracle call: every offered direction below the master
+        # bound at alpha <= 1, the one reported direction otherwise
+        sol, _, masters, blocks, values = _record_kelley(monkeypatch, 2, a, alpha, 101)
         bounds = [m.objective for _, m in masters]
         seeds = design_module._seed_directions(3)
-        assert [len(lp.b) - 1 for lp, _ in masters] == [len(seeds) + k for k in range(len(bounds))]
+        sizes = np.cumsum([len(seeds)] + [len(block) for block in blocks])
+        assert [len(lp.b) - 1 for lp, _ in masters] == sizes.tolist()
+        cap = design_module._BLOCK_CUTS if alpha <= 1.0 else 1
+        assert all(1 <= len(block) <= cap for block in blocks)
+        if alpha <= 1.0:
+            assert max(len(block) for block in blocks) > 1
         assert all(t1 <= t0 * (1.0 + 1e-12) for t0, t1 in zip(bounds, bounds[1:]))
-        cuts = np.array(seeds + added)
-        overlap = np.abs(cuts @ cuts.T) - np.eye(len(cuts))
+        # no direction, nor its mirror (the same row), is cut twice
+        added = np.vstack(blocks)
+        cuts = np.vstack([seeds, added])
+        mirrored = cuts * np.array([1.0, -1.0, 1.0])
+        overlap = np.maximum(np.abs(added @ cuts.T), np.abs(added @ mirrored.T))
+        overlap[np.arange(len(added)), len(seeds) + np.arange(len(added))] = 0.0
         assert overlap.max() <= 1.0 - 1e-12
-        assert sol.cuts_used == len(seeds) + len(added)
+        assert sol.cuts_used == len(cuts)
+        assert sol.info >= (1.0 - 2e-12) * max(values)
 
     @pytest.mark.parametrize("a,alpha", [(3.0, 1.2), (2.0, 1.0), (1.0, 2.0)])
     def test_finish_keeps_the_verified_best(self, monkeypatch, a, alpha):
@@ -934,19 +946,19 @@ class TestCuttingPlaneSolver:
         # loop verified, and costs at most two oracle calls.
         events = []
         solve_lp = design_module.solve_lp
-        info = design_module.design_info
+        search = design_module._sphere_min
 
         def record_lp(lp):
             events.append(("lp", True))
             return solve_lp(lp)
 
         def record_info(*args):
-            res = info(*args)
-            events.append(("info", res.J))
-            return res
+            out = search(*args)
+            events.append(("info", out[1]))
+            return out
 
         monkeypatch.setattr(design_module, "solve_lp", record_lp)
-        monkeypatch.setattr(design_module, "design_info", record_info)
+        monkeypatch.setattr(design_module, "_sphere_min", record_info)
         sol = optimize_design_cutting_plane(default_grid(a), alpha, 1.0, 2)
         split = events.index(("lp", True))
         loop_best = max(e[1] for e in events[:split] if e[0] == "info")
@@ -1056,7 +1068,7 @@ class TestSymmetricFormulation:
         (2, 1.5, 1.5): 0.5900809822413203,
         (2, 2.0, 1.4): 0.7223785579589443,
         (2, 1.0, 2.0): 0.19999985151550617,
-        (2, 2.0, 0.5): 0.7638591392104026,
+        (2, 2.0, 0.5): 0.7638656413319247,
         (1, 2.0, 1.4): 1.0,
     }
 
@@ -1111,11 +1123,17 @@ class TestSymmetricFormulation:
 
 
 def _record_kelley(monkeypatch, degree, a, alpha, size):
-    """Solve on ``default_grid(a, size)``; return the solution, the live
-    master, each master program with its solution, and the directions cut
-    after the seeds, in order."""
-    live, masters, directions = [], [], []
-    info = design_module.design_info
+    """Solve on ``default_grid(a, size)``.
+
+    Returns the solution, the live master, each master program with its
+    solution, the block of directions cut after each oracle call, and the
+    value of each oracle call of the loop.  A block is read off the rows the
+    master grew by: each row is, bit for bit, the cut of one direction the
+    oracle call before it offered (every kink ray at alpha <= 1, else the
+    reported direction), and that direction is the one whose cut row it is.
+    """
+    live, masters, calls, rows = [], [], [], []
+    search = design_module._sphere_min
     solve_lp = design_module.solve_lp
 
     class RecordingMaster(design_module.Tableau):
@@ -1126,30 +1144,63 @@ def _record_kelley(monkeypatch, degree, a, alpha, size):
         def solve(self, *args):
             return self._record(super().solve(*args))
 
-        def add_row(self, *args):
-            return self._record(super().add_row(*args))
+        def add_row(self, a, b):
+            rows.append(-np.atleast_2d(a)[:, :-1])
+            return self._record(super().add_row(a, b))
 
         def _record(self, sol):
             masters.append((self.lp, sol))
             return sol
 
-    def record_info(*args):
-        res = info(*args)
-        directions.append(np.asarray(res.direction))
-        return res
+    def record_search(f, *args):
+        out = search(f, *args)
+        ties, value, _, kinks = out
+        if kinks is None:
+            calls.append((value, ties[0], ties[:1], None))
+        else:  # each ray with the x of the support points it annihilates
+            calls.append((value, ties[0], kinks[0], f[kinks[1], 1]))
+        return out
 
     def spread(lp):
-        directions.append(None)  # the loop ends here
+        calls.append(None)  # the loop ends here
         return solve_lp(lp)
 
     monkeypatch.setattr(design_module, "Tableau", RecordingMaster)
-    monkeypatch.setattr(design_module, "design_info", record_info)
+    monkeypatch.setattr(design_module, "_sphere_min", record_search)
     monkeypatch.setattr(design_module, "solve_lp", spread)
     sol = optimize_design_cutting_plane(default_grid(a, size), alpha, 1.0, degree)
-    end = next(k for k, u in enumerate(directions) if u is None)
-    added = directions[:end - 1]  # the last oracle call adds no cut
-    assert len(masters) == len(added) + 1
-    return sol, live[0], masters, added
+    loop = calls[:calls.index(None)]
+    assert len(masters) == len(loop) == len(rows) + 1  # the last call adds no cut
+    var_xs = default_grid(a, size)[size // 2:]
+    blocks = []
+    for (_, reported, offered, own), block in zip(loop, rows):
+        phi = _cut_rows(offered, var_xs, degree, alpha, own)
+        dist = np.abs(block[:, None, :] - phi[None, :, :]).max(axis=2)
+        assert dist.min(axis=1).max() == 0.0
+        blocks.append(offered[dist.argmin(axis=1)])
+        np.testing.assert_array_equal(blocks[-1][0], reported)  # most violated first
+    return sol, live[0], masters, blocks, [call[0] for call in loop]
+
+
+def _cut_rows(dirs, var_xs, degree, alpha, own=None):
+    """The solver's cut row of each direction: the criterion at u of the
+    symmetric design that puts its weight on each +-x pair of ``var_xs``.
+
+    Taken one direction at a time, as the solver does, so that a mirrored
+    direction gives its row bit for bit.  ``own`` lists, per kink ray, the x
+    of the points it annihilates, where the row holds an exact 0 in place of
+    rounding residue (about 1e-8 at alpha = 0.5).
+    """
+    f_pos = regressor_matrix(var_xs, degree)
+    f_neg = regressor_matrix(-var_xs, degree)
+    rows = []
+    for k, u in enumerate(dirs):
+        at_pos, at_neg = np.abs(f_pos @ u), np.abs(f_neg @ u)
+        for x in () if own is None else own[k]:
+            at_pos[var_xs == x] = 0.0
+            at_neg[var_xs == -x] = 0.0
+        rows.append(0.5 * (at_pos**alpha + at_neg**alpha))
+    return np.array(rows)
 
 
 def _highs_max(lp):
@@ -1165,20 +1216,21 @@ def _highs_max(lp):
 
 class TestLiveMaster:
     # the Kelley master is one tableau: its first program is solved by the
-    # two-phase simplex, every later one by dual simplex pivots after a row
-    # is added; each is checked against solvers that share no code with it
+    # two-phase simplex, every later one by dual simplex pivots after a
+    # block of rows is added; each is checked against solvers that share no
+    # code with it
     CASES = [(2, 2.0, 1.0), (2, 1.5, 1.5), (2, 2.0, 0.5)]
 
     @pytest.mark.parametrize("degree,a,alpha", CASES)
     def test_every_master_matches_highs(self, monkeypatch, degree, a, alpha):
-        _, _, masters, _ = _record_kelley(monkeypatch, degree, a, alpha, 101)
+        _, _, masters, _, _ = _record_kelley(monkeypatch, degree, a, alpha, 101)
         for lp, sol in masters:
             assert sol.status is LpStatus.OPTIMAL
             assert sol.objective == pytest.approx(_highs_max(lp), rel=1e-10)
 
     @pytest.mark.parametrize("degree,a,alpha", CASES)
     def test_every_master_matches_vertex_enumeration(self, monkeypatch, degree, a, alpha):
-        _, _, masters, _ = _record_kelley(monkeypatch, degree, a, alpha, 7)
+        _, _, masters, _, _ = _record_kelley(monkeypatch, degree, a, alpha, 7)
         assert len(masters) >= 4
         for lp, sol in masters:
             status, value = oracle_solve(lp)
@@ -1187,27 +1239,109 @@ class TestLiveMaster:
 
     @pytest.mark.parametrize("degree,a,alpha", CASES)
     def test_duplicate_and_mirror_rows_change_nothing(self, monkeypatch, degree, a, alpha):
-        # every cut again, then the cut of every mirrored direction
-        # (u0, -u1, u2), which gives the same row on symmetric weights; a
-        # from-scratch solve once broke down on a master of such rows
-        _, master, masters, added = _record_kelley(monkeypatch, degree, a, alpha, 101)
+        # every cut again as one block, then as one more block the cut of
+        # every mirrored direction (u0, -u1, u2), which gives the same row
+        # on symmetric weights (here without the exact zeros of a kink
+        # ray's own points); a from-scratch solve once broke down on a
+        # master of such rows
+        _, master, masters, blocks, _ = _record_kelley(monkeypatch, degree, a, alpha, 101)
         _, last = masters[-1]
         n_cuts = len(master.lp.b) - 1
-        rows = [row for row, s in zip(master.lp.A, master.lp.senses) if s is Sense.LE]
+        rows = master.lp.A[[s is Sense.LE for s in master.lp.senses]]
         assert len(rows) == n_cuts
-        var_xs = default_grid(a)[50:]
-        f_pos = regressor_matrix(var_xs, degree)
-        f_neg = regressor_matrix(-var_xs, degree)
-        for u in design_module._seed_directions(degree + 1) + added:
-            m = u * np.array([1.0, -1.0, 1.0])
-            phi = 0.5 * (np.abs(f_pos @ m) ** alpha + np.abs(f_neg @ m) ** alpha)
-            rows.append(np.append(-phi, 1.0))
-        for row in rows:
-            sol = master.add_row(row, 0.0)
+        cuts = np.vstack([design_module._seed_directions(degree + 1)] + blocks)
+        phi = _cut_rows(cuts * np.array([1.0, -1.0, 1.0]), default_grid(a)[50:], degree, alpha)
+        mirrored = np.column_stack([-phi, np.ones(n_cuts)])
+        for block in (rows, mirrored):
+            sol = master.add_row(block, np.zeros(n_cuts))
             assert sol.status is LpStatus.OPTIMAL
             assert sol.objective == pytest.approx(last.objective, rel=1e-12)
             np.testing.assert_allclose(sol.x, last.x, rtol=0.0, atol=1e-12)
         assert len(master.lp.b) == 1 + 3 * n_cuts
+
+
+def _ray_master(degree, a, alpha, size):
+    """Rows phi_r of the LP max t s.t. t <= phi_r . v for every kink ray r
+    of the grid, v in the simplex of symmetric weights (0, then each +-x
+    pair).
+
+    At alpha <= 1 the sphere minimum of every design on the grid lies on
+    the ray of a pair of its support points (one point at degree 1), so
+    this one LP is the max-min design problem on the grid.  Built with
+    plain NumPy; the |f'r| of a ray's own points are set to exactly 0.
+    """
+    xs = np.linspace(-a, a, size)
+    f = np.vander(xs, degree + 1, increasing=True)
+    if degree == 1:
+        rays, own = np.column_stack([-f[:, 1], f[:, 0]]), np.arange(size)[:, None]
+    else:
+        i, j = np.triu_indices(size, k=1)
+        rays, own = np.cross(f[i], f[j]), np.column_stack([i, j])
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    proj = np.abs(rays @ f.T)
+    np.put_along_axis(proj, own, 0.0, axis=1)
+    vals = proj**alpha
+    mid = size // 2
+    phi = np.column_stack([vals[:, mid]] + [0.5 * (vals[:, mid + k] + vals[:, mid - k])
+                                            for k in range(1, mid + 1)])
+    # mirror rays give the same row up to rounding
+    return np.unique(np.round(phi, 14), axis=0)
+
+
+class TestExactKinkSolve:
+    # at alpha <= 1 each Kelley step cuts every kink ray of the incumbent
+    # below the master bound (at most _BLOCK_CUTS of them), so the loop
+    # ends on the optimum of the finite LP over all grid rays
+    CASES = [(2, 2.0, 1.0), (2, 2.0, 0.8), (2, 2.0, 0.5), (2, 1.0, 1.0), (1, 2.0, 1.0)]
+
+    @pytest.mark.parametrize("degree,a,alpha", CASES)
+    def test_info_matches_highs_on_every_ray_row(self, degree, a, alpha):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        phi = _ray_master(degree, a, alpha, 101)
+        n_rays, g = phi.shape
+        ref = linprog(np.append(np.zeros(g), -1.0),
+                      A_ub=np.column_stack([-phi, np.ones(n_rays)]), b_ub=np.zeros(n_rays),
+                      A_eq=np.append(np.ones(g), 0.0)[None, :], b_eq=[1.0],
+                      bounds=[(0.0, None)] * g + [(None, None)], method="highs")
+        assert ref.status == 0
+        sol = _solve(degree, a, alpha)
+        assert sol.info == pytest.approx(-ref.fun, rel=1e-9)
+
+    @pytest.mark.parametrize("degree,a,alpha", [(2, 1.0, 1.0), (2, 0.5, 0.5), (1, 2.0, 1.0)])
+    def test_info_matches_vertex_enumeration_on_11_points(self, degree, a, alpha):
+        phi = _ray_master(degree, a, alpha, 11)
+        # a row above another everywhere is implied by it (v >= 0)
+        implied = [np.any(np.all(phi <= r, axis=1) & np.any(phi < r, axis=1)) for r in phi]
+        low = phi[~np.array(implied)]
+        n_rays, g = low.shape
+        # v_0 = 1 - (v_1 + ... + v_{g-1}) leaves t <= r_0 + (r_k - r_0) . v_k
+        lp = LinearProgram(
+            np.append(np.zeros(g - 1), 1.0),
+            np.vstack([np.column_stack([low[:, :1] - low[:, 1:], np.ones(n_rays)]),
+                       np.append(np.ones(g - 1), 0.0)]),
+            np.append(low[:, 0], 1.0),
+            [Sense.LE] * (n_rays + 1), [Domain.NON_NEGATIVE] * (g - 1) + [Domain.FREE],
+            maximize=True,
+        )
+        status, value = oracle_solve(lp)
+        assert status == "optimal"
+        sol = optimize_design_cutting_plane(default_grid(a, 11), alpha, 1.0, degree)
+        assert sol.info == pytest.approx(value, rel=1e-9)
+
+    def test_oracle_calls_stay_few(self, monkeypatch):
+        # each oracle call at alpha <= 1 enumerates the incumbent's kink rays
+        # once; at (2, 2, 1) one cut per call took 63 calls, now 11
+        calls = []
+        candidates = design_module._kink_candidates
+
+        def counted(f):
+            calls.append(1)
+            return candidates(f)
+
+        monkeypatch.setattr(design_module, "_kink_candidates", counted)
+        sol = optimize_design_cutting_plane(default_grid(2.0), 1.0, 1.0, 2)
+        assert sol.stop is StopReason.CONVERGED
+        assert len(calls) <= 20
 
 
 class TestPiCurve:

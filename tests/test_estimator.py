@@ -426,6 +426,14 @@ class TestCsvLoader:
         assert data.xs == (-1.0, 0.0, 1.0)
         assert data.ys == (2.5, 3.5, 6.25)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # spreadsheet programs often export UTF-8 with a leading BOM
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\n-1.0,2.5\n0.0,3.5\n1.0,6.25\n")
+        data = load_dataset_csv(path, 1)
+        assert data.xs == (-1.0, 0.0, 1.0)
+        assert data.ys == (2.5, 3.5, 6.25)
+
     @pytest.mark.parametrize("row", ["1", "1,2,3"])
     def test_wrong_field_count_names_the_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"

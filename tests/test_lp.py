@@ -316,6 +316,51 @@ def test_added_rows_match_a_solve_from_scratch():
             assert np.all(sol.x >= -1e-8)
 
 
+def test_a_block_of_rows_matches_single_adds_and_a_solve_from_scratch():
+    checked = 0
+    for seed in range(200):
+        box, rows, rhs = _split_boxed_lp(seed)
+        whole = LinearProgram(box.c, np.vstack([box.A, rows]), np.append(box.b, rhs),
+                              [Sense.LE] * (len(box.b) + len(rhs)), maximize=box.maximize)
+        scratch = solve_lp(whole)
+        block, single = Tableau(box), Tableau(box)
+        block.solve()
+        single.solve()
+        sol = block.add_row(rows, rhs)
+        assert sol.status is scratch.status, f"seed {seed}"
+        for row, b in zip(rows, rhs):
+            one = single.add_row(row, b)
+            if one.status is not LpStatus.OPTIMAL:
+                break
+        assert one.status is scratch.status, f"seed {seed}"
+        if scratch.status is LpStatus.OPTIMAL:
+            checked += 1
+            assert sol.objective == pytest.approx(scratch.objective, rel=1e-12, abs=1e-12)
+            assert one.objective == pytest.approx(scratch.objective, rel=1e-12, abs=1e-12)
+            np.testing.assert_array_equal(block.lp.A, whole.A)
+            np.testing.assert_array_equal(block.lp.b, whole.b)
+    assert checked >= 100
+
+
+def test_a_block_of_duplicate_rows_changes_nothing():
+    # every row of the program again, some twice and some scaled by a
+    # positive factor (the same half-space), added as one block
+    for seed in range(50):
+        lp = random_boxed_lp(seed)
+        tab = Tableau(lp)
+        first = tab.solve()
+        if first.status is not LpStatus.OPTIMAL:
+            continue
+        scale = np.random.default_rng(seed).uniform(0.5, 2.0, size=len(lp.b))
+        rows = np.vstack([lp.A, lp.A * scale[:, None], lp.A[:2]])
+        rhs = np.concatenate([lp.b, lp.b * scale, lp.b[:2]])
+        sol = tab.add_row(rows, rhs)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(first.objective, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(sol.x, first.x, rtol=0.0, atol=1e-12)
+        assert len(tab.lp.b) == 3 * len(lp.b) + 2
+
+
 def test_added_row_after_phase_one():
     # max x + 2y on x + y = 1, y <= 1 needs phase one; the added row
     # x >= 0.25 is repaired by dual pivots, and the artificial column never
@@ -338,5 +383,11 @@ def test_add_row_needs_a_solved_program():
     tab.solve()
     with pytest.raises(ValueError, match="shape"):
         tab.add_row([1.0, 2.0], 0.5)
+    with pytest.raises(ValueError, match="shape"):  # a block needs one b per row
+        tab.add_row([[1.0], [2.0]], 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        tab.add_row(np.ones((2, 2)), [0.5, 0.5])
+    with pytest.raises(ValueError, match="shape"):
+        tab.add_row(np.ones((1, 1, 1)), [0.5])
     with pytest.raises(ValueError, match="finite"):
         tab.add_row([np.inf], 0.5)
