@@ -33,14 +33,27 @@ with the smallest dual objective m_B'lambda_B, and theta = F_B^{-1} m_B.  A
 nondegenerate optimal dual vertex pins the primal optimum uniquely, so that
 theta is the one the simplex would find.  A fit is certified only if its best
 basis is nondegenerate, every other basis is worse by a clear margin, and the
-envelope check passes.  Every other fit -- a tie, where the optimal face may
-be an edge, non-finite responses, or any fit of a design with more than
-``_MAX_BASES`` bases -- runs the dense simplex (``_envelope_fit``).  On a tie
-the simplex reports the optimal point where it stops, which need not be a
-vertex: it splits each free coefficient into two non-negative columns and
-can stop with both at zero, inside the optimal edge.  ``fit_batch`` owns
-that policy; ``smith_fit`` runs it on a batch of one and ``sim`` on chunks
-of replicates, so both report the same theta.
+envelope check passes.
+
+Otherwise the optimal face may be an edge: a degenerate optimal dual vertex
+(c in the cone of fewer than d rows), or two bases whose objectives tie.
+``_tied_fits`` resolves such a fit in arrays too.  Every optimal vertex is
+the point theta_B of some dual-feasible basis, so the face is spanned by the
+points theta_B whose objective is within the tie margin of the best and that
+pass the envelope check.  When those are one or two distinct points, the fit
+is the point of the face with the smallest |theta_1|: the crossing
+theta_1 = 0 when the edge spans zero, else the end nearer zero.  The rule
+commutes with the mirror x -> -x, which maps theta_j to (-1)^j theta_j.  The
+dense simplex (``_envelope_fit``) remains for every other fit: a face the
+rule cannot order (more than two distinct points, or theta_1 constant along
+the edge), non-finite responses (which it rejects), and any fit of a design
+whose bases are not enumerated (more than ``_MAX_BASES``, or one
+ill-conditioned).  On a tie the simplex reports the optimal point where it
+stops, which need not be a vertex: it splits each free coefficient into two
+non-negative columns and can stop with both at zero, inside the edge.  With
+a true slope that is mostly the rule's point; with none it often is not.
+``fit_batch`` owns that policy; ``smith_fit`` runs it on a batch of one and
+``sim`` on chunks of replicates, so both report the same theta.
 """
 
 from __future__ import annotations
@@ -65,6 +78,9 @@ _TIE_RTOL = 1e-9
 # A design with a basis worse conditioned than this (in the infinity norm)
 # runs the simplex alone.
 _COND_MAX = 1e10
+# Temporaries of a batched fit stay within this many numbers; ``sim`` sizes
+# its chunks of replicates by it too.
+_CHUNK_VALUES = 1 << 20
 
 
 class EstimationError(RuntimeError):
@@ -172,6 +188,41 @@ def _envelope(xs: np.ndarray, degree: int) -> _Envelope:
     return _Envelope(f, which, counts, order, starts, *dual)
 
 
+def _point_minima(env: _Envelope, ys: np.ndarray) -> np.ndarray:
+    """The smallest response at each of the K points, per row of ys (R x K)."""
+    return np.minimum.reduceat(ys[:, env.order], env.starts, axis=1)
+
+
+def _dual_objectives(env: _Envelope, m: np.ndarray) -> np.ndarray:
+    """Every basis's dual objective m_B'lambda_B, which is c'theta_B, per row
+    of point minima m (R x bases)."""
+    obj = m[:, env.bases[:, 0]] * env.lam[:, 0]
+    for j in range(1, env.f.shape[1]):
+        obj += m[:, env.bases[:, j]] * env.lam[:, j]
+    return obj
+
+
+def _basis_points(
+    env: _Envelope, m: np.ndarray, rows: np.ndarray, bases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """theta_B = F_B^{-1} m_B of basis ``bases[i]`` at minima ``m[rows[i]]``,
+    and its fitted values at the K points.
+
+    Both are accumulated over the d columns elementwise, so each point is the
+    same whatever else is computed with it.
+    """
+    d = env.f.shape[1]
+    mb = m[rows[:, None], env.bases[bases]]
+    inv = env.inv[bases]
+    theta = inv[:, :, 0] * mb[:, :1]
+    for j in range(1, d):
+        theta += inv[:, :, j] * mb[:, j : j + 1]
+    fitted = theta[:, :1] * env.f[:, 0]
+    for j in range(1, d):
+        fitted += theta[:, j : j + 1] * env.f[:, j]
+    return theta, fitted
+
+
 def _certified_fits(env: _Envelope, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Envelope fits of the rows of ys (R x n) from the dual vertices.
 
@@ -187,24 +238,15 @@ def _certified_fits(env: _Envelope, ys: np.ndarray) -> tuple[np.ndarray, np.ndar
     if env.bases is None:
         return np.zeros((r, d)), np.zeros(r, dtype=bool)
     finite = np.isfinite(ys).all(axis=1)
-    m = np.minimum.reduceat(ys[:, env.order], env.starts, axis=1)
+    m = _point_minima(env, ys)
     m[~finite] = 0.0
-    obj = m[:, env.bases[:, 0]] * env.lam[:, 0]
-    for j in range(1, d):
-        obj += m[:, env.bases[:, j]] * env.lam[:, j]
+    obj = _dual_objectives(env, m)
     rows = np.arange(r)
     best = obj.argmin(axis=1)
     low = obj[rows, best]
     obj[rows, best] = np.inf
     gap = obj.min(axis=1) - low
-    mb = m[rows[:, None], env.bases[best]]
-    inv = env.inv[best]
-    theta = inv[:, :, 0] * mb[:, :1]
-    for j in range(1, d):
-        theta += inv[:, :, j] * mb[:, j : j + 1]
-    fitted = theta[:, :1] * env.f[:, 0]
-    for j in range(1, d):
-        fitted += theta[:, j : j + 1] * env.f[:, j]
+    theta, fitted = _basis_points(env, m, rows, best)
     certified = (
         finite
         & ~env.degenerate[best]
@@ -212,6 +254,66 @@ def _certified_fits(env: _Envelope, ys: np.ndarray) -> tuple[np.ndarray, np.ndar
         & ((m - fitted).min(axis=1) >= -ENVELOPE_TOL)
     )
     return theta, certified
+
+
+def _tied_fits(env: _Envelope, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope fits of the finite rows of ys (R x n) whose optimal face is
+    one point or an edge, from the dual vertices.
+
+    A row's optimal face is spanned by the basis points theta_B whose dual
+    objective is within the tie margin of the best and that pass the
+    envelope check.  Its ends a and b are the points with the smallest and
+    the largest theta_1; every other point must coincide with one of them
+    (fitted values within _TIE_RTOL * max_k |m_k|).  The fit is the point of
+    the face with the smallest |theta_1|: the crossing theta_1 = 0 when the
+    face spans zero, else the end nearer zero.  Returns theta (R x d) and a
+    mask of the rows resolved; a face with more than two distinct points,
+    or an edge along which theta_1 is constant, is not, and those rows of
+    theta are meaningless.  Rows go in blocks whose temporaries stay within
+    _CHUNK_VALUES numbers, and every step is elementwise per row, so a
+    row's theta does not depend on the batch.
+    """
+    r, (k, d) = ys.shape[0], env.f.shape
+    theta = np.zeros((r, d))
+    resolved = np.zeros(r, dtype=bool)
+    block = max(1, _CHUNK_VALUES // (env.bases.shape[0] * max(k, d * d)))
+    for lo in range(0, r, block):
+        m = _point_minima(env, ys[lo : lo + block])
+        obj = _dual_objectives(env, m)
+        scale = np.abs(m).max(axis=1)
+        margin = _TIE_RTOL * ys.shape[1] * scale
+        rows, bases = np.nonzero(obj <= (obj.min(axis=1) + margin)[:, None])
+        points, fitted = _basis_points(env, m, rows, bases)
+        keep = (m[rows] - fitted).min(axis=1) >= -ENVELOPE_TOL
+        if not keep.any():
+            continue
+        # each row's points in order of theta_1; ties keep the basis order
+        order = np.lexsort((points[keep, 1], rows[keep]))
+        rows, points, fitted = rows[keep][order], points[keep][order], fitted[keep][order]
+        new = np.concatenate(([True], rows[1:] != rows[:-1]))
+        first = np.flatnonzero(new)
+        last = np.append(first[1:], rows.size) - 1
+        owner = np.cumsum(new) - 1
+        tol = _TIE_RTOL * scale[rows]
+        near_a = np.abs(fitted - fitted[first[owner]]).max(axis=1) <= tol
+        near_b = np.abs(fitted - fitted[last[owner]]).max(axis=1) <= tol
+        a, b = points[first], points[last]
+        a1, b1 = a[:, 1], b[:, 1]
+        # two distinct points at most, and theta_1 moves along an edge
+        size = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
+        ok = np.logical_and.reduceat(near_a | near_b, first) & (
+            near_a[last] | (b1 - a1 > _TIE_RTOL * size)
+        )
+        fit = np.where((a1 >= 0.0)[:, None], a, b)
+        cross = (a1 < 0.0) & (b1 > 0.0)
+        fit[cross] = (b1[cross, None] * a[cross] - a1[cross, None] * b[cross]) / (
+            b1[cross] - a1[cross]
+        )[:, None]
+        fit[cross, 1] = 0.0
+        done = lo + rows[first[ok]]
+        theta[done] = fit[ok]
+        resolved[done] = True
+    return theta, resolved
 
 
 def _envelope_fit(env: _Envelope, y: np.ndarray) -> np.ndarray:
@@ -249,14 +351,20 @@ def fit_batch(
     env: _Envelope, ys: np.ndarray
 ) -> tuple[np.ndarray, dict[int, EstimationError]]:
     """Envelope fits of the rows of ys (R x n): the kernel for the batch,
-    then the simplex for each row it does not certify.
+    the tie rule for the finite rows it does not certify, then the simplex
+    for each row neither resolves.
 
     Returns theta (R x d) and, by row index, the error of each row whose
     simplex fit failed; those rows of theta are meaningless.
     """
-    theta, certified = _certified_fits(env, ys)
+    theta, done = _certified_fits(env, ys)
+    if env.bases is not None and not done.all():
+        tied = np.flatnonzero(~done & np.isfinite(ys).all(axis=1))
+        fits, resolved = _tied_fits(env, ys[tied])
+        theta[tied[resolved]] = fits[resolved]
+        done[tied[resolved]] = True
     errors: dict[int, EstimationError] = {}
-    for i in np.flatnonzero(~certified).tolist():
+    for i in np.flatnonzero(~done).tolist():
         try:
             theta[i] = _envelope_fit(env, ys[i])
         except EstimationError as exc:

@@ -2,16 +2,16 @@
 simplex repair after a row is added.
 
 Deliberately self-contained and deterministic: the design solver's cut
-LPs and the envelope estimator's tied fits both need bit-for-bit
+LPs and the envelope estimator's fallback fits both need bit-for-bit
 reproducible optima, which rules out threaded or heuristically-perturbed
 backends.  A reported optimum is a basic solution of the split standard
 form below, not always a vertex of the original program: with both
 columns of a free variable nonbasic it can sit inside an optimal edge.
-The envelope estimator fits most replicates from its LP's dual vertices
-(``estimator._certified_fits``) and calls this solver only for replicates
-whose optimal face may be more than a vertex and for designs with too many
-bases to enumerate.  Scale target is a few hundred variables and a couple
-thousand rows, dense.
+The envelope estimator fits replicates from its LP's dual vertices, tied
+ones included (``estimator._certified_fits`` and ``_tied_fits``), and calls
+this solver only for an optimal face its tie rule cannot order and for
+designs with too many bases to enumerate.
+Scale target is a few hundred variables and a couple thousand rows, dense.
 
 Standard-form handling: free variables are split into positive and negative
 parts, rows are normalised to non-negative right-hand sides, and ``<=`` /

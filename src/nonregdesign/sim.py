@@ -6,13 +6,15 @@ regression model, the replicate count, and a seed.  Replicate ``r`` draws
 its errors from an independent substream derived from ``(seed, r)``, so
 results are bit-for-bit reproducible regardless of execution order.  The
 design's envelope program -- its distinct rows, identifiability and dual
-vertices -- is derived once per plan.  Replicates are drawn in order, a chunk
-at a time, and each chunk is fitted at once by ``estimator.fit_batch``: a
-replicate its kernel does not certify (a tie on the optimal face, or
-non-finite responses) runs the dense simplex on the same draw.  So a replicate
-costs one error draw plus its share of a batched fit.  Risk is the vector of
-componentwise mean squared errors of the fitted coefficients; the total risk
-is their sum.
+vertices -- is derived once per plan.  Replicates are drawn in order, a
+chunk at a time, and each chunk is fitted at once by
+``estimator.fit_batch``, tied replicates included: a tie on an optimal edge
+takes the edge's point of smallest |theta_1|.  Only a replicate whose optimal
+face the tie rule cannot order, or any replicate of a design with too many
+bases to enumerate, runs the dense simplex, on the same draw; one with
+non-finite responses fails.  So a replicate costs one error draw plus its
+share of a batched fit.  Risk is the vector of componentwise mean squared
+errors of the fitted coefficients; the total risk is their sum.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Design
-from .estimator import _envelope, fit_batch
+from .estimator import _CHUNK_VALUES, _envelope, fit_batch
 from .models import RegressionModel
 
 # Replicates drawn and fitted together; fewer when n is large, so that a
 # chunk's responses stay within _CHUNK_VALUES numbers.
 _CHUNK = 256
-_CHUNK_VALUES = 1 << 20
 
 
 class SimulationError(RuntimeError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lp_oracle import enumerate_vertices
+from nonregdesign import estimator
 from nonregdesign.design import Design, uniform_design
 from nonregdesign.estimator import (
     Dataset,
@@ -13,6 +14,7 @@ from nonregdesign.estimator import (
     _certified_fits,
     _envelope,
     _envelope_fit,
+    _tied_fits,
     fit_batch,
     load_dataset_csv,
     residuals,
@@ -216,6 +218,12 @@ KERNEL_CASES = [
     pytest.param(uniform_design(2.0, 5), (2.0, 4.0, 0.8), id="quadratic-uniform5"),
     pytest.param(Design([(-1.0, 0.5), (1.0, 0.5)], 1.0), (6.0, 0.5), id="two-point"),
 ]
+# No true slope: the tied fits where the simplex often stopped inside the
+# optimal edge rather than at a vertex.
+NO_SLOPE_CASES = [
+    pytest.param(uniform_design(1.0, 5), (6.0, 0.0), id="linear-uniform5-flat"),
+    pytest.param(uniform_design(2.0, 5), (2.0, 0.0, 0.0), id="quadratic-uniform5-flat"),
+]
 
 
 def replicate_responses(design, theta, reps, n=120, seed=3):
@@ -224,6 +232,29 @@ def replicate_responses(design, theta, reps, n=120, seed=3):
     rng = np.random.default_rng(seed)
     mean = np.vander(xs, len(theta), increasing=True) @ np.asarray(theta)
     return xs, mean + rng.exponential(1.0, (reps, xs.size))
+
+
+def least_slope_optimum(support, minima, c, degree):
+    """By vertex enumeration alone: the optimal face of max c'theta s.t.
+    f(x_k)'theta <= minima_k and its point with the smallest |theta_1|, or
+    None when the face has more than two vertices or theta_1 is constant on
+    it."""
+    vertices = enumerate_vertices(np.vander(support, degree + 1, increasing=True), minima)
+    values = np.array([float(c @ v) for v in vertices])
+    face = []
+    for v in np.array(vertices)[values >= values.max() - 1e-9 * np.abs(values).max()]:
+        if not any(np.allclose(v, u, rtol=1e-9, atol=1e-12) for u in face):
+            face.append(v)
+    if len(face) > 2:
+        return None
+    a, b = min(face, key=lambda v: v[1]), max(face, key=lambda v: v[1])
+    if len(face) == 2 and a[1] == b[1]:
+        return None
+    if a[1] >= 0.0:
+        return a
+    if b[1] <= 0.0:
+        return b
+    return a + a[1] / (a[1] - b[1]) * (b - a)
 
 
 class TestCertifiedFits:
@@ -240,40 +271,110 @@ class TestCertifiedFits:
             )
 
     @pytest.mark.parametrize("design,theta", KERNEL_CASES)
-    def test_smith_fit_is_the_kernel_or_exactly_the_simplex(self, design, theta):
+    def test_smith_fit_is_the_kernel_or_the_tie_rule(self, design, theta, envelope_solves):
         xs, ys = replicate_responses(design, theta, 200)
         degree = len(theta) - 1
         env = _envelope(xs, degree)
         fits, errors = fit_batch(env, ys)
-        assert not errors
+        assert not errors and not envelope_solves
         kernel, certified = _certified_fits(env, ys)
         np.testing.assert_array_equal(fits[certified], kernel[certified])
+        tied, resolved = _tied_fits(env, ys[~certified])
+        assert resolved.all()
+        np.testing.assert_array_equal(fits[~certified], tied)
         for i, y in enumerate(ys):
             if not certified[i]:
-                np.testing.assert_array_equal(fits[i], _envelope_fit(env, y))
+                # on these models the rule lands where the simplex stops
+                want = _envelope_fit(env, y)
+                np.testing.assert_allclose(
+                    fits[i], want, rtol=1e-9, atol=1e-9 * np.abs(want).max()
+                )
             np.testing.assert_array_equal(smith_fit(Dataset(xs, y, degree)), fits[i])
 
-    def test_fit_batch_reports_each_failed_row(self):
+    def test_fit_batch_reports_each_failed_row(self, envelope_solves):
         xs, ys = replicate_responses(uniform_design(2.0, 5), (2.0, 4.0, 0.8), 6)
         ys[[1, 4], 3] = np.nan
         fits, errors = fit_batch(_envelope(xs, 2), ys)
         assert list(errors) == [1, 4]
         assert all(isinstance(e, EstimationError) for e in errors.values())
+        assert all("finite" in str(e) for e in errors.values())
+        assert not envelope_solves  # the finite rows, tied or not, need no simplex
         for i in (0, 2, 3, 5):
             np.testing.assert_array_equal(fits[i], smith_fit(Dataset(xs, ys[i], 2)))
 
-    def test_ties_are_left_to_the_simplex(self):
+    def test_ties_are_not_certified(self):
         # c/24 = 5/3 f(-2) + 10/3 f(1): the degenerate dual vertex is often
         # optimal and the optimal face is then an edge
         xs, ys = replicate_responses(uniform_design(2.0, 5), (2.0, 4.0, 0.8), 200)
         _, certified = _certified_fits(_envelope(xs, 2), ys)
         assert 50 <= (~certified).sum() <= 180
 
+    @pytest.mark.parametrize("design,theta", KERNEL_CASES + NO_SLOPE_CASES)
+    def test_tied_fits_are_the_least_slope_point_of_the_optimal_face(self, design, theta):
+        xs, ys = replicate_responses(design, theta, 60)
+        degree = len(theta) - 1
+        env = _envelope(xs, degree)
+        fits, errors = fit_batch(env, ys)
+        assert not errors
+        support = np.unique(xs)
+        c = np.vander(xs, degree + 1, increasing=True).sum(axis=0)
+        for i in np.flatnonzero(~_certified_fits(env, ys)[1]):
+            minima = np.array([ys[i][xs == x].min() for x in support])
+            want = least_slope_optimum(support, minima, c, degree)
+            assert want is not None
+            assert residuals(Dataset(xs, ys[i], degree), fits[i]).min() >= -1e-8
+            assert float(c @ fits[i]) == pytest.approx(float(c @ want), rel=1e-9)
+            np.testing.assert_allclose(
+                fits[i], want, rtol=1e-9, atol=1e-9 * np.abs(want).max()
+            )
+
+    @pytest.mark.parametrize("design,theta", KERNEL_CASES + NO_SLOPE_CASES)
+    def test_mirrored_covariates_mirror_every_fit(self, design, theta):
+        # x -> -x maps theta_j to (-1)^j theta_j, tied fits included
+        xs, ys = replicate_responses(design, theta, 100)
+        degree = len(theta) - 1
+        fits, _ = fit_batch(_envelope(xs, degree), ys)
+        mirrored, _ = fit_batch(_envelope(-xs[::-1], degree), ys[:, ::-1])
+        sign = (-1.0) ** np.arange(degree + 1)
+        np.testing.assert_allclose(
+            mirrored * sign, fits, rtol=1e-9, atol=1e-9 * np.abs(fits).max()
+        )
+
+    def test_edge_of_constant_slope_runs_the_simplex(self, envelope_solves):
+        # c = 12 (1, 0, 1) = 6 f(-1) + 6 f(1): the optimal edge is
+        # theta1 = 0, theta0 + theta2 = 0, theta0 in [-10/3, 0], so the
+        # smallest |theta1| does not pick a point of it
+        xs = np.array([-2.0, -1, -1, 0, 0, 0, 0, 0, 0, 1, 1, 2])
+        y = np.where(np.abs(xs) == 2.0, 10.0, 0.0)
+        env = _envelope(xs, 2)
+        assert not _certified_fits(env, y[None])[1][0]
+        assert not _tied_fits(env, y[None])[1][0]
+        fits, errors = fit_batch(env, y[None])
+        assert not errors and len(envelope_solves) == 1
+        np.testing.assert_array_equal(fits[0], _envelope_fit(env, y))
+
+    def test_face_of_many_near_tied_points_runs_the_simplex(self, envelope_solves):
+        # points 1e-8 above a line: more than two basis points of uniform7
+        # are optimal within the tie margin but apart by more than its
+        # tolerance, so those rows are left to the simplex
+        xs, ys = replicate_responses(uniform_design(1.0, 7), (0.3, 0.7), 20)
+        ys = 0.3 + 0.7 * xs + 1e-8 * (ys - ys.min())
+        env = _envelope(xs, 1)
+        certified = _certified_fits(env, ys)[1]
+        tied, resolved = _tied_fits(env, ys[~certified])
+        assert (~resolved).sum() >= 5
+        fits, errors = fit_batch(env, ys)
+        assert not errors and len(envelope_solves) == (~resolved).sum()
+        left = np.flatnonzero(~certified)[~resolved]
+        for i in left:
+            np.testing.assert_array_equal(fits[i], _envelope_fit(env, ys[i]))
+
     def test_a_tie_can_stop_inside_the_optimal_edge(self):
-        # The optimal face is theta0 = 0 with slope in [-1, 1].  The simplex
-        # splits the free slope into two non-negative columns and stops with
-        # both at zero: an optimal point of the edge, but not a vertex of it.
-        # A tie rule that moves this fit should update the pin.
+        # The optimal face is theta0 = 0 with slope in [-1, 1].  The tie rule
+        # reports the edge's crossing of theta1 = 0: an optimal point of the
+        # edge, but not a vertex of it.  The simplex stops there too, since
+        # it splits the free slope into two non-negative columns and can
+        # leave both at zero.
         data = Dataset([-1, -1, 0, 0, 1, 1], [1.0, 1.5, 0.0, 0.2, 1.0, 1.3], 1)
         theta = smith_fit(data)
         np.testing.assert_array_equal(theta, [0.0, 0.0])
@@ -338,8 +439,8 @@ class TestCertifiedFits:
             got = float(c @ smith_fit(Dataset(xs, y, degree)))
             assert got == pytest.approx(best, rel=1e-9, abs=1e-9)
 
-    @pytest.mark.parametrize("design,theta", KERNEL_CASES)
-    def test_fit_does_not_depend_on_the_batch(self, design, theta):
+    @pytest.mark.parametrize("design,theta", KERNEL_CASES + NO_SLOPE_CASES)
+    def test_fit_does_not_depend_on_the_batch(self, design, theta, monkeypatch):
         xs, ys = replicate_responses(design, theta, 300)
         env = _envelope(xs, len(theta) - 1)
         whole, cert_whole = _certified_fits(env, ys)
@@ -353,6 +454,16 @@ class TestCertifiedFits:
             assert cert[0] == cert_whole[i]
             if cert[0]:
                 np.testing.assert_array_equal(alone[0], whole[i])
+        # every row of fit_batch, tied ones included, and tied rows resolved
+        # one at a time
+        fits, _ = fit_batch(env, ys)
+        np.testing.assert_array_equal(
+            np.concatenate([fit_batch(env, ys[:256])[0], fit_batch(env, ys[256:])[0]]), fits
+        )
+        for i in range(0, 300, 7):
+            np.testing.assert_array_equal(fit_batch(env, ys[i : i + 1])[0][0], fits[i])
+        monkeypatch.setattr(estimator, "_CHUNK_VALUES", 1)
+        np.testing.assert_array_equal(fit_batch(env, ys)[0], fits)
 
     @pytest.mark.parametrize("design,theta", KERNEL_CASES)
     def test_unsorted_covariates_give_the_same_fit(self, design, theta):

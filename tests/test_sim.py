@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonregdesign import estimator
 from nonregdesign.design import Design, uniform_design
 from nonregdesign.estimator import Dataset, _envelope, _envelope_fit, smith_fit
 from nonregdesign.models import ErrorFamily, ErrorModel, RegressionModel
@@ -20,6 +19,8 @@ from nonregdesign.sim import (
 GAMMA1 = ErrorModel(ErrorFamily.GAMMA, beta=1.0, sigma=1.0)
 LINEAR_MODEL = RegressionModel(degree=1, A=1.0, theta=(6.0, 0.5), error=GAMMA1)
 TWO_POINT = Design(A=1.0, points=((-1.0, 0.5), (1.0, 0.5)))
+# the best three-point centre weight at A = 2, alpha = 1
+PI_A2 = 0.648373
 # at n = 20 rounding leaves the centre without observations: counts (10, 0, 10)
 EMPTY_CENTRE = Design(A=1.0, points=((-1.0, 0.49), (0.0, 0.02), (1.0, 0.49)))
 
@@ -93,20 +94,6 @@ def dataset_risk(plan):
         diff = smith_fit(Dataset(xs, y, plan.model.degree)) - theta
         sq.append(diff * diff)
     return np.array(sq).mean(axis=0)
-
-
-@pytest.fixture
-def envelope_solves(monkeypatch):
-    """The envelope LPs handed to the simplex while the test runs."""
-    solves = []
-    solve = estimator.solve_lp
-
-    def counting(lp):
-        solves.append(lp)
-        return solve(lp)
-
-    monkeypatch.setattr(estimator, "solve_lp", counting)
-    return solves
 
 
 def simplex_risk(plan):
@@ -248,6 +235,8 @@ class TestMcRisk:
         est = mc_risk(plan)
         assert est.failures == 0
         np.testing.assert_array_equal(est.per_component_mse, dataset_risk(plan))
+        # tied replicates take the tie rule, which lands where the simplex stops
+        np.testing.assert_allclose(est.per_component_mse, simplex_risk(plan), rtol=1e-9)
 
     @pytest.mark.parametrize("design", [TWO_POINT, EMPTY_CENTRE], ids=["two-point", "empty-centre"])
     def test_non_identifying_design_fails_before_any_draw(self, design, monkeypatch):
@@ -279,19 +268,48 @@ class TestMcRisk:
         theta = (6.0, 0.5) if degree == 1 else (2.0, 4.0, 0.8)
         model = RegressionModel(degree=degree, A=a, theta=theta, error=GAMMA1)
         plan = SimPlan(design=design, n=60, model=model, replicates=300, seed=4)
-        np.testing.assert_array_equal(mc_risk(plan).per_component_mse, dataset_risk(plan))
+        mse = mc_risk(plan).per_component_mse
+        np.testing.assert_array_equal(mse, dataset_risk(plan))
+        np.testing.assert_allclose(mse, simplex_risk(plan), rtol=1e-9)
 
     def test_tied_replicates_are_drawn_once(self, envelope_solves):
-        # quadratic uniform5 ties on most replicates; each goes to the simplex
-        # with the errors already drawn
+        # quadratic uniform5 ties on most replicates; the tie rule fits each
+        # within its chunk, with no simplex solve and no second draw
         error = CountingError()
         model = RegressionModel(degree=2, A=2.0, theta=(2.0, 4.0, 0.8), error=error)
         plan = SimPlan(design=uniform_design(2.0, 5), n=120, model=model,
                        replicates=300, seed=7)
         est = mc_risk(plan)
         assert error.calls == 300
-        assert 50 <= len(envelope_solves) < 300
+        assert not envelope_solves
         np.testing.assert_allclose(est.per_component_mse, simplex_risk(plan), rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "degree, a, design, want",
+        [
+            (1, 1.0, TWO_POINT, None),
+            (2, 2.0, Design([(-2.0, (1 - PI_A2) / 2), (0.0, PI_A2), (2.0, (1 - PI_A2) / 2)], 2.0),
+             11.0735),
+        ],
+        ids=["linear-two-point", "quadratic-three-point"],
+    )
+    def test_d_point_risk_matches_its_closed_form(self, degree, a, design, want):
+        # With d = degree + 1 support points the fit interpolates the point
+        # minima, so theta_hat - theta = F^-1 m.  At beta = 1 each m_k is
+        # Exp(n_k): E m_k^2 = 2 / n_k^2 and E m_k m_l = 1 / (n_k n_l).
+        n = 120
+        counts = realize_design(design, n)
+        g = np.linalg.inv(np.vander(design.xs, degree + 1, increasing=True))
+        moments = np.outer(1.0 / counts, 1.0 / counts) + np.diag(1.0 / counts**2)
+        exact = np.diag(g @ moments @ g.T)
+        if want is not None:
+            assert n * n * exact.sum() == pytest.approx(want, abs=1e-4)
+        theta = (6.0, 0.5) if degree == 1 else (2.0, 4.0, 0.8)
+        model = RegressionModel(degree=degree, A=a, theta=theta, error=GAMMA1)
+        est = mc_risk(SimPlan(design=design, n=n, model=model, replicates=4000, seed=17))
+        assert abs(est.total_risk - exact.sum()) <= 4.0 * est.mc_standard_error
+        for got, se, ref in zip(est.per_component_mse, est.per_component_se, exact):
+            assert abs(got - ref) <= 4.0 * se
 
     def test_design_above_the_basis_cap_runs_the_simplex(self, envelope_solves):
         # C(60, 3) bases: no dual vertices are enumerated
