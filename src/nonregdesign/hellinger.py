@@ -12,21 +12,15 @@ with regularity index ``alpha`` in ``(0, 2]``.  ``J(theta; u)`` is the
 Hellinger information in direction ``u``; regular models have ``alpha = 2``
 and ``J = u' I(theta) u / 4`` with ``I`` the Fisher information.
 
-This module computes ``h`` (closed forms for uniform families, nested
-double-exponential rules on arrays for the one-sided location families,
-SciPy's adaptive quadrature for generic densities), recovers ``(alpha, J)``
-from a ladder of shrinking ``eps`` via a log-log least-squares fit refined
-by a damped Gauss-Newton, and evaluates the closed-form information of the
-one-sided location families: ``J = c * (1 + beta*r(beta))`` where ``c`` is
-the small-y constant of the error density and ``r`` a one-dimensional
-integral with a closed form in the Gamma function (:func:`r_beta`).
-
-SciPy is imported on first use, not with this module, and only where no
-elementary form exists: ``scipy.integrate`` by :func:`hellinger_sq_numeric`,
-and ``scipy.special`` by the gamma error's CDF at ``beta != 1`` in
-:mod:`nonregdesign.models`.  The closed forms, :func:`location_info` and
-the ladder fit need none of it, nor does the location-family ``h`` of
-Weibull errors or of any ``beta = 1`` (exponential) member.
+This module computes ``h`` (closed forms for uniform families; otherwise
+one engine of nested double-exponential rules, run on arrays for the
+one-sided location families and node by node for generic densities),
+recovers ``(alpha, J)`` from a ladder of shrinking ``eps`` via a log-log
+least-squares fit refined by a damped Gauss-Newton, and evaluates the
+closed-form information of the one-sided location families:
+``J = c * (1 + beta*r(beta))`` where ``c`` is the small-y constant of the
+error density and ``r`` a one-dimensional integral with a closed form in
+the Gamma function (:func:`r_beta`).  Nothing here needs SciPy.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,12 +39,17 @@ from .models import ErrorModel, UniformModel, UniformVariant, uniform_support
 # exceeds max(_LOCATION_ATOL, _LOCATION_RTOL * h)
 _LOCATION_ATOL = 1e-12
 _LOCATION_RTOL = 1e-6
-# Its overlap panels use nested double-exponential rules of step 2**-level on
-# |t| <= _DE_T_MAX.  Each panel starts at _DE_FIRST_LEVEL and is accepted once
-# two consecutive levels agree to _DE_PANEL_RTOL; no agreement by
-# _DE_MAX_LEVEL raises QuadratureError.
+# Both quadratures of h use nested double-exponential rules of step
+# 2**-level on |t| <= _DE_T_MAX (see _de_panels).  location_hellinger_sq,
+# which takes one NumPy pass per level, starts at _DE_FIRST_LEVEL;
+# hellinger_sq_numeric, which calls the pdfs once per node, starts at
+# _DE_NUMERIC_FIRST_LEVEL.  A panel is accepted once two consecutive levels
+# agree to _DE_PANEL_RTOL of its own value (location_hellinger_sq) or of the
+# whole integral (hellinger_sq_numeric); no agreement by _DE_MAX_LEVEL
+# raises QuadratureError.
 _DE_T_MAX = 4.0
 _DE_FIRST_LEVEL = 4
+_DE_NUMERIC_FIRST_LEVEL = 2
 _DE_MAX_LEVEL = 8
 _DE_PANEL_RTOL = 1e-11
 # ladder fits with a larger max log-residual drop their two largest rungs
@@ -140,10 +138,20 @@ class DensitySpec:
     """A density for quadrature: pdf, support, and known kink locations.
 
     :func:`hellinger_sq_numeric` calls ``pdf`` with one Python ``float`` at
-    a time, up to about 2,000 times per ``h``, and only inside ``support``.  A
-    ``pdf`` that computes on ``math`` and returns a ``float`` is the fast
-    path; :meth:`nonregdesign.models.ErrorModel.density` does so for
-    Python numbers.
+    a time, only strictly inside ``support``: about 300 to 1,600 times per
+    ``h`` for the shifted gamma and Weibull densities, up to about 2,000
+    for smooth two-sided ones.  A ``pdf`` that computes on ``math`` and
+    returns a ``float`` is the fast path;
+    :meth:`nonregdesign.models.ErrorModel.density` does so for Python
+    numbers.
+
+    ``pdf`` may be infinite at a support endpoint, as it is never called
+    there.  An integrable singularity is resolved in full at an endpoint
+    ``0``.  At any other endpoint ``a`` the nodes next to it are only known
+    to the roundoff of ``a``: a singularity like ``(y - a)**-0.5`` then
+    loses about ``sqrt(1e-16 * |a|)`` of its mass, and
+    :func:`hellinger_sq_numeric` raises :class:`QuadratureError` rather
+    than return that value.
     """
 
     pdf: Callable[[float], float]
@@ -171,14 +179,85 @@ class EpsilonLadder:
         return self.eps0 * self.ratio ** np.arange(self.count)
 
 
-def _quad(f, a, b):
-    """One QUADPACK panel to 1e-15 absolute or 1e-10 relative; (value, error)."""
-    from scipy import integrate
+@functools.lru_cache(maxsize=None)
+def _de_rule(level: int, odd_only: bool) -> tuple[np.ndarray, ...]:
+    """Nodes and weights of the double-exponential rules at step 2**-level.
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-10, limit=200)
-    return val, err
+    The abscissae are ``t = k * 2**-level`` with ``|t| <= _DE_T_MAX`` (odd
+    ``k`` only when ``odd_only``: the nodes a level adds to the one below)
+    and ``s = (pi/2) sinh t``.  Returns, per node, the tanh-sinh position
+    ``1 / (1 + exp(-2s))`` in the unit panel and its weight, then the
+    exp-sinh offset ``exp(s)`` and its weight.  The position is the node's
+    distance from the left end, so it stays relative-accurate next to it.
+    """
+    n = int(_DE_T_MAX * 2**level)
+    k = np.arange(-n, n + 1)
+    if odd_only:
+        k = k[k % 2 != 0]
+    t = k / 2.0**level
+    s = 0.5 * math.pi * np.sinh(t)
+    ds = 0.5 * math.pi * np.cosh(t)
+    es_x = np.exp(s)
+    rule = (1.0 / (1.0 + np.exp(-2.0 * s)), ds / (2.0 * np.cosh(s) ** 2), es_x, ds * es_x)
+    for arr in rule:
+        arr.flags.writeable = False  # shared by every call through the cache
+    return rule
+
+
+def _de_panels(
+    integrand: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    width: np.ndarray,
+    tail: np.ndarray,
+    first_level: int,
+    pooled_floor: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of the panels of a non-negative integrand.
+
+    Panel ``i`` is ``[lo[i], lo[i] + width[i]]`` (tanh-sinh) or, where
+    ``tail[i]``, the half-line from ``lo[i]`` (exp-sinh on the offset
+    ``width[i] * exp(s)``; a negative width mirrors it onto
+    ``(-inf, lo[i]]``).  ``integrand`` maps a 2-D array of abscissae, one
+    row per panel, to values of the same shape.  Every panel refines from
+    ``first_level`` and is accepted once two consecutive levels agree to
+    ``_DE_PANEL_RTOL`` of its own value or, given ``pooled_floor``, of the
+    larger of ``pooled_floor`` and the sum over all panels; the finer value
+    is kept and the difference is its error estimate.  Raises
+    :class:`QuadratureError` when a panel is still unsettled at
+    ``_DE_MAX_LEVEL``.
+    """
+    span = np.abs(width)
+
+    def level_sums(rows: np.ndarray, level: int, odd_only: bool) -> np.ndarray:
+        ts_u, ts_w, es_x, es_w = _de_rule(level, odd_only)
+        on_tail = tail[rows, None]
+        x = np.where(on_tail, es_x, ts_u)
+        w = np.where(on_tail, es_w, ts_w)
+        f = integrand(lo[rows, None] + width[rows, None] * x)
+        return (w * f).sum(axis=1) * (span[rows] / 2.0**level)
+
+    vals = np.zeros(lo.size)
+    errs = np.zeros(lo.size)
+    active = np.arange(lo.size)
+    level = first_level
+    coarse = level_sums(active, level, False)
+    while active.size:
+        if level >= _DE_MAX_LEVEL:
+            raise QuadratureError(
+                f"{active.size} quadrature panel(s) unsettled at level {level}"
+            )
+        level += 1
+        fine = 0.5 * coarse + level_sums(active, level, True)
+        diff = np.abs(fine - coarse)
+        if pooled_floor is None:
+            done = diff <= _DE_PANEL_RTOL * np.abs(fine)
+        else:
+            done = diff <= _DE_PANEL_RTOL * max(pooled_floor, vals.sum() + fine.sum())
+        vals[active[done]] = fine[done]
+        errs[active[done]] = diff[done]
+        active = active[~done]
+        coarse = fine[~done]
+    return vals, errs
 
 
 def hellinger_sq_numeric(
@@ -191,56 +270,59 @@ def hellinger_sq_numeric(
 
     Integrates the non-negative integrand ``(sqrt(p) - sqrt(q))**2`` over the
     union of supports, splitting at every support endpoint and declared
-    breakpoint so the integrand is smooth on each panel.  Raises
-    :class:`QuadratureError` when the accumulated error estimate exceeds
-    ``max(atol, rtol * value)``.
+    breakpoint so the integrand is smooth on each panel.  Finite panels take
+    tanh-sinh rules and an infinite side takes an exp-sinh tail from one
+    unit past its outermost knot; each panel settles to ``_DE_PANEL_RTOL``
+    of ``max(h, atol)`` (see ``_de_panels``).  Raises
+    :class:`QuadratureError` when a panel does not settle or the summed
+    error estimate exceeds ``max(atol, rtol * h)``.
+
+    The integrand is formed directly, so it cancels where ``p`` and ``q``
+    are close: where they differ by a relative ``d``, it carries a relative
+    roundoff of about ``1e-16 / d``.
     """
     lo = min(p.support[0], q.support[0])
     hi = max(p.support[1], q.support[1])
     if not lo < hi:
         raise ValueError("degenerate union of supports")
 
-    cuts = set()
-    for spec in (p, q):
-        for t in (*spec.support, *spec.breakpoints):
-            if math.isfinite(t) and lo < t < hi:
-                cuts.add(float(t))
-    knots: list[float] = sorted(cuts)
-    if math.isfinite(lo):
-        knots = [lo] + knots
-    else:
-        anchor = knots[0] if knots else 0.0
-        knots = [anchor - 1.0] + knots  # one finite anchor; tail handled below
-    if math.isfinite(hi):
-        knots = knots + [hi]
-    else:
-        knots = knots + [knots[-1] + 1.0]
+    cuts = {
+        float(t)
+        for spec in (p, q)
+        for t in (*spec.support, *spec.breakpoints)
+        if math.isfinite(t) and lo < t < hi
+    }
+    knots = sorted(cuts)
+    # an infinite side gets one finite anchor a unit past its outermost cut
+    knots.insert(0, lo if math.isfinite(lo) else (knots[0] if knots else 0.0) - 1.0)
+    knots.append(hi if math.isfinite(hi) else knots[-1] + 1.0)
+    panels = [(a, b - a, False) for a, b in zip(knots[:-1], knots[1:])]
+    if not math.isfinite(lo):
+        panels.insert(0, (knots[0], -1.0, True))
+    if not math.isfinite(hi):
+        panels.append((knots[-1], 1.0, True))
+    starts, widths, tail = (np.array(col) for col in zip(*panels))
 
-    # QUADPACK calls the integrand up to about 2,000 times per h: bind once
+    # the rules call the pdfs node by node, hundreds of times per h: bind once
     p_pdf, (p_lo, p_hi) = p.pdf, p.support
     q_pdf, (q_lo, q_hi) = q.pdf, q.support
     sqrt = math.sqrt
 
-    def integrand(y: float) -> float:
-        fp = max(p_pdf(y), 0.0) if p_lo <= y <= p_hi else 0.0
-        fq = max(q_pdf(y), 0.0) if q_lo <= y <= q_hi else 0.0
+    def point(y: float) -> float:
+        # a node that rounds onto a support endpoint is skipped: the pdf may
+        # be singular there, and such nodes lie within half an ulp of it
+        fp = max(p_pdf(y), 0.0) if p_lo < y < p_hi else 0.0
+        fq = max(q_pdf(y), 0.0) if q_lo < y < q_hi else 0.0
         return (sqrt(fp) - sqrt(fq)) ** 2
 
-    total = 0.0
-    total_err = 0.0
-    if not math.isfinite(lo):
-        v, e = _quad(integrand, -np.inf, knots[0])
-        total += v
-        total_err += e
-    for a, b in zip(knots[:-1], knots[1:]):
-        v, e = _quad(integrand, a, b)
-        total += v
-        total_err += e
-    if not math.isfinite(hi):
-        v, e = _quad(integrand, knots[-1], np.inf)
-        total += v
-        total_err += e
+    def integrand(y: np.ndarray) -> np.ndarray:
+        return np.array([point(v) for v in y.ravel().tolist()]).reshape(y.shape)
 
+    # panels settle against h, not their own values: where p and q nearly
+    # cancel, a panel's roundoff can exceed _DE_PANEL_RTOL of its value
+    vals, errs = _de_panels(integrand, starts, widths, tail, _DE_NUMERIC_FIRST_LEVEL, atol)
+    total = sum(vals.tolist())
+    total_err = float(errs.sum())
     if total_err > max(atol, rtol * abs(total)):
         raise QuadratureError(
             f"quadrature error estimate {total_err:.3e} exceeds tolerance "
@@ -317,31 +399,6 @@ def uniform_info(model: UniformModel, direction=None) -> InfoResult:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _de_rule(level: int, odd_only: bool) -> tuple[np.ndarray, ...]:
-    """Nodes and weights of the double-exponential rules at step 2**-level.
-
-    The abscissae are ``t = k * 2**-level`` with ``|t| <= _DE_T_MAX`` (odd
-    ``k`` only when ``odd_only``: the nodes a level adds to the one below)
-    and ``s = (pi/2) sinh t``.  Returns, per node, the tanh-sinh position
-    ``1 / (1 + exp(-2s))`` in the unit panel and its weight, then the
-    exp-sinh offset ``exp(s)`` and its weight.  The position is the node's
-    distance from the left end, so it stays relative-accurate next to it.
-    """
-    n = int(_DE_T_MAX * 2**level)
-    k = np.arange(-n, n + 1)
-    if odd_only:
-        k = k[k % 2 != 0]
-    t = k / 2.0**level
-    s = 0.5 * math.pi * np.sinh(t)
-    ds = 0.5 * math.pi * np.cosh(t)
-    es_x = np.exp(s)
-    rule = (1.0 / (1.0 + np.exp(-2.0 * s)), ds / (2.0 * np.cosh(s) ** 2), es_x, ds * es_x)
-    for arr in rule:
-        arr.flags.writeable = False  # shared by every call through the cache
-    return rule
-
-
 def _overlap_integrand(model: ErrorModel, z: np.ndarray, e: float) -> np.ndarray:
     """``(sqrt(p0(z + e)) - sqrt(p0(z)))**2`` at ``z > 0``, vectorised.
 
@@ -361,51 +418,22 @@ def _overlap_integrand(model: ErrorModel, z: np.ndarray, e: float) -> np.ndarray
 def _overlap_panels(model: ErrorModel, e: float) -> tuple[np.ndarray, np.ndarray]:
     """Values and error estimates of the overlap integral's panels.
 
-    The panels are ``[0, e]``, geometric decades out to the first knot at
-    or above ``10 sigma`` (tanh-sinh), and the tail past it (exp-sinh on
-    the offset ``sigma * exp(s)``).  Each panel refines from
-    ``_DE_FIRST_LEVEL`` until two consecutive levels agree to
-    ``_DE_PANEL_RTOL``; the finer value is kept and the difference is its
-    error estimate.  Raises :class:`QuadratureError` when a panel is still
-    unsettled at ``_DE_MAX_LEVEL``.
+    The panels are ``[0, e]`` and geometric decades out to the first knot
+    at or above ``10 sigma`` (tanh-sinh), and the tail past it (exp-sinh on
+    the offset ``sigma * exp(s)``), all refined by ``_de_panels``.
     """
-    scale = model.sigma
     knots = [0.0, e]
-    while knots[-1] < 10.0 * scale:
+    while knots[-1] < 10.0 * model.sigma:
         knots.append(knots[-1] * 10.0)
     lo = np.array(knots)
-    width = np.append(np.diff(lo), scale)
+    width = np.append(np.diff(lo), model.sigma)
     tail = np.arange(lo.size) == lo.size - 1
-
-    def level_sums(rows: np.ndarray, level: int, odd_only: bool) -> np.ndarray:
-        ts_u, ts_w, es_x, es_w = _de_rule(level, odd_only)
-        on_tail = tail[rows, None]
-        x = np.where(on_tail, es_x, ts_u)
-        w = np.where(on_tail, es_w, ts_w)
-        z = lo[rows, None] + width[rows, None] * x
-        f = _overlap_integrand(model, z, e)
-        return (w * f).sum(axis=1) * (width[rows] / 2.0**level)
-
-    vals = np.empty(lo.size)
-    errs = np.empty(lo.size)
-    active = np.arange(lo.size)
-    level = _DE_FIRST_LEVEL
-    coarse = level_sums(active, level, False)
-    while active.size:
-        if level >= _DE_MAX_LEVEL:
-            raise QuadratureError(
-                f"{active.size} overlap panel(s) unsettled at level {level} "
-                f"for eps = {e:.6e}"
-            )
-        level += 1
-        fine = 0.5 * coarse + level_sums(active, level, True)
-        diff = np.abs(fine - coarse)
-        done = diff <= _DE_PANEL_RTOL * np.abs(fine)
-        vals[active[done]] = fine[done]
-        errs[active[done]] = diff[done]
-        active = active[~done]
-        coarse = fine[~done]
-    return vals, errs
+    try:
+        return _de_panels(
+            lambda z: _overlap_integrand(model, z, e), lo, width, tail, _DE_FIRST_LEVEL
+        )
+    except QuadratureError as err:
+        raise QuadratureError(f"{err} for eps = {e:.6e}") from None
 
 
 def location_hellinger_sq(model: ErrorModel, eps: float) -> float:

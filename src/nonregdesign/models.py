@@ -26,6 +26,43 @@ import numpy as np
 # overflowing without changing any value.
 _Z_CAP = 1e154
 _EXPM1_CAP = 700.0  # expm1 overflows just above 709.78
+_EPS = 2.0**-53  # stopping rule of the incomplete gamma series and fraction
+_TINY = 1e-300  # modified Lentz: stands in for a vanishing denominator
+
+
+def _gamma_p(a: float, z: float) -> float:
+    """The regularised incomplete gamma ratio ``P(a, z)``, ``a > 0``, finite ``z >= 0``.
+
+    Below ``z = a + 1`` it sums the series of DLMF 8.7.1,
+    ``P = z**a exp(-z) / Gamma(a + 1) * sum_k z**k / ((a + 1) ... (a + k))``,
+    whose terms are all positive.  From there on it evaluates the Legendre
+    continued fraction of DLMF 8.9.2 for ``Q = 1 - P`` by the modified
+    Lentz method.  There ``P > 1/2``, as the median of a gamma law lies
+    below its mean ``a``, so ``1 - Q`` keeps full relative accuracy.
+    """
+    if z < a + 1.0:
+        term = total = 1.0
+        k = a
+        while term > _EPS * total:
+            k += 1.0
+            term *= z / k
+            total += term
+        return z**a * math.exp(-z) / math.gamma(a + 1.0) * total
+    b = z + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    frac = d
+    step = i = 0.0
+    while abs(step - 1.0) > _EPS:
+        i += 1.0
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) > _TINY else _TINY
+        step = d * c
+        frac *= step
+    return 1.0 - math.exp(a * math.log(z) - z - math.lgamma(a)) * frac
 
 
 class ErrorFamily(enum.Enum):
@@ -108,20 +145,32 @@ class ErrorModel:
         return (self.beta / self.sigma) * z ** (self.beta - 1.0) * math.exp(-zb)
 
     def cdf(self, y):
-        """Distribution function, exact (no quadrature); zero for ``y < 0``."""
-        y = np.asarray(y, dtype=float)
-        z = np.clip(y, 0.0, self.sigma * _Z_CAP) / self.sigma
-        if self.beta == 1.0:
-            vals = -np.expm1(-z)
-        elif self.family is ErrorFamily.GAMMA:
-            from scipy import special  # no elementary form at beta != 1
+        """Distribution function, exact (no quadrature); zero for ``y < 0``.
 
-            vals = special.gammainc(self.beta, z)
+        Gamma errors at ``beta != 1`` go through :func:`_gamma_p`, one
+        element at a time, so an array and its elements give the same bits.
+        """
+        if self.family is ErrorFamily.GAMMA and self.beta != 1.0:
+            if isinstance(y, (int, float)):
+                return self._gamma_cdf(float(y))
+            y = np.asarray(y, dtype=float)
+            vals = np.array([self._gamma_cdf(v) for v in y.ravel().tolist()]).reshape(y.shape)
         else:
-            vals = -np.expm1(-(z**self.beta))
+            y = np.asarray(y, dtype=float)
+            z = np.clip(y, 0.0, self.sigma * _Z_CAP) / self.sigma
+            if self.beta == 1.0:
+                vals = -np.expm1(-z)
+            else:
+                vals = -np.expm1(-(z**self.beta))
         if vals.ndim == 0:
             return float(vals)
         return vals
+
+    def _gamma_cdf(self, y: float) -> float:
+        """:meth:`cdf` of gamma errors at one float: NaN stays NaN, ``y`` is clipped."""
+        if math.isnan(y):
+            return math.nan
+        return _gamma_p(self.beta, min(max(y, 0.0), self.sigma * _Z_CAP) / self.sigma)
 
     def log_density_diff(self, z, e: float) -> float | np.ndarray:
         """``log p0(z + e) - log p0(z)`` for ``z > 0``, cancellation-free.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import special
 
 import nonregdesign.hellinger as hellinger_module
 from nonregdesign.hellinger import (
@@ -78,6 +78,16 @@ class TestHellingerNumeric:
             normal_ls_hellinger_closed(t1, t2), abs=1e-10
         )
 
+    def test_mirrored_tails_match_the_exponential_closed_form(self):
+        # exp(y) on (-inf, 0] against exp(y + e) on (-inf, -e]: the mirror
+        # image of the exponential location pair, h = 2 - 2 exp(-e/2)
+        for e in (0.1, 0.02):
+            p = DensitySpec(pdf=math.exp, support=(-math.inf, 0.0))
+            q = DensitySpec(pdf=lambda y: math.exp(y + e), support=(-math.inf, -e))
+            assert hellinger_sq_numeric(p, q) == pytest.approx(
+                2.0 - 2.0 * math.exp(-e / 2.0), rel=1e-10, abs=0.0
+            )
+
     def test_range_clamped(self):
         p = uniform_density(0.0, 1.0)
         q = uniform_density(5.0, 6.0)  # disjoint supports
@@ -139,7 +149,7 @@ class TestLocationHellinger:
         # relative-accurate; value frozen from 40-digit quadrature
         m = ErrorModel(ErrorFamily.GAMMA, 1.5, 1.0)
         assert location_hellinger_sq(m, 1e-9) == pytest.approx(
-            3.11866741e-14, rel=1e-8
+            3.11866741e-14, rel=1e-8, abs=0.0
         )
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
@@ -148,15 +158,24 @@ class TestLocationHellinger:
         with pytest.raises(ValueError, match="finite"):
             location_hellinger_sq(m, eps)
 
-    def test_never_calls_scipy_quad(self, monkeypatch):
-        def no_quad(*args, **kwargs):
-            raise AssertionError("scipy.integrate.quad was called")
+    def test_ladder_rungs_settle_at_the_first_refinement(self, monkeypatch):
+        # two NumPy passes per h: the first level and its odd nodes
+        rules = []
+        de_rule = hellinger_module._de_rule
 
-        monkeypatch.setattr(integrate, "quad", no_quad)
+        def counting_rule(level, odd_only):
+            rules.append((level, odd_only))
+            return de_rule(level, odd_only)
+
+        monkeypatch.setattr(hellinger_module, "_de_rule", counting_rule)
+        first = hellinger_module._DE_FIRST_LEVEL
         for family in (ErrorFamily.GAMMA, ErrorFamily.WEIBULL):
-            m = ErrorModel(family, 1.6, 1.2)
-            for e in EpsilonLadder().epsilons():
-                assert location_hellinger_sq(m, e) > 0.0
+            for beta in (1.0, 1.3, 1.6, 1.9):
+                m = ErrorModel(family, beta, 1.2)
+                for e in EpsilonLadder().epsilons():
+                    rules.clear()
+                    assert location_hellinger_sq(m, e) > 0.0
+                    assert rules == [(first, False), (first + 1, True)]
 
     def test_unsettled_levels_raise(self, monkeypatch):
         # two coarse levels cannot agree to 1e-11 on the z**(beta-1) panel
@@ -206,6 +225,104 @@ def _mp_location_h(family: ErrorFamily, beta: float, sigma: float, eps: float):
         return disjoint + overlap, err
 
 
+def shifted_specs(m: ErrorModel, eps: float, loc: float = 0.0, log=None):
+    """The location pair at ``loc`` and ``loc + eps`` as two DensitySpecs."""
+
+    def spec(at):
+        def pdf(y):
+            if log is not None:
+                log.append((y, at))
+            return m.density(y - at)
+
+        return DensitySpec(pdf=pdf, support=(at, math.inf))
+
+    return spec(loc), spec(loc + eps)
+
+
+class TestHellingerNumericShifted:
+    @pytest.mark.parametrize("beta", [1.3, 1.6, 1.9])
+    @pytest.mark.parametrize("family", [ErrorFamily.GAMMA, ErrorFamily.WEIBULL])
+    def test_matches_mpmath(self, family, beta):
+        pytest.importorskip("mpmath")
+        m = ErrorModel(family, beta)
+        for eps in (1e-9, 1e-6, 7.8125e-5, 1e-2, 0.3, 1.0):
+            ref, err = _mp_location_h(family, beta, 1.0, eps)
+            assert float(err) < 1e-15 * float(ref)
+            # The direct integrand cancels where the pair differs by a
+            # relative d ~ eps / z, and keeps about 1e-16 / d of roundoff.
+            # At beta 1.9 about a tenth of h lies at z ~ 1, so at eps = 1e-9
+            # roundoff of 1e-7 there caps the agreement near 1e-8.
+            rtol = 1e-8 if (beta, eps) == (1.9, 1e-9) else 1e-10
+            assert hellinger_sq_numeric(*shifted_specs(m, eps)) == pytest.approx(
+                float(ref), rel=rtol, abs=0.0
+            )
+
+    def test_pdf_call_count(self):
+        # SciPy's QUADPACK made about 1,600 calls on this pair
+        log = []
+        m = ErrorModel(ErrorFamily.GAMMA, 1.3)
+        hellinger_sq_numeric(*shifted_specs(m, 1e-2, log=log))
+        assert len(log) <= 800
+
+    def test_pdf_is_called_only_inside_its_support(self):
+        # tanh-sinh nodes next to a panel end round onto it in floating point
+        log = []
+        for family in (ErrorFamily.GAMMA, ErrorFamily.WEIBULL):
+            m = ErrorModel(family, 1.6)
+            hellinger_sq_numeric(*shifted_specs(m, 7.8125e-5, loc=-3.3, log=log))
+        assert all(y > at for y, at in log)
+        seen = []
+
+        def pdf(y):
+            seen.append(y)
+            return normal_density(0.0, 1.0).pdf(y)
+
+        hellinger_sq_numeric(DensitySpec(pdf, (-1.0, 2.0)), normal_density(0.5, 1.2))
+        assert seen and all(-1.0 < y < 2.0 for y in seen)
+
+    def test_singular_endpoint(self):
+        # h of 1/(2 sqrt(y - a)) against Unif(a, a + 1) is 2 - 4 sqrt(2) / 3
+        def pair(a):
+            p = DensitySpec(lambda y: 0.5 / math.sqrt(y - a), (a, a + 1.0))
+            return p, DensitySpec(lambda y: 1.0, (a, a + 1.0))
+
+        exact = 2.0 - 4.0 * math.sqrt(2.0) / 3.0
+        assert hellinger_sq_numeric(*pair(0.0)) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        # next to a = 1 the nodes round, and about 1e-7 of h is lost
+        with pytest.raises(QuadratureError, match="unsettled"):
+            hellinger_sq_numeric(*pair(1.0))
+
+    def test_normal_pdf_call_count(self):
+        # about 1,700 calls today (SciPy's QUADPACK made about 800)
+        seen = []
+
+        def logged(spec):
+            def pdf(y):
+                seen.append(y)
+                return spec.pdf(y)
+
+            return DensitySpec(pdf, spec.support, spec.breakpoints)
+
+        p, q = normal_density(0.0, 1.0), normal_density(0.01, 1.0)
+        h = hellinger_sq_numeric(logged(p), logged(q))
+        exact = normal_ls_hellinger_closed((0.0, 1.0), (0.01, 1.0))
+        assert h == pytest.approx(exact, rel=1e-10, abs=0.0)
+        assert len(seen) <= 1700
+
+    def test_unsettled_levels_raise(self, monkeypatch):
+        monkeypatch.setattr(hellinger_module, "_DE_NUMERIC_FIRST_LEVEL", 0)
+        monkeypatch.setattr(hellinger_module, "_DE_MAX_LEVEL", 1)
+        m = ErrorModel(ErrorFamily.WEIBULL, 1.9, 1.0)
+        with pytest.raises(QuadratureError, match="unsettled at level 1"):
+            hellinger_sq_numeric(*shifted_specs(m, 7.8125e-5))
+
+    def test_final_tolerance_raises(self):
+        # the summed error estimate is checked against max(atol, rtol * h)
+        m = ErrorModel(ErrorFamily.WEIBULL, 1.9, 1.0)
+        with pytest.raises(QuadratureError, match="exceeds tolerance"):
+            hellinger_sq_numeric(*shifted_specs(m, 7.8125e-5), atol=0.0, rtol=0.0)
+
+
 class TestLocationHellingerOracle:
     @pytest.mark.parametrize("beta", [1.0, 1.3, 1.6, 1.9])
     @pytest.mark.parametrize("family", [ErrorFamily.GAMMA, ErrorFamily.WEIBULL])
@@ -217,7 +334,7 @@ class TestLocationHellingerOracle:
                 ref, err = _mp_location_h(family, beta, sigma, eps)
                 assert float(err) < 1e-15 * float(ref)
                 assert location_hellinger_sq(m, eps) == pytest.approx(
-                    float(ref), rel=1e-12
+                    float(ref), rel=1e-12, abs=0.0
                 )
 
 

@@ -1,4 +1,4 @@
-"""SciPy is loaded on first use, not with the package.
+"""No routine of the package loads SciPy, a test-only dependency.
 
 Each check runs in a fresh interpreter, because an earlier test in this
 process has usually loaded SciPy already.
@@ -9,21 +9,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from nonregdesign.hellinger import (
-    estimate_alpha_and_J,
-    hellinger_sq_numeric,
-    location_h_fn,
-    normal_density,
-)
-from nonregdesign.models import ErrorFamily, ErrorModel
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 NO_SCIPY = """
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
+"""
+
+BLOCK_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
 """
 
 
@@ -156,42 +160,58 @@ assert cli.main([
     assert (tmp_path / "design.json").is_file()
 
 
-def test_location_ladder_fit_loads_no_optimizer():
-    # the gamma error's CDF needs scipy.special; the refit needs no scipy.optimize
-    code = """
-import sys
+def test_former_scipy_users_run_with_scipy_blocked():
+    # The gamma CDF at beta != 1 once took scipy.special.gammainc and generic
+    # h scipy.integrate.quad; the 16 fits are those of the info-ladder
+    # benchmark.  A finder at the head of sys.meta_path fails every import
+    # of scipy, so a lazy import that survives anywhere on these paths fails.
+    code = BLOCK_SCIPY + """
+import math
 
-from nonregdesign.hellinger import estimate_alpha_and_J, location_h_fn
-from nonregdesign.models import ErrorFamily, ErrorModel
+import numpy as np
 
-estimate_alpha_and_J(location_h_fn(ErrorModel(ErrorFamily.GAMMA, 1.5)), 0.0)
-assert "scipy.special" in sys.modules
-loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
-assert not loaded, loaded
-"""
+from nonregdesign.hellinger import (
+    DensitySpec,
+    estimate_alpha_and_J,
+    fisher_quadratic_check,
+    hellinger_sq_numeric,
+    location_h_fn,
+    normal_density,
+    uniform_h_fn,
+)
+from nonregdesign.models import ErrorFamily, ErrorModel, UniformModel, UniformVariant
+
+BETAS = (1.0, 1.3, 1.6, 1.9)
+gamma = ErrorModel(ErrorFamily.GAMMA, 1.5)
+assert 0.0 < gamma.cdf(0.3) < gamma.cdf(np.array([3.0]))[0] < 1.0
+assert gamma.density(0.3) > 0.0 and ErrorModel(ErrorFamily.WEIBULL, 1.5).mean() > 0.0
+assert hellinger_sq_numeric(normal_density(0.0, 1.0), normal_density(0.5, 1.2)) > 0.0
+fit, quarter = fisher_quadratic_check((0.0, 1.0), (1.0, 0.0))
+assert abs(fit.J / quarter - 1.0) < 0.01
+
+for family in (ErrorFamily.GAMMA, ErrorFamily.WEIBULL):
+    for beta in BETAS:
+        fit = estimate_alpha_and_J(location_h_fn(ErrorModel(family, beta)), 0.7)
+        assert abs(fit.alpha - beta) < 1e-3, fit
+
+
+def shifted_h(model):
+    def spec(loc):
+        return DensitySpec(lambda y: model.density(y - loc), (loc, math.inf))
+
+    return lambda t1, t2: hellinger_sq_numeric(spec(t1[0]), spec(t2[0]))
+
+
+for beta in BETAS:
+    fit = estimate_alpha_and_J(shifted_h(ErrorModel(ErrorFamily.GAMMA, beta)), -1.3)
+    assert abs(fit.alpha - beta) < 1e-3, fit
+for variant, theta, u in [
+    ("scale", 2.0, None),
+    ("reciprocal", 2.0, None),
+    ("power_pair", 2.0, None),
+    ("loc_scale", (0.3, 1.5), (0.6, 0.8)),
+]:
+    h = uniform_h_fn(UniformModel(UniformVariant(variant), theta))
+    assert abs(estimate_alpha_and_J(h, theta, u).alpha - 1.0) < 1e-3
+""" + NO_SCIPY
     run_fresh(code)
-
-
-# Each entry point may load SciPy on first use.  A name the lazy import
-# misses fails only when that function is the first SciPy user in the process.
-LAZY_ENTRY_POINTS = [
-    "ErrorModel(ErrorFamily.WEIBULL, 1.5).mean()",
-    "ErrorModel(ErrorFamily.GAMMA, 1.5).cdf(0.3)",
-    "ErrorModel(ErrorFamily.GAMMA, 1.5).density(0.3)",
-    "hellinger_sq_numeric(normal_density(0.0, 1.0), normal_density(0.5, 1.2))",
-    "estimate_alpha_and_J(location_h_fn(ErrorModel(ErrorFamily.GAMMA, 1.5)), 0.0)",
-]
-
-
-@pytest.mark.parametrize("expr", LAZY_ENTRY_POINTS)
-def test_lazy_entry_point_matches_in_process(expr):
-    code = (
-        "import sys\n"
-        "from nonregdesign.hellinger import (estimate_alpha_and_J, hellinger_sq_numeric,"
-        " location_h_fn, normal_density)\n"
-        "from nonregdesign.models import ErrorFamily, ErrorModel\n"
-        + NO_SCIPY
-        + f"print(repr({expr}))\n"
-    )
-    expected = repr(eval(expr))
-    assert run_fresh(code).splitlines()[-1] == expected

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from nonregdesign.models import (
     RegressionModel,
     UniformModel,
     UniformVariant,
+    _gamma_p,
     uniform_support,
 )
 
@@ -208,6 +210,48 @@ class TestScalarDensity:
             assert math.isnan(vals[1])
             assert vals[2] > 0.0 and vals[3] == 0.0
             assert math.isnan(m.cdf(math.nan))
+
+
+class TestGammaCdf:
+    """P(beta, z): a series below z = beta + 1, a continued fraction above."""
+
+    @pytest.mark.parametrize("beta", [1.05, 1.3, 1.5, 1.9, 3.0, 7.5])
+    def test_matches_mpmath(self, beta):
+        mp = pytest.importorskip("mpmath")
+        switch = beta + 1.0
+        zs = np.logspace(-300, 3, 67).tolist() + [
+            0.5 * switch,
+            math.nextafter(switch, 0.0),
+            switch,
+            math.nextafter(switch, math.inf),
+            2.0 * switch,
+        ]
+        for z in zs:
+            with mp.workdps(40):
+                ref = float(mp.gammainc(mp.mpf(beta), 0, mp.mpf(z), regularized=True))
+            got = _gamma_p(beta, z)
+            if ref < sys.float_info.min:  # subnormal: no relative accuracy left
+                assert abs(got - ref) <= 4.0 * 2.0**-1074, (z, got, ref)
+            else:
+                assert got == pytest.approx(ref, rel=1e-14, abs=0.0), z
+            if beta < 2.0:
+                assert ErrorModel(ErrorFamily.GAMMA, beta).cdf(z) == got
+
+    @pytest.mark.parametrize("beta", [1.05, 1.3, 1.9])
+    def test_scalar_and_array_give_the_same_bits(self, beta):
+        m = ErrorModel(ErrorFamily.GAMMA, beta, 1.5)
+        ys = np.array([
+            -1.0, 0.0, 1e-300, 1e-9, 0.3, 1.5 * (beta + 1.0), 2.5, 40.0, 1e300,
+            math.inf, -math.inf, math.nan,
+        ])
+        scalars = np.array([m.cdf(float(y)) for y in ys])
+        assert scalars[-3:-1].tolist() == [1.0, 0.0]
+        np.testing.assert_array_equal(m.cdf(ys), scalars)
+        np.testing.assert_array_equal(m.cdf(ys.reshape(3, 4)), scalars.reshape(3, 4))
+        for y, want in zip(ys, scalars):
+            got = m.cdf(np.array(y))
+            assert type(got) is float
+            assert got == want or math.isnan(got) and math.isnan(want)
 
 
 class TestSampling:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,7 @@ class TestMcRisk:
         assert not envelope_solves
         np.testing.assert_allclose(est.per_component_mse, simplex_risk(plan), rtol=1e-10)
 
+    @pytest.mark.parametrize("beta", [1.0, 1.3, 1.7])
     @pytest.mark.parametrize(
         "degree, a, design, want",
         [
@@ -293,19 +296,27 @@ class TestMcRisk:
         ],
         ids=["linear-two-point", "quadratic-three-point"],
     )
-    def test_d_point_risk_matches_its_closed_form(self, degree, a, design, want):
+    def test_d_point_risk_matches_its_closed_form(self, degree, a, design, want, beta):
         # With d = degree + 1 support points the fit interpolates the point
-        # minima, so theta_hat - theta = F^-1 m.  At beta = 1 each m_k is
-        # Exp(n_k): E m_k^2 = 2 / n_k^2 and E m_k m_l = 1 / (n_k n_l).
+        # minima, so theta_hat - theta = F^-1 m.  The minimum m_k of n_k
+        # Weibull(beta, sigma) errors is Weibull(beta, sigma n_k^(-1/beta)):
+        # E m_k = sigma n_k^(-1/beta) Gamma(1 + 1/beta), E m_k^2 =
+        # sigma^2 n_k^(-2/beta) Gamma(1 + 2/beta), E m_k m_l = E m_k E m_l.
+        # beta = 1 is the exponential: 2 / n_k^2 and 1 / (n_k n_l).
         n = 120
         counts = realize_design(design, n)
         g = np.linalg.inv(np.vander(design.xs, degree + 1, increasing=True))
-        moments = np.outer(1.0 / counts, 1.0 / counts) + np.diag(1.0 / counts**2)
+        scale = counts ** (-1.0 / beta)
+        mean = scale * math.gamma(1.0 + 1.0 / beta)
+        moments = np.outer(mean, mean) + np.diag(
+            scale**2 * math.gamma(1.0 + 2.0 / beta) - mean**2
+        )
         exact = np.diag(g @ moments @ g.T)
-        if want is not None:
+        if want is not None and beta == 1.0:
             assert n * n * exact.sum() == pytest.approx(want, abs=1e-4)
         theta = (6.0, 0.5) if degree == 1 else (2.0, 4.0, 0.8)
-        model = RegressionModel(degree=degree, A=a, theta=theta, error=GAMMA1)
+        error = GAMMA1 if beta == 1.0 else ErrorModel(ErrorFamily.WEIBULL, beta)
+        model = RegressionModel(degree=degree, A=a, theta=theta, error=error)
         est = mc_risk(SimPlan(design=design, n=n, model=model, replicates=4000, seed=17))
         assert abs(est.total_risk - exact.sum()) <= 4.0 * est.mc_standard_error
         for got, se, ref in zip(est.per_component_mse, est.per_component_se, exact):
