@@ -5,8 +5,10 @@ A :class:`SimPlan` pins everything needed to reproduce a study: the design
 regression model, the replicate count, and a seed.  Replicate ``r`` draws
 its errors from an independent substream derived from ``(seed, r)``, so
 results are bit-for-bit reproducible regardless of execution order.  The
-design's envelope program -- its distinct rows, identifiability and dual
-vertices -- is derived once per plan.  Replicates are drawn in order, a
+substreams' PCG64 seed words come from NumPy's ``SeedSequence`` hash,
+computed for a whole chunk of replicates in one array pass.  The design's
+envelope program -- its distinct rows, identifiability and dual vertices --
+is derived once per plan.  Replicates are drawn in order, a
 chunk at a time, and each chunk is fitted at once by
 ``estimator.fit_batch``, tied replicates included: a tie on an optimal edge
 takes the edge's point of smallest |theta_1|.  Only a replicate whose optimal
@@ -20,9 +22,11 @@ errors of the fitted coefficients; the total risk is their sum.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .design import Design
 from .estimator import _CHUNK_VALUES, _envelope, fit_batch
@@ -31,6 +35,17 @@ from .models import RegressionModel
 # Replicates drawn and fitted together; fewer when n is large, so that a
 # chunk's responses stay within _CHUNK_VALUES numbers.
 _CHUNK = 256
+
+# NumPy's SeedSequence (NEP 19, after O'Neill's seed_seq): a pool of four
+# 32-bit words, the hashmix constants of the entropy mix (A) and of the
+# output hash (B), and the two multipliers of mix.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# The spawn word r is one 32-bit entropy word.
+_MAX_REPLICATES = 2**32
 
 
 class SimulationError(RuntimeError):
@@ -46,8 +61,19 @@ class SimPlan:
     seed: int
 
     def __post_init__(self) -> None:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if seed < 0 or isinstance(self.seed, (bool, np.bool_)):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.replicates > _MAX_REPLICATES:
+            raise ValueError(
+                f"replicates={self.replicates} exceeds {_MAX_REPLICATES}: "
+                "a replicate index must fit one 32-bit spawn word"
+            )
         if self.n < len(self.design.points):
             raise ValueError(
                 f"n={self.n} is below the design support size "
@@ -101,15 +127,104 @@ def realize_design(design: Design, n: int) -> np.ndarray:
     return counts
 
 
+def _hashmix(value, hash_const: int):
+    """SeedSequence's hashmix of a Python int or a uint32 array.
+
+    Returns the mixed value and the next hash constant.
+    """
+    next_const = hash_const * _MULT_A & _MASK32
+    value = (value ^ hash_const) * next_const & _MASK32
+    return value ^ value >> 16, next_const
+
+
+def _mix(x: int, y):
+    """SeedSequence's mix of the Python int x with a Python int or uint32 array."""
+    result = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+class _SpawnSeeds:
+    """PCG64 seed words of ``SeedSequence(seed, spawn_key=(r,))`` for many r.
+
+    The entropy is the seed's 32-bit words, zero-padded to the pool size,
+    followed by the one spawn word r; only the last mix step sees r.  So
+    the pool up to that step is built once, in Python ints, and the rest --
+    mixing r into each pool word, then ``generate_state(4, uint64)``'s
+    output hash -- runs on uint32 arrays over all r at once, where products
+    wrap modulo 2**32 as SeedSequence's C arithmetic does.
+    """
+
+    def __init__(self, seed: int):
+        words = []
+        while True:
+            words.append(seed & _MASK32)
+            seed >>= 32
+            if not seed:
+                break
+        words += [0] * (_POOL - len(words))
+        hash_const = _INIT_A
+        pool = []
+        for word in words[:_POOL]:
+            value, hash_const = _hashmix(word, hash_const)
+            pool.append(value)
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    value, hash_const = _hashmix(pool[src], hash_const)
+                    pool[dst] = _mix(pool[dst], value)
+        for word in words[_POOL:]:
+            for dst in range(_POOL):
+                value, hash_const = _hashmix(word, hash_const)
+                pool[dst] = _mix(pool[dst], value)
+        self._pool = pool
+        self._hash_const = hash_const
+
+    def __call__(self, rs: np.ndarray) -> np.ndarray:
+        """``(len(rs), 4)`` uint64 rows; row i seeds replicate ``rs[i]``."""
+        r = np.asarray(rs, dtype=np.uint32)
+        hash_const = self._hash_const
+        pool = []
+        for dst in range(_POOL):
+            value, hash_const = _hashmix(r, hash_const)
+            pool.append(_mix(self._pool[dst], value))
+        hash_const = _INIT_B
+        state = []
+        for i in range(2 * _POOL):
+            value = pool[i % _POOL] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value *= np.uint32(hash_const)
+            state.append(value ^ value >> 16)
+        out = np.empty((r.size, _POOL), dtype=np.uint64)
+        for k in range(_POOL):
+            out[:, k] = state[2 * k + 1].astype(np.uint64) << np.uint64(32)
+            out[:, k] |= state[2 * k]
+        return out
+
+
+class _SeedWords(ISeedSequence):
+    """One replicate's precomputed PCG64 seed words, as an ISeedSequence."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the PCG64 request (4, uint64) is precomputed")
+        return self._words
+
+
 def mc_risk(plan: SimPlan) -> RiskEstimate:
     """Monte Carlo risk of the envelope estimator under the plan's design.
 
-    Replicates use independent, replicate-indexed substreams, so any
-    execution order yields the identical estimate.  A design that does not
-    identify the coefficients fails before any error is drawn.  A replicate
-    whose responses are not finite or whose fit fails is recorded; more than
-    1% failures aborts with a diagnostic rather than returning silently
-    biased risk.
+    Replicate ``r`` draws its errors from
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))``, so any
+    execution order yields the identical estimate.  Each chunk's PCG64 seed
+    words come from one array pass of ``SeedSequence``'s hash, which the
+    tests pin against NumPy's own.  A design that does not identify the
+    coefficients fails before any error is drawn.  A replicate whose
+    responses are not finite or whose fit fails is recorded; more than 1%
+    failures aborts with a diagnostic rather than returning silently biased
+    risk.
     """
     counts = realize_design(plan.design, plan.n)
     # Sorted covariates make the estimate invariant under relabeling of the
@@ -122,12 +237,14 @@ def mc_risk(plan: SimPlan) -> RiskEstimate:
     theta = np.asarray(plan.model.theta)
     mean = plan.model.mean(xs_rep)
     chunk = max(1, min(_CHUNK, _CHUNK_VALUES // xs_rep.size))
+    spawn_seeds = _SpawnSeeds(operator.index(plan.seed))
     sq_errors, failed = [], []
     for start in range(0, plan.replicates, chunk):
         reps = range(start, min(start + chunk, plan.replicates))
+        words = spawn_seeds(np.arange(reps.start, reps.stop, dtype=np.int64))
         ys = np.empty((len(reps), xs_rep.size))
-        for i, r in enumerate(reps):
-            rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(r,)))
+        for i, row in enumerate(words):
+            rng = np.random.Generator(np.random.PCG64(_SeedWords(row)))
             ys[i] = mean + plan.model.error.sample(xs_rep.size, rng)
         fits, errors = fit_batch(env, ys)
         failed.extend(start + i for i in errors)

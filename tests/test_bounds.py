@@ -36,14 +36,14 @@ def test_bound_input_validation():
 
 def test_constant_value():
     # C(1) = (1/32) * 3^-2 = 1/288; C(2) = (1/32)/3 = 1/96
-    assert hellinger_constant(1.0) == pytest.approx(1.0 / 288.0, rel=1e-14)
-    assert hellinger_constant(2.0) == pytest.approx(1.0 / 96.0, rel=1e-14)
+    assert hellinger_constant(1.0) == pytest.approx(1.0 / 288.0, rel=1e-14, abs=0)
+    assert hellinger_constant(2.0) == pytest.approx(1.0 / 96.0, rel=1e-14, abs=0)
 
 
 def test_alpha1_arithmetic_example():
     # alpha=1, J=9, with constant: (1/32) * 3^-2 * 9^-2 = 1/23328
     got = minimax_lower_bound(BoundInput(alpha=1.0, info_value=9.0))
-    assert got == pytest.approx(1.0 / 23328.0, rel=1e-14)
+    assert got == pytest.approx(1.0 / 23328.0, rel=1e-14, abs=0)
 
 
 def test_alpha1_uniform_scaling():
@@ -55,18 +55,18 @@ def test_alpha1_uniform_scaling():
             vals[(n, theta)] = b * n**2 / theta**2
     first = next(iter(vals.values()))
     for v in vals.values():
-        assert v == pytest.approx(first, rel=1e-12)
+        assert v == pytest.approx(first, rel=1e-12, abs=0)
 
 
 def test_alpha2_power_law():
     b1 = minimax_lower_bound(BoundInput(alpha=2.0, info_value=5.0))
     b2 = minimax_lower_bound(BoundInput(alpha=2.0, info_value=10.0))
-    assert b1 == pytest.approx(2.0 * b2, rel=1e-12)
+    assert b1 == pytest.approx(2.0 * b2, rel=1e-12, abs=0)
 
 
 def test_order_only_variant():
     inp = BoundInput(alpha=1.4, info_value=7.0, include_constant=False)
-    assert minimax_lower_bound(inp) == pytest.approx(7.0 ** (-2.0 / 1.4), rel=1e-14)
+    assert minimax_lower_bound(inp) == pytest.approx(7.0 ** (-2.0 / 1.4), rel=1e-14, abs=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -95,8 +95,8 @@ def test_continuous_in_alpha(alpha, j):
 
 def test_epsilon_diagnostic():
     # eps = (3 J)^(-1/alpha)
-    assert epsilon_diagnostic(1.0, 3.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
-    assert epsilon_diagnostic(2.0, 12.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert epsilon_diagnostic(1.0, 3.0) == pytest.approx(1.0 / 9.0, rel=1e-14, abs=0)
+    assert epsilon_diagnostic(2.0, 12.0) == pytest.approx(1.0 / 6.0, rel=1e-14, abs=0)
     with pytest.raises(ValueError):
         epsilon_diagnostic(1.0, 0.0)
     for bad in (math.inf, math.nan):
@@ -119,13 +119,13 @@ def test_identity_psi_gives_inverse_min_eigenvalue():
         fisher = a @ a.T + d * np.eye(d)
         got = fisher_lower_bound(fisher, np.eye(d))
         want = 1.0 / np.linalg.eigvalsh(fisher)[0]
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_scalar_component_example():
     # I = diag(4, 1), D = (1, 0): D I^-1 D^T = 1/4
     got = fisher_lower_bound(np.diag([4.0, 1.0]), np.array([[1.0, 0.0]]))
-    assert got == pytest.approx(0.25, rel=1e-14)
+    assert got == pytest.approx(0.25, rel=1e-14, abs=0)
 
 
 def test_orthogonal_invariance():
@@ -184,7 +184,7 @@ def test_alpha2_consistency_with_direction_minimization():
         order = minimax_lower_bound(
             BoundInput(alpha=2.0, info_value=info, include_constant=False)
         )
-        assert order == pytest.approx(4.0 * fisher_lower_bound(fisher, np.eye(2)), rel=1e-8)
+        assert order == pytest.approx(4.0 * fisher_lower_bound(fisher, np.eye(2)), rel=1e-8, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +217,9 @@ def test_h_zero_uses_sixteenth_branch():
     # same distribution, different psi: rhs = ||delta||^2 / 16
     pair = FiniteModelPair([0.5, 0.5], [0.5, 0.5], [0.0], [2.0])
     lhs, rhs, holds = two_point_risk_check(pair, np.array([0.0, 0.0]))
-    assert rhs == pytest.approx(4.0 / 16.0, rel=1e-14)
+    assert rhs == pytest.approx(4.0 / 16.0, rel=1e-14, abs=0)
     # T == psi(theta): all loss sits at vartheta, lhs = 4 >= 1/4
-    assert lhs == pytest.approx(4.0, rel=1e-14)
+    assert lhs == pytest.approx(4.0, rel=1e-14, abs=0)
     assert holds
 
 
@@ -237,7 +237,7 @@ def test_lucky_constant_estimator_still_bounded():
     pair = FiniteModelPair([0.6, 0.4], [0.4, 0.6], [0.0], [1.0])
     t = np.zeros(2)  # constant at psi(theta)
     lhs, rhs, holds = two_point_risk_check(pair, t)
-    assert lhs == pytest.approx(1.0, rel=1e-14)  # full weight at vartheta
+    assert lhs == pytest.approx(1.0, rel=1e-14, abs=0)  # full weight at vartheta
     assert holds
 
 

@@ -33,14 +33,14 @@ class TestInfo:
         assert code == 0
         payload = json.loads(out)
         assert payload["alpha"] == 1.0
-        assert payload["J"] == pytest.approx(1.0, rel=1e-10)
+        assert payload["J"] == pytest.approx(1.0, rel=1e-10, abs=0)
         assert payload["method"] == "closed_form"
         assert payload["direction"] is None
 
     def test_uniform_scale(self, capsys):
         code, out, _ = run(capsys, "info", "--uniform", "scale", "--theta", "2")
         assert code == 0
-        assert json.loads(out)["J"] == pytest.approx(0.5, rel=1e-12)
+        assert json.loads(out)["J"] == pytest.approx(0.5, rel=1e-12, abs=0)
 
     def test_loc_scale_needs_direction(self, capsys):
         code, _, err = run(capsys, "info", "--uniform", "loc_scale",
@@ -53,7 +53,7 @@ class TestInfo:
                            "--theta", "0,2", "--direction", "1,0")
         assert code == 0
         payload = json.loads(out)
-        assert payload["J"] == pytest.approx(1.0, rel=1e-12)
+        assert payload["J"] == pytest.approx(1.0, rel=1e-12, abs=0)
         assert payload["direction"] == [1.0, 0.0]
 
     def test_regular_regime_rejected(self, capsys):
@@ -73,7 +73,7 @@ class TestRbeta:
         assert code == 0
         lines = json_lines(out)
         assert lines[0] == {"beta": 1.0, "r": 0.0}
-        assert lines[1]["r"] == pytest.approx(r_beta(1.5), rel=1e-10)
+        assert lines[1]["r"] == pytest.approx(r_beta(1.5), rel=1e-10, abs=0)
 
     def test_domain(self, capsys):
         assert run(capsys, "rbeta", "--beta", "2")[0] == 2
@@ -85,14 +85,14 @@ class TestDesignOpt:
                            "--alpha", "1.4", "--out-dir", str(tmp_path))
         assert code == 0
         summary = json.loads(out)
-        assert summary["info"] == pytest.approx(0.767970938573, rel=1e-6)
+        assert summary["info"] == pytest.approx(0.767970938573, rel=1e-6, abs=0)
         design = json.loads((tmp_path / "design.json").read_text())
         assert design["A"] == 1.0
         weights = {p["x"]: p["w"] for p in design["points"]}
         assert set(weights) == {-1.0, 1.0}
         assert weights[1.0] == pytest.approx(0.5, abs=1e-4)
         rows, _ = read_csv_rows(tmp_path / "summary.csv")
-        assert float(rows[0]["info"]) == pytest.approx(summary["info"], rel=1e-10)
+        assert float(rows[0]["info"]) == pytest.approx(summary["info"], rel=1e-10, abs=0)
         assert len(rows[0]["worst_direction"].split()) == 2
 
     @pytest.mark.parametrize("extra", [
@@ -114,7 +114,7 @@ class TestDesignOpt:
         assert code == 0
         # sum of |(1, +-1)'u|^1.4 / 2 minimized at u = (1, 0), value 2^(0.7-1)... at
         # the antipodal kink direction: 2^(alpha/2 - 1)
-        assert json.loads(out)["info"] == pytest.approx(2 ** (1.4 / 2 - 1), rel=1e-6)
+        assert json.loads(out)["info"] == pytest.approx(2 ** (1.4 / 2 - 1), rel=1e-6, abs=0)
 
     def test_gap_at_cut_cap_exits_3(self, capsys, tmp_path):
         code, out, err = run(capsys, "design-opt", "--degree", "2", "--A", "1",
@@ -151,7 +151,7 @@ class TestDesignOpt:
         assert code == 0
         # flag --alpha 1 overrides the file's 1.4: info = jtilde * A/sqrt(1+A^2)
         assert json.loads(out)["info"] == pytest.approx(
-            1.0 / math.sqrt(2.0), rel=1e-6
+            1.0 / math.sqrt(2.0), rel=1e-6, abs=0
         )
 
     def test_config_unknown_field_rejected(self, capsys, tmp_path):
@@ -294,7 +294,7 @@ class TestSimulate:
                   if r["component"] == "total"}
         comps = {(r["design_id"], r["component"]): float(r["mse"]) for r in rows}
         assert totals["optimal"] == pytest.approx(
-            comps[("optimal", "0")] + comps[("optimal", "1")], rel=1e-9
+            comps[("optimal", "0")] + comps[("optimal", "1")], rel=1e-9, abs=0
         )
 
     def test_env_var_supplies_seed(self, capsys, tmp_path, monkeypatch):
@@ -305,6 +305,19 @@ class TestSimulate:
         monkeypatch.setenv("NONREGDESIGN_SEED", "11")
         run(capsys, *self.BASE, "--designs", "optimal", "--out", str(env))
         assert flagged.read_bytes() == env.read_bytes()
+
+    def test_negative_seed_flag_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, *self.BASE, "--designs", "optimal", "--seed", "-3",
+                           "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "seed must be a non-negative integer, got -3" in err
+
+    def test_negative_seed_env_var_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("NONREGDESIGN_SEED", "-1")
+        code, _, err = run(capsys, *self.BASE, "--designs", "optimal",
+                           "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "seed must be a non-negative integer, got -1" in err
 
     def test_single_replicate_runs_with_wide_se(self, capsys, tmp_path):
         out_path = tmp_path / "risk.csv"
@@ -354,11 +367,11 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--alpha", "1", "--info", "120")
         assert code == 0
         payload = json.loads(out)
-        assert payload["bound_order"] == pytest.approx(120.0 ** -2, rel=1e-10)
+        assert payload["bound_order"] == pytest.approx(120.0 ** -2, rel=1e-10, abs=0)
         assert payload["bound_with_constant"] == pytest.approx(
-            (1 / 32) * 3.0 ** -2 * 120.0 ** -2, rel=1e-10
+            (1 / 32) * 3.0 ** -2 * 120.0 ** -2, rel=1e-10, abs=0
         )
-        assert payload["epsilon_diag"] == pytest.approx(1 / 360, rel=1e-10)
+        assert payload["epsilon_diag"] == pytest.approx(1 / 360, rel=1e-10, abs=0)
 
     def test_fisher_matrix_path(self, capsys):
         code, out, _ = run(capsys, "bound", "--alpha", "2",
@@ -367,14 +380,14 @@ class TestBound:
         payload = json.loads(out)
         # identity psi: info = lambda_min/4 = 0.5, so the order term is
         # 4 * (1/lambda_min), the regular eigenvalue bound
-        assert payload["bound_order"] == pytest.approx(2.0, rel=1e-10)
+        assert payload["bound_order"] == pytest.approx(2.0, rel=1e-10, abs=0)
 
     def test_fisher_with_dpsi(self, capsys):
         code, out, _ = run(capsys, "bound", "--alpha", "2",
                            "--fisher", "2,0;0,5", "--dpsi", "0,1")
         assert code == 0
         # D I^-1 D' = 1/5; info = 1/(4/5)/... = 1/(4*0.2); order = 0.8
-        assert json.loads(out)["bound_order"] == pytest.approx(0.8, rel=1e-10)
+        assert json.loads(out)["bound_order"] == pytest.approx(0.8, rel=1e-10, abs=0)
 
     def test_zero_info_rejected(self, capsys):
         assert run(capsys, "bound", "--alpha", "1", "--info", "0")[0] == 2
@@ -425,7 +438,7 @@ class TestEOptimal:
         code, out, _ = run(capsys, "e-optimal", "--degree", "1", "--A", "1",
                            "--out-dir", str(tmp_path))
         assert code == 0
-        assert json.loads(out)["info"] == pytest.approx(1.0, rel=1e-6)
+        assert json.loads(out)["info"] == pytest.approx(1.0, rel=1e-6, abs=0)
         design = json.loads((tmp_path / "design.json").read_text())
         weights = {p["x"]: p["w"] for p in design["points"]}
         assert weights[1.0] == pytest.approx(0.5, abs=1e-6)

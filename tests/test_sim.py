@@ -9,9 +9,12 @@ from nonregdesign.design import Design, uniform_design
 from nonregdesign.estimator import Dataset, _envelope, _envelope_fit, smith_fit
 from nonregdesign.models import ErrorFamily, ErrorModel, RegressionModel
 from nonregdesign.sim import (
+    _CHUNK,
     RiskEstimate,
     SimPlan,
     SimulationError,
+    _SeedWords,
+    _SpawnSeeds,
     mc_risk,
     realize_design,
     unif_mle_mse,
@@ -25,6 +28,11 @@ TWO_POINT = Design(A=1.0, points=((-1.0, 0.5), (1.0, 0.5)))
 PI_A2 = 0.648373
 # at n = 20 rounding leaves the centre without observations: counts (10, 0, 10)
 EMPTY_CENTRE = Design(A=1.0, points=((-1.0, 0.49), (0.0, 0.02), (1.0, 0.49)))
+# one to seven 32-bit entropy words; above 2**128 the seed has more words
+# than SeedSequence's pool of four
+SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**70, 2**128, 2**130 + 7, 2**200 + 123]
+# both sides of the first chunk boundary, and the largest spawn word
+SPAWN_WORDS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**31, 2**32 - 1]
 
 
 def small_plan(reps=40, seed=5, design=TWO_POINT, n=20):
@@ -159,10 +167,50 @@ class TestRealizeDesign:
         assert np.all(counts >= 0)
 
 
+class TestSpawnSeeds:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_equal_numpy_seed_sequence(self, seed):
+        words = _SpawnSeeds(seed)(np.array(SPAWN_WORDS, dtype=np.int64))
+        assert words.dtype == np.uint64 and words.shape == (len(SPAWN_WORDS), 4)
+        for row, r in zip(words, SPAWN_WORDS):
+            want = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("seed", [0, 2**70, 2**200 + 123])
+    def test_generator_equals_numpy_stream(self, seed):
+        words = _SpawnSeeds(seed)(np.arange(_CHUNK - 2, _CHUNK + 2))
+        for row, r in zip(words, range(_CHUNK - 2, _CHUNK + 2)):
+            got = np.random.Generator(np.random.PCG64(_SeedWords(row)))
+            want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            assert got.bit_generator.state == want.bit_generator.state
+            np.testing.assert_array_equal(got.gamma(1.3, size=50), want.gamma(1.3, size=50))
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64)])
+    def test_only_the_pcg64_request_is_served(self, n_words, dtype):
+        row = _SpawnSeeds(1)(np.arange(1))[0]
+        with pytest.raises(ValueError, match="precomputed"):
+            _SeedWords(row).generate_state(n_words, dtype)
+
+
 class TestSimPlan:
     def test_replicates_positive(self):
         with pytest.raises(ValueError, match="replicates"):
             small_plan(reps=0)
+
+    def test_replicates_fit_one_spawn_word(self):
+        small_plan(reps=2**32)
+        with pytest.raises(ValueError, match="32-bit spawn word"):
+            small_plan(reps=2**32 + 1)
+
+    @pytest.mark.parametrize("seed", [-1, -3, 2.5, 3.0, True, np.bool_(False), "7", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got"):
+            small_plan(seed=seed)
+
+    def test_numpy_integer_seed_gives_the_same_risk(self):
+        want = mc_risk(small_plan(seed=5))
+        assert mc_risk(small_plan(seed=np.int64(5))) == want
+        assert mc_risk(small_plan(seed=np.uint32(5))) == want
 
     def test_n_covers_support(self):
         with pytest.raises(ValueError, match="below the design support"):
@@ -221,19 +269,23 @@ class TestMcRisk:
             mc_risk(plan)
 
     @pytest.mark.parametrize(
-        "degree, a, design, n",
+        "degree, a, design, n, seed",
         [
-            (1, 1.0, uniform_design(1.0, 15), 120),
-            (2, 2.0, uniform_design(2.0, 5), 120),  # optimal edges
-            (1, 1.0, TWO_POINT, 60),
-            (1, 1.0, EMPTY_CENTRE, 20),
+            (1, 1.0, uniform_design(1.0, 15), 120, 9),
+            (2, 2.0, uniform_design(2.0, 5), 120, 9),  # optimal edges
+            (1, 1.0, TWO_POINT, 60, 9),
+            (1, 1.0, EMPTY_CENTRE, 20, 9),
+            # a seed of three 32-bit words
+            (1, 1.0, uniform_design(1.0, 15), 120, 2**70),
+            (2, 2.0, uniform_design(2.0, 5), 120, 2**70),
         ],
-        ids=["linear-uniform15", "quadratic-uniform5", "two-point", "empty-centre"],
+        ids=["linear-uniform15", "quadratic-uniform5", "two-point", "empty-centre",
+             "linear-uniform15-seed2^70", "quadratic-uniform5-seed2^70"],
     )
-    def test_equals_smith_fit_on_each_dataset(self, degree, a, design, n):
+    def test_equals_smith_fit_on_each_dataset(self, degree, a, design, n, seed):
         theta = (6.0, 0.5) if degree == 1 else (2.0, 4.0, 0.8)
         model = RegressionModel(degree=degree, A=a, theta=theta, error=GAMMA1)
-        plan = SimPlan(design=design, n=n, model=model, replicates=40, seed=9)
+        plan = SimPlan(design=design, n=n, model=model, replicates=40, seed=seed)
         est = mc_risk(plan)
         assert est.failures == 0
         np.testing.assert_array_equal(est.per_component_mse, dataset_risk(plan))
@@ -261,15 +313,22 @@ class TestMcRisk:
         assert est.failed_replicates == (0,)
 
     @pytest.mark.parametrize(
-        "degree, a, design",
-        [(1, 1.0, uniform_design(1.0, 15)), (2, 2.0, uniform_design(2.0, 5))],
-        ids=["linear-uniform15", "quadratic-uniform5"],
+        "degree, a, design, seed",
+        [
+            (1, 1.0, uniform_design(1.0, 15), 4),
+            (2, 2.0, uniform_design(2.0, 5), 4),
+            (1, 1.0, uniform_design(1.0, 15), 2**70),
+            (2, 2.0, uniform_design(2.0, 5), 2**70),
+        ],
+        ids=["linear-uniform15", "quadratic-uniform5",
+             "linear-uniform15-seed2^70", "quadratic-uniform5-seed2^70"],
     )
-    def test_chunked_replicates_equal_smith_fit_on_each_dataset(self, degree, a, design):
-        # 300 replicates span two chunks of the batched fit
+    def test_chunked_replicates_equal_smith_fit_on_each_dataset(self, degree, a, design, seed):
+        # 300 replicates span two chunks of the batched fit and of the seed hash
         theta = (6.0, 0.5) if degree == 1 else (2.0, 4.0, 0.8)
         model = RegressionModel(degree=degree, A=a, theta=theta, error=GAMMA1)
-        plan = SimPlan(design=design, n=60, model=model, replicates=300, seed=4)
+        plan = SimPlan(design=design, n=60, model=model, replicates=300, seed=seed)
+        assert plan.replicates > _CHUNK
         mse = mc_risk(plan).per_component_mse
         np.testing.assert_array_equal(mse, dataset_risk(plan))
         np.testing.assert_allclose(mse, simplex_risk(plan), rtol=1e-9)
