@@ -16,7 +16,8 @@ resolution; stderr names which), 4 simulation failure.  Floats are printed
 with 12 significant digits and output files depend only on flags and seed,
 so reruns are byte-for-byte identical.  ``--config FILE`` supplies a JSON
 object whose keys mirror the long flags ('-' or '_' spelled either way);
-explicit flags override the file and unknown keys are rejected.  The
+each value goes through its flag's type and choices, explicit flags
+override the file and unknown keys are rejected.  The
 ``NONREGDESIGN_SEED`` environment variable supplies the default seed.
 """
 
@@ -70,8 +71,6 @@ def _print_json(payload: dict) -> None:
 
 
 def _parse_floats(text, flag: str) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
     try:
         return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -412,24 +411,24 @@ _DEFAULTS: dict[str, dict[str, object]] = {
 }
 
 
-def _flag_map(p: argparse.ArgumentParser) -> dict[str, str]:
-    """Normalized long-flag name -> argparse dest, for config-file merging."""
+def _flag_map(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Normalized long-flag name -> argparse action, for config-file merging."""
     out = {}
     for action in p._actions:
         for opt in action.option_strings:
             if opt.startswith("--") and action.dest not in ("help", "config"):
-                out[opt[2:].replace("-", "_")] = action.dest
+                out[opt[2:].replace("-", "_")] = action
     return out
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
     parser = argparse.ArgumentParser(
         prog="nonregdesign",
         description="Hellinger-information optimal designs for non-regular "
         "polynomial regression.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    flag_maps: dict[str, dict[str, str]] = {}
+    flag_maps: dict[str, dict[str, argparse.Action]] = {}
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
@@ -507,7 +506,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]
     return parser, flag_maps
 
 
-def _merge_config(args: argparse.Namespace, flags: dict[str, str]) -> None:
+def _config_value(key: str, value, action: argparse.Action):
+    """A --config value read as its text given as the flag would be, through
+    the flag's ``type`` and ``choices``.  A JSON list stands for a comma list
+    and is taken only by a flag without a type."""
+    items = value if isinstance(value, list) and action.type is None else [value]
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+        raise ValueError(f"--config: field {key!r} must be a string or a number, "
+                         f"got {json.dumps(value)}")
+    text = ",".join(str(v) for v in items)
+    try:
+        converted = text if action.type is None else action.type(text)
+    except ValueError:
+        raise ValueError(f"--config: field {key!r}: invalid "
+                         f"{action.type.__name__} value {text!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"--config: field {key!r}: invalid choice {converted!r} "
+                         f"(choose from {', '.join(action.choices)})")
+    return converted
+
+
+def _merge_config(args: argparse.Namespace, flags: dict[str, argparse.Action]) -> None:
     if args.config is None:
         return
     try:
@@ -520,11 +539,12 @@ def _merge_config(args: argparse.Namespace, flags: dict[str, str]) -> None:
     if not isinstance(payload, dict):
         raise ValueError("--config: top level must be a JSON object")
     for key, value in payload.items():
-        dest = flags.get(str(key).replace("-", "_"))
-        if dest is None:
+        action = flags.get(str(key).replace("-", "_"))
+        if action is None:
             raise ValueError(f"--config: unknown field {key!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+        value = _config_value(key, value, action)
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:

@@ -23,16 +23,16 @@ alpha = 2 it is the smallest eigenvalue of the moment matrix, and at
 alpha <= 1 it lies on a kink ray, so enumerating those rays finds it (and
 the solver cuts the master with every violated ray at once).  At
 1 < alpha < 2 a branch-and-bound over cells of the hemisphere certifies it:
-the reported value is at most 1e-10 relative above the minimum.  The same
-paths decide the information J_xi(u) / |D_psi u|^alpha about psi = D_psi theta.
-At alpha = 2 the cutting-plane solver maximizes the minimum eigenvalue,
-i.e. E-optimality, which serves as the regular comparator.
+the reported value is at most 1e-10 relative above the minimum.  At
+alpha = 2 the cutting-plane solver maximizes the minimum eigenvalue, i.e.
+E-optimality, which serves as the regular comparator.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +48,6 @@ _PI_LEVELS = 17  # pi_curve ends on a cell of the lattice k / 2**17 (width 7.6e-
 _GRID_SIZE = 101  # default candidate grid of design-opt and e_optimal_design
 _WEIGHT_FLOOR = 1e-12  # solver weights at or below this are dropped from designs
 _DEGENERATE_RTOL = 1e-13  # lambda_min(F'WF) at or below this (relative) means J = 0
-_IDENTIFIED_RTOL = 1e-9  # |d_psi n| above this (relative) at a null n of F'WF: psi unidentified
 # Branch-and-bound sphere minimum (1 < alpha < 2).
 _BB_RTOL = 1e-10  # certificate: reported minimum at most this far (relative) above the true one
 _BB_CHUNK = 2048  # cells per array operation, so cells x support temporaries stay bounded
@@ -130,9 +129,16 @@ class CuttingPlaneConfig:
     max_cuts: int = 500
 
     def __post_init__(self) -> None:
-        if not self.gap_tol > 0.0:
-            raise ValueError(f"gap_tol must be positive, got {self.gap_tol}")
-        if self.max_cuts < 4:
+        # a gap_tol of 1 or more accepts the first incumbent as converged
+        if not 0.0 < self.gap_tol < 1.0:
+            raise ValueError(f"gap_tol must be positive and below 1, got {self.gap_tol}")
+        try:
+            max_cuts = operator.index(self.max_cuts)
+        except TypeError:
+            max_cuts = None
+        if max_cuts is None or isinstance(self.max_cuts, (bool, np.bool_)):
+            raise ValueError(f"max_cuts must be an integer, got {self.max_cuts!r}")
+        if max_cuts < 4:
             raise ValueError(f"max_cuts must be at least 4, got {self.max_cuts}")
 
 
@@ -253,16 +259,14 @@ def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kink_values(
-    f: np.ndarray, ws: np.ndarray, alpha: float, j_tilde: float,
-    d_psi: np.ndarray | None, mirror: bool,
+    f: np.ndarray, ws: np.ndarray, alpha: float, j_tilde: float, mirror: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every kink ray of the rows f, canonically signed, with the indices of
     the rows it annihilates (as ``_kink_candidates``) and the objective
-    j_tilde * sum_i w_i |f_i'r|^alpha (over |d_psi r|^alpha) on it.
+    j_tilde * sum_i w_i |f_i'r|^alpha on it.
 
     With ``mirror`` only one ray of each mirror pair is kept: the one
-    ``_argmin_lex`` picks from a tie.  A ray in null(d_psi) has an infinite
-    ratio.
+    ``_argmin_lex`` picks from a tie.
     """
     rays, rows = _kink_candidates(f)
     rays = _canonical_sign(rays)
@@ -272,11 +276,7 @@ def _kink_values(
     proj = np.abs(rays @ f.T)
     # zero by construction: keeps rounding residue out of |.|^alpha
     np.put_along_axis(proj, rows, 0.0, axis=1)
-    vals = j_tilde * (proj**alpha @ ws)
-    if d_psi is not None:
-        den = np.linalg.norm(rays @ d_psi.T, axis=1) ** alpha
-        vals = np.divide(vals, den, out=np.full_like(vals, np.inf), where=den > 0.0)
-    return rays, rows, vals
+    return rays, rows, j_tilde * (proj**alpha @ ws)
 
 
 def _is_degenerate(eigvals: np.ndarray) -> bool:
@@ -358,7 +358,7 @@ def _min_linear_over_cap(
 
 def _cell_bounds(
     f: np.ndarray, f_norm: np.ndarray, ws: np.ndarray, alpha: float,
-    c: np.ndarray, r: np.ndarray, linear: tuple[np.ndarray, np.ndarray] | None = None,
+    c: np.ndarray, r: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """g(c) and a lower bound of g(u) = sum_i w_i |f_i'u|^alpha on each cap (c, r).
 
@@ -370,7 +370,6 @@ def _cell_bounds(
       the cap.
     - Kink-aware (``_kink_bound``): the terms whose kink circle f_i'u = 0
       crosses the cap, |f_i'c| <= |f_i| sin r, are not linearized.
-    With ``linear = (a, b)``, one row per cap, the bound is of g(u) + a + b'u.
     """
     p = c @ f.T
     ap = np.abs(p)
@@ -378,8 +377,6 @@ def _cell_bounds(
     g = terms.sum(axis=1)
     slopes = (alpha * ws) * ap ** (alpha - 1.0) * np.sign(p)
     b = slopes @ f
-    if linear is not None:
-        b = b + linear[1]
     cos_r, sin_r = np.cos(r), np.sin(r)
     lower = _min_linear_over_cap(b, c, r, cos_r, sin_r) - (alpha - 1.0) * g
     cross = ap <= f_norm * sin_r[:, None]
@@ -392,8 +389,6 @@ def _cell_bounds(
             g[rows], b[rows], terms[rows], slopes[rows], idx,
         )
         lower[rows] = np.maximum(lower[rows], kink)
-    if linear is not None:
-        lower += linear[0]
     return g, lower
 
 
@@ -554,49 +549,8 @@ def _inside_cap(
     return 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0)) + radii <= angle
 
 
-def _ratio_bounds(
-    f: np.ndarray, f_norm: np.ndarray, ws: np.ndarray, alpha: float,
-    c: np.ndarray, r: np.ndarray, d_psi: np.ndarray, lam: float, v: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """g(c) / |Dc|^alpha, D = ``d_psi``, and a lower bound of g(u) - v |Du|^alpha
-    on each cap: where it is >= 0, no ratio in the cap is below v.
-
-    On the sphere |Du|^2 <= |Dc|^2 + 2c'D'D(u - c) + lam (2 - 2c'u), lam =
-    lambda_max(D'D), and the tangent of the concave s^(alpha/2) at |Dc|^2
-    makes that a linear bound k0 + k'u of |Du|^alpha.  Where its maximum
-    over the cap exceeds (|Dc| + sqrt(lam) chord)^alpha, always at Dc = 0,
-    that constant is used.  ``_cell_bounds`` then bounds g(u) - v (k0 + k'u).
-    """
-    dc = c @ d_psi.T
-    s0 = np.einsum("ij,ij->i", dc, dc)
-    tilted = s0 > 0.0
-    s_t = np.where(tilted, s0, 1.0)
-    t = 0.5 * alpha * s_t ** (0.5 * alpha - 1.0)
-    k = 2.0 * t[:, None] * (dc @ d_psi - lam * c)
-    k0 = s_t ** (0.5 * alpha) + 2.0 * t * (lam - s_t)
-    flat = (np.sqrt(s0) + 2.0 * math.sqrt(lam) * np.sin(0.5 * r)) ** alpha
-    tilted &= k0 - _min_linear_over_cap(-k, c, r, np.cos(r), np.sin(r)) < flat
-    k[~tilted] = 0.0
-    g, lower = _cell_bounds(
-        f, f_norm, ws, alpha, c, r, (-v * np.where(tilted, k0, flat), -v * k)
-    )
-    den = s0 ** (0.5 * alpha)
-    return np.divide(g, den, out=np.full_like(g, np.inf), where=den > 0.0), lower
-
-
-def _kink_snap(f: np.ndarray, f_norm: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u projected onto its nearest kink circle f_j'u = 0: beside a minimum on
-    that circle a cell centre of radius r is off by r^alpha in value, its
-    projection by r^2."""
-    near = np.abs(f @ u) / f_norm
-    j = int(np.argmin(near))
-    v = u - (f[j] @ u) / f_norm[j] ** 2 * f[j]
-    return v / np.linalg.norm(v)
-
-
 def _branch_and_bound(
-    f: np.ndarray, ws: np.ndarray, alpha: float, d_psi: np.ndarray | None = None,
-    mirror: bool = False,
+    f: np.ndarray, ws: np.ndarray, alpha: float, mirror: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Certified min_{|u|=1} sum_i w_i |f_i'u|^alpha for 1 < alpha < 2.
 
@@ -613,9 +567,6 @@ def _branch_and_bound(
     would never drop the cells around it; ``_sphere_min`` answers it before
     calling.  Raises RuntimeError above ``_BB_MAX_CELLS`` live cells or
     ``_BB_MAX_LEVELS`` levels.
-
-    With ``d_psi`` the objective is g(u) / |d_psi u|^alpha, no polish runs,
-    and ``_ratio_bounds`` drops cells against the previous level's best.
     """
     keep = ws > 0.0
     f, ws = f[keep], ws[keep]
@@ -623,34 +574,24 @@ def _branch_and_bound(
     cells = _initial_cells(f.shape[1], mirror)
     best_u, best = cells[0, 0], math.inf
     caps: list[tuple[np.ndarray, float]] = []  # certified (u, angle); each stays valid
-    if d_psi is not None:  # a finite incumbent, which the ratio bound needs
-        _, sv, vt = np.linalg.svd(d_psi)
-        best_u, lam = vt[0], sv[0] ** 2
-        best = float(ws @ np.abs(f @ best_u) ** alpha / sv[0] ** alpha)
     for _ in range(_BB_MAX_LEVELS):
         if len(cells) > _BB_MAX_CELLS:
             raise RuntimeError(f"sphere branch-and-bound exceeded {_BB_MAX_CELLS} live cells")
         centres, radii = _cell_caps(cells)
         values = np.empty(len(cells))
         lower = np.empty(len(cells))
-        ratio = () if d_psi is None else (d_psi, lam, best * (1.0 - _BB_RTOL))
         for s in range(0, len(cells), _BB_CHUNK):
             part = slice(s, s + _BB_CHUNK)
-            values[part], lower[part] = (_ratio_bounds if ratio else _cell_bounds)(
-                f, f_norm, ws, alpha, centres[part], radii[part], *ratio
+            values[part], lower[part] = _cell_bounds(
+                f, f_norm, ws, alpha, centres[part], radii[part]
             )
         i = int(np.argmin(values))
-        if d_psi is not None:
-            for u in (centres[i], _kink_snap(f, f_norm, centres[i])):
-                value = float(ws @ np.abs(f @ u) ** alpha / np.linalg.norm(d_psi @ u) ** alpha)
-                if value < best:
-                    best_u, best = u, value
-        elif values[i] < best:
+        if values[i] < best:
             best_u, best = _polish(f, ws, alpha, centres[i], float(values[i]))
             angle = _certified_cap(f, ws, alpha, best_u, best)
             if angle > 0.0:
                 caps.append((best_u, angle))
-        live = lower < (best * (1.0 - _BB_RTOL) if d_psi is None else 0.0)
+        live = lower < best * (1.0 - _BB_RTOL)
         for u, angle in caps:
             live &= ~_inside_cap(centres, radii, u, angle)
         cells = _split_cells(cells[live])
@@ -661,7 +602,6 @@ def _branch_and_bound(
 
 def _sphere_min(
     f: np.ndarray, ws: np.ndarray, alpha: float, j_tilde: float,
-    d_psi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, InfoMethod, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """min_{|u|=1} j_tilde * sum_i w_i |f_i'u|^alpha, exactly where possible.
 
@@ -678,63 +618,34 @@ def _sphere_min(
     u_1 -> -u_1: the kink enumeration keeps the lexicographically smaller
     ray of each mirror pair, and the branch-and-bound covers u_1 >= 0.
 
-    A wide ``d_psi`` (q x d, q < d) divides the objective by |d_psi u|^alpha.
-    It is exactly 0 at a null direction n of F'WF with d_psi n != 0; other
-    null directions change neither part, so the search runs on range(F'WF),
-    where one coordinate leaves a constant (CLOSED_FORM).  At alpha = 2 it
-    is j_tilde / lambda_max(d_psi M^-1 d_psi'), M = F'WF; at alpha <= 1 the
-    kink rays with d_psi r != 0 hold the minimum, as the numerator is
-    concave on each kink cell of |d_psi u| = 1.
-
     Returns (ties, value, method, kinks).  The rows of ``ties`` are
     minimizers, the reported direction first: an orthonormal basis of the
-    lambda_min eigenspace at alpha = 2 (one minimizer for a wide ``d_psi``),
-    every kink ray within 1e-12 relative of the minimum at alpha <= 1, and
-    the one null direction or certified incumbent otherwise.  On the
-    KINK_ENUMERATION path ``kinks`` is what ``_kink_values`` returned:
-    every ray searched, the rows it annihilates and its value, from the
-    same enumeration (in the coordinates of range(F'WF) after a wide
-    ``d_psi`` reduced them).  On the other paths it is None.
+    lambda_min eigenspace at alpha = 2, every kink ray within 1e-12
+    relative of the minimum at alpha <= 1, and the one null direction or
+    certified incumbent otherwise.  On the KINK_ENUMERATION path ``kinks``
+    is what ``_kink_values`` returned: every ray searched, the rows it
+    annihilates and its value, from the same enumeration.  On the other
+    paths it is None.
     """
     vals, vecs = np.linalg.eigh(_moment_matrix(f, ws))
-    basis = kinks = None
     if _is_degenerate(vals):
-        if d_psi is None:
-            return _canonical_sign(vecs[:, :1].T), 0.0, InfoMethod.SPHERE_SEARCH, None
-        null = vals <= _DEGENERATE_RTOL * max(1.0, vals[-1])
-        reach = np.linalg.norm(d_psi @ vecs[:, null], axis=0)
-        if reach.max() > _IDENTIFIED_RTOL * np.linalg.norm(d_psi, 2):
-            k = int(np.argmax(reach))
-            return _canonical_sign(vecs[:, k:k + 1].T), 0.0, InfoMethod.SPHERE_SEARCH, None
-        basis = vecs[:, ~null]
-        if basis.shape[1] == 1:
-            num = float(ws @ np.abs(f @ basis[:, 0]) ** alpha)
-            value = j_tilde * num / float(np.linalg.norm(d_psi @ basis)) ** alpha
-            return _canonical_sign(basis.T), value, InfoMethod.CLOSED_FORM, None
-        f, d_psi, vals, vecs = f @ basis, d_psi @ basis, vals[~null], np.eye(basis.shape[1])
-    mirror = d_psi is None and alpha < 2.0 and _is_mirror_symmetric(f, ws)
-    if alpha == 2.0 and d_psi is None:
+        return _canonical_sign(vecs[:, :1].T), 0.0, InfoMethod.SPHERE_SEARCH, None
+    kinks = None
+    mirror = alpha < 2.0 and _is_mirror_symmetric(f, ws)
+    if alpha == 2.0:
         tied = vals <= vals[0] + _TIE_RTOL * abs(vals[-1])
         ties = _canonical_sign(vecs[:, tied].T)
         value, method = float(j_tilde * vals[0]), InfoMethod.EIGENVALUE
-    elif alpha == 2.0:
-        # g g' = d_psi M^-1 d_psi'; its top eigenvector z gives u = M^-1 d_psi' z
-        g = (d_psi @ vecs) / np.sqrt(vals)
-        lam, z = np.linalg.eigh(g @ g.T)
-        ties = _canonical_sign(vecs @ ((g.T @ z[:, -1]) / np.sqrt(vals)))[None, :]
-        value, method = float(j_tilde / lam[-1]), InfoMethod.EIGENVALUE
     elif alpha <= 1.0:
-        kinks = rays, _, vals = _kink_values(f, ws, alpha, j_tilde, d_psi, mirror)
+        kinks = rays, _, vals = _kink_values(f, ws, alpha, j_tilde, mirror)
         best = _argmin_lex(vals, rays)
         tied = np.flatnonzero(vals <= vals[best] * (1.0 + _TIE_RTOL))
         order = np.concatenate([[best], tied[tied != best]])
         ties, value, method = rays[order], float(vals[best]), InfoMethod.KINK_ENUMERATION
     else:
-        u, value = _branch_and_bound(f, ws, alpha, d_psi, mirror)
+        u, value = _branch_and_bound(f, ws, alpha, mirror)
         ties, value = _canonical_sign(u)[None, :], j_tilde * value
         method = InfoMethod.BRANCH_AND_BOUND
-    if basis is not None:
-        ties = _canonical_sign(ties @ basis.T)
     return ties, value, method, kinks
 
 
@@ -775,32 +686,30 @@ def direction_free_info_psi(
 ) -> float:
     """inf_u J_xi(u) / ||D_psi u||^alpha, the information about psi = D_psi theta.
 
-    A square (so invertible) ``D_psi`` maps the ratio onto the sphere
-    minimum of the rows ``F D_psi^-1``: with ``v = D_psi u / ||D_psi u||``
-    it is ``j_tilde * sum_i w_i |f_i' D_psi^-1 v|^alpha``, which
-    ``_sphere_min`` evaluates exactly or certifies, as in ``design_info``.
-    The mapped rows keep the design's null directions, so a degenerate
-    design gives exactly 0.  A wide ``D_psi`` goes to ``_sphere_min`` as the
-    ratio's denominator; the value is 0 when the design leaves psi unidentified.
+    ``D_psi`` must be square (d x d, d = degree + 1) and invertible.  It
+    maps the ratio onto the sphere minimum of the rows ``F D_psi^-1``: with
+    ``v = D_psi u / ||D_psi u||`` it is ``j_tilde * sum_i w_i
+    |f_i' D_psi^-1 v|^alpha``, which ``_sphere_min`` evaluates exactly or
+    certifies, as in ``design_info``.  The mapped rows keep the design's null
+    directions, so a degenerate design gives exactly 0.
     """
     _check_criterion(alpha, j_tilde)
     f = regressor_matrix(design.xs, degree)
-    ws = design.ws
     d = degree + 1
     d_psi = np.atleast_2d(np.asarray(d_psi, dtype=float))
     if d_psi.shape[1] != d:
         raise ValueError(f"d_psi has {d_psi.shape[1]} columns, expected {d}")
     if not np.isfinite(d_psi).all():
         raise ValueError("d_psi must be finite")
-    if np.linalg.matrix_rank(d_psi) < d_psi.shape[0]:
+    if d_psi.shape[0] != d:
+        raise ValueError(f"d_psi must be square ({d} x {d}), got {d_psi.shape[0]} rows")
+    if np.linalg.matrix_rank(d_psi) < d:
         raise ValueError("d_psi must have full row rank")
-    if d_psi.shape[0] == d:
-        # the criterion is alpha-homogeneous in the rows: unit-scale them so
-        # the degeneracy test inside _sphere_min does not depend on |D_psi|
-        g = f @ np.linalg.inv(d_psi)
-        scale = float(np.max(np.linalg.norm(g, axis=1)))
-        return scale**alpha * _sphere_min(g / scale, ws, alpha, j_tilde)[1]
-    return _sphere_min(f, ws, alpha, j_tilde, d_psi)[1]
+    # the criterion is alpha-homogeneous in the rows: unit-scale them so
+    # the degeneracy test inside _sphere_min does not depend on |D_psi|
+    g = f @ np.linalg.inv(d_psi)
+    scale = float(np.max(np.linalg.norm(g, axis=1)))
+    return scale**alpha * _sphere_min(g / scale, design.ws, alpha, j_tilde)[1]
 
 
 def _merge_points(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -61,12 +61,14 @@ class SimPlan:
     seed: int
 
     def __post_init__(self) -> None:
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = -1
-        if seed < 0 or isinstance(self.seed, (bool, np.bool_)):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("seed", "n", "replicates"):
+            value = getattr(self, name)
+            try:
+                index = operator.index(value)
+            except TypeError:
+                index = -1
+            if index < 0 or isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         if self.replicates > _MAX_REPLICATES:

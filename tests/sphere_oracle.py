@@ -1,8 +1,7 @@
 """Dense oracle for sphere minima, used only by tests.
 
-Rebuilds min_{|u|=1} sum_i w_i |f_i'u|^alpha, or with a matrix D the ratio
-sum_i w_i |f_i'u|^alpha / |D u|^alpha, from numpy and SciPy alone: nothing
-here imports the package under test.  A dense angle (d = 2) or
+Rebuilds min_{|u|=1} sum_i w_i |f_i'u|^alpha from numpy and SciPy alone:
+nothing here imports the package under test.  A dense angle (d = 2) or
 latitude-longitude (d = 3) grid finds the basins, Powell and Nelder-Mead
 polish the lowest of them in tangent coordinates of the sphere, and the
 kink rays where |f_i'u|^alpha bends are evaluated as well.  ``cap_samples``
@@ -48,22 +47,12 @@ def cap_samples(u, angle: float, n: int = 40) -> np.ndarray:
     return np.cos(rho)[:, None] * u + np.sin(rho)[:, None] * dirs
 
 
-def _objective(us, f, ws, alpha, d_psi):
-    """The criterion, or the ratio when ``d_psi`` is given, at the rows of us;
-    +inf where d_psi u = 0."""
-    vals = np.abs(us @ f.T) ** alpha @ ws
-    if d_psi is None:
-        return vals
-    den = np.linalg.norm(us @ d_psi.T, axis=1) ** alpha
-    return np.divide(vals, den, out=np.full_like(vals, np.inf), where=den > 0.0)
-
-
-def grid_values(f, ws, alpha, d_psi=None):
-    """The grid of ``oracle_grid`` and the objective at each of its points."""
+def grid_values(f, ws, alpha):
+    """The grid of ``oracle_grid`` and the criterion at each of its points."""
     us = oracle_grid(f.shape[1])
     flat = us.reshape(-1, f.shape[1])
     vals = np.concatenate([
-        _objective(flat[s:s + 20_000], f, ws, alpha, d_psi)
+        np.abs(flat[s:s + 20_000] @ f.T) ** alpha @ ws
         for s in range(0, len(flat), 20_000)
     ])
     return us, vals.reshape(us.shape[:-1])
@@ -74,7 +63,7 @@ def grid_oracle(f, ws, alpha) -> float:
     return float(np.min(grid_values(f, ws, alpha)[1]))
 
 
-def kink_oracle(f, ws, alpha, d_psi=None) -> float:
+def kink_oracle(f, ws, alpha) -> float:
     """Smallest objective value over the null directions of the rows (d = 2)
     or their pairwise cross products (d = 3).  The rows a ray annihilates
     are left out of its sum, so rounding residue does not enter |.|^alpha."""
@@ -89,13 +78,11 @@ def kink_oracle(f, ws, alpha, d_psi=None) -> float:
     for u, zero in rays:
         u = u / np.linalg.norm(u)
         value = sum(ws[k] * abs(f[k] @ u) ** alpha for k in range(n) if k not in zero)
-        den = 1.0 if d_psi is None else float(np.linalg.norm(d_psi @ u)) ** alpha
-        if den > 0.0:
-            best = min(best, value / den)
+        best = min(best, value)
     return best
 
 
-def dense_oracle(f, ws, alpha, d_psi=None, starts=12) -> float:
+def dense_oracle(f, ws, alpha, starts=12) -> float:
     """Sphere minimum of the objective: the dense grid of ``grid_values``,
     then a polish from the lowest grid point of each basin (a point no
     higher than its grid neighbours), and the kink rays of ``kink_oracle``.
@@ -104,7 +91,7 @@ def dense_oracle(f, ws, alpha, d_psi=None, starts=12) -> float:
     both stall short of a minimum on a kink ray at alpha < 1."""
     from scipy.optimize import minimize
 
-    us, vals = grid_values(f, ws, alpha, d_psi)
+    us, vals = grid_values(f, ws, alpha)
     if f.shape[1] == 2:
         basin = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
     else:
@@ -117,11 +104,7 @@ def dense_oracle(f, ws, alpha, d_psi=None, starts=12) -> float:
 
     def g(v):
         u = v / np.linalg.norm(v)
-        value = float(ws @ np.abs(f @ u) ** alpha)
-        if d_psi is None:
-            return value
-        den = float(np.linalg.norm(d_psi @ u)) ** alpha
-        return value / den if den > 0.0 else math.inf
+        return float(ws @ np.abs(f @ u) ** alpha)
 
     def polish(u, method, options):
         # tangent coordinates at u: in R^d the objective is constant along
@@ -132,7 +115,7 @@ def dense_oracle(f, ws, alpha, d_psi=None, starts=12) -> float:
         v = u + res.x @ basis
         return v / np.linalg.norm(v), float(res.fun)
 
-    best = min(float(np.min(vals)), kink_oracle(f, ws, alpha, d_psi))
+    best = min(float(np.min(vals)), kink_oracle(f, ws, alpha))
     methods = [
         ("Powell", {"xtol": 1e-14, "ftol": 1e-17, "maxfev": 5_000}),
         ("Nelder-Mead", {"xatol": 1e-13, "fatol": 1e-17, "maxiter": 2_000}),

@@ -166,6 +166,37 @@ class TestDesignOpt:
         cfg.write_text("[1, 2]")
         assert run(capsys, "design-opt", "--config", str(cfg))[0] == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("degree", True), ("A", True), ("alpha", None), ("jtilde", {"value": 1}),
+        ("max_cuts", 30.5), ("degree", 1.5), ("degree", [1]), ("A", "two"),
+    ])
+    def test_config_value_outside_the_flag_type_exits_2(self, capsys, tmp_path, field, value):
+        # the raw JSON value was once stored unchecked: true ran degree 1 or
+        # A = 1, and 30.5 passed as a cut cap
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degree": 1, "A": 1, "alpha": 1, field: value}))
+        code, out, err = run(capsys, "design-opt", "--config", str(cfg),
+                             "--out-dir", str(tmp_path))
+        assert code == 2
+        assert repr(field) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("cmd,payload,flags", [
+        # {"A": "2"} once failed on "'>' not supported between 'str' and 'float'"
+        ("design-opt", {"A": "2", "gap-tol": "1e-6", "max_cuts": 30},
+         ["--A", "2", "--gap-tol", "1e-6", "--max-cuts", "30"]),
+        ("pi-curve", {"A": [1, 2.0], "alphas": [1, 1.5]}, ["--A", "1,2.0", "--alphas", "1,1.5"]),
+        ("pi-curve", {"A": 2, "alphas": "1:2:0.5"}, ["--A", "2", "--alphas", "1:2:0.5"]),
+    ])
+    def test_config_values_read_as_the_flag_text(self, capsys, tmp_path, cmd, payload, flags):
+        extra = ["--degree", "1", "--alpha", "1.4", "--out-dir", str(tmp_path)]
+        extra = extra if cmd == "design-opt" else []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code, from_file, err = run(capsys, cmd, "--config", str(cfg), *extra)
+        assert code == 0, err
+        assert run(capsys, cmd, *flags, *extra) == (0, from_file, "")
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "design-opt", "--degree", "1", "--A", "1")
         assert code == 2
@@ -216,6 +247,9 @@ class TestDesignOpt:
         # (not JSON) and e-optimal exited 3 on a "relative tolerance nan"
         for cmd, flag, value, name in [
             ("design-opt", "--gap-tol", "0", "gap_tol"),
+            # a tolerance of 1 or more once reported the first incumbent as converged
+            ("design-opt", "--gap-tol", "5", "gap_tol"),
+            ("design-opt", "--gap-tol", "inf", "gap_tol"),
             ("design-opt", "--max-cuts", "3", "max_cuts"),
             ("design-opt", "--jtilde", "nan", "j_tilde"),
             ("e-optimal", "--gap-tol", "nan", "gap_tol"),

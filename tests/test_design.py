@@ -128,11 +128,16 @@ class TestGridsAndConfigs:
             default_grid(1.0, 301)
 
     def test_cutting_plane_config_validation(self):
-        for gap_tol in (0.0, math.nan):
-            with pytest.raises(ValueError, match="gap_tol must be positive"):
+        # a gap_tol of 1 or more once stopped at the first incumbent as converged
+        for gap_tol in (0.0, math.nan, 1.0, 5.0, math.inf):
+            with pytest.raises(ValueError, match="gap_tol must be positive and below 1"):
                 CuttingPlaneConfig(gap_tol=gap_tol)
         with pytest.raises(ValueError, match="max_cuts must be at least 4"):
             CuttingPlaneConfig(max_cuts=3)
+        for max_cuts in (30.5, 30.0, True, np.bool_(True), "30", None):
+            with pytest.raises(ValueError, match="max_cuts must be an integer"):
+                CuttingPlaneConfig(max_cuts=max_cuts)
+        assert CuttingPlaneConfig(gap_tol=0.5, max_cuts=np.int64(30)).max_cuts == 30
 
 
 class TestDirectional:
@@ -637,9 +642,11 @@ class TestDirectionFreePsi:
             via_psi = direction_free_info_psi(d, np.eye(degree + 1), 1.5, 1.3, degree)
             assert via_psi == pytest.approx(base, rel=1e-9)
 
-    def test_slope_functional_linear_two_point(self):
-        val = direction_free_info_psi(TWO_POINT, np.array([[0.0, 1.0]]), 1.0, 1.0, 1)
-        assert val == pytest.approx(1.0, abs=1e-8)
+    @pytest.mark.parametrize("shape,degree", [((1, 2), 1), ((2, 3), 2)])
+    def test_wide_dpsi_rejected(self, shape, degree):
+        d_psi = np.eye(*shape)
+        with pytest.raises(ValueError, match="d_psi must be square"):
+            direction_free_info_psi(THREE_POINT_06, d_psi, 1.0, 1.0, degree)
 
     def test_alpha2_identity_matches_lambda_min(self):
         rng = np.random.default_rng(23)
@@ -678,6 +685,24 @@ class TestDirectionFreePsi:
             via_psi = direction_free_info_psi(d, d_psi, alpha, 1.3, degree)
             assert via_psi == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_random_square_dpsi_agrees_with_dense_oracle(self, degree, alpha):
+        # the dense oracle on the mapped rows F D_psi^-1, and the ratio
+        # J(u) / |D_psi u|^alpha itself, never below the value, in random directions
+        rng = np.random.default_rng(820 + 10 * degree + int(10 * alpha))
+        for _ in range(2):
+            d = random_balanced_design(rng, a=1.5)
+            d_psi = rng.normal(size=(degree + 1, degree + 1))
+            f = regressor_matrix(d.xs, degree)
+            value = direction_free_info_psi(d, d_psi, alpha, 1.0, degree)
+            oracle = dense_oracle(f @ np.linalg.inv(d_psi), d.ws, alpha, starts=4)
+            assert value <= oracle * (1.0 + 1e-10)
+            assert value == pytest.approx(oracle, rel=1e-8)
+            us = rng.normal(size=(2000, degree + 1))
+            ratios = np.abs(us @ f.T) ** alpha @ d.ws / np.linalg.norm(us @ d_psi.T, axis=1) ** alpha
+            assert float(np.min(ratios)) >= value * (1.0 - 1e-10)
+
     @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
     def test_scaled_dpsi_scales_the_value(self, alpha):
         # J(u) / |c D u|^alpha = c^-alpha J(u) / |D u|^alpha, however small
@@ -697,7 +722,7 @@ class TestDirectionFreePsi:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="rank"):
-            direction_free_info_psi(TWO_POINT, np.zeros((1, 2)), 1.0, 1.0, 1)
+            direction_free_info_psi(TWO_POINT, np.zeros((2, 2)), 1.0, 1.0, 1)
 
     def test_wrong_columns_rejected(self):
         with pytest.raises(ValueError, match="columns"):
@@ -708,9 +733,8 @@ class TestDirectionFreePsi:
     def test_criterion_domain(self, alpha, j_tilde):
         # alpha = 3 once ran a branch-and-bound whose cell bound needs alpha <= 2
         match = "alpha must lie" if j_tilde == 1.0 else "j_tilde must be positive"
-        for d_psi in (np.eye(2), np.array([[0.0, 1.0]])):
-            with pytest.raises(ValueError, match=match):
-                direction_free_info_psi(TWO_POINT, d_psi, alpha, j_tilde, 1)
+        with pytest.raises(ValueError, match=match):
+            direction_free_info_psi(TWO_POINT, np.eye(2), alpha, j_tilde, 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_dpsi_named(self, bad):
@@ -719,67 +743,6 @@ class TestDirectionFreePsi:
         for d_psi in (np.array([[bad, 1.0]]), np.array([[bad, 1.0], [0.0, 1.0]])):
             with pytest.raises(ValueError, match="d_psi must be finite"):
                 direction_free_info_psi(TWO_POINT, d_psi, 1.0, 1.0, 1)
-
-
-def _ratio(f, ws, alpha, d_psi, u):
-    return float(ws @ np.abs(f @ u) ** alpha / np.linalg.norm(d_psi @ u) ** alpha)
-
-
-class TestWideDpsi:
-    """psi = D_psi theta with fewer rows than coefficients: the ratio
-    inf_u J(u) / |D_psi u|^alpha, against closed forms and the dense oracle."""
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-    def test_two_point_quadratic_identifies_slope_not_intercept(self, alpha):
-        # support {-1, 1} leaves u = (1, 0, -1) null: theta_1 and
-        # theta_0 + theta_2 are identified, theta_0 is not.  The
-        # grid-plus-Nelder-Mead search gave the intercept 4.6e-23 at alpha = 1.5
-        slope = direction_free_info_psi(TWO_POINT, [[0.0, 1.0, 0.0]], alpha, 1.0, 2)
-        assert slope == pytest.approx(min(1.0, 2.0 ** (alpha - 1.0)), rel=1e-10)
-        pair = [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
-        both = direction_free_info_psi(TWO_POINT, pair, alpha, 1.0, 2)
-        assert both == pytest.approx(2.0 ** ((alpha - 2.0) / 2.0), rel=1e-10)
-        assert direction_free_info_psi(TWO_POINT, [[1.0, 0.0, 0.0]], alpha, 1.0, 2) == 0.0
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_one_point_design_identifies_its_mean(self, degree, alpha):
-        # one support point identifies f(x0)'theta alone, and J(u) =
-        # |f(x0)'u|^alpha makes its ratio j_tilde in every direction
-        one = Design([(0.4, 1.0)], 1.0, require_balance=False)
-        f0 = regressor_matrix(np.array([0.4]), degree)
-        value = direction_free_info_psi(one, f0, alpha, 1.3, degree)
-        assert value == pytest.approx(1.3, rel=1e-14)
-        scaled = direction_free_info_psi(one, 2.0 * f0, alpha, 1.3, degree)
-        assert scaled == pytest.approx(1.3 * 2.0**-alpha, rel=1e-14)
-        other = regressor_matrix(np.array([-0.2]), degree)
-        assert direction_free_info_psi(one, other, alpha, 1.3, degree) == 0.0
-
-    def test_ratio_branch_and_bound_stays_small(self, monkeypatch):
-        # the slope of THREE_POINT_06 is smallest at u = (0, 1, 0), on the
-        # kink circle of f(0): 0.2 (1 + 1) = 0.4 for every alpha >= 1
-        monkeypatch.setattr(design_module, "_BB_MAX_CELLS", 2048)
-        for alpha in (1.05, 1.5, 1.9):
-            value = direction_free_info_psi(THREE_POINT_06, [[0.0, 1.0, 0.0]], alpha, 1.0, 2)
-            assert value == pytest.approx(0.4, rel=1e-10)
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 3)])
-    def test_random_dpsi_agrees_with_dense_oracle(self, shape, alpha):
-        rng = np.random.default_rng(800 + 10 * shape[0] + shape[1] + int(10 * alpha))
-        degree = shape[1] - 1
-        for _ in range(2):
-            d = random_balanced_design(rng, a=1.5)
-            d_psi = rng.normal(size=shape)
-            f = regressor_matrix(d.xs, degree)
-            value = direction_free_info_psi(d, d_psi, alpha, 1.0, degree)
-            # four polish starts keep the 24 oracle calls near 15 s
-            oracle = dense_oracle(f, d.ws, alpha, d_psi, starts=4)
-            assert value <= oracle * (1.0 + 1e-10)
-            assert value == pytest.approx(oracle, rel=1e-8)
-            if alpha >= 1.0:  # below 1, rounding residue of f_i'u = 0 enters |.|^alpha
-                ties = design_module._sphere_min(f, d.ws, alpha, 1.0, d_psi)[0]
-                assert _ratio(f, d.ws, alpha, d_psi, ties[0]) == pytest.approx(value, rel=1e-12)
 
 
 class TestSymmetrize:

@@ -76,8 +76,8 @@ assert cli.main([
     assert (tmp_path / "risk.csv").is_file()
 
 
-def test_wide_dpsi_information_loads_no_scipy():
-    # the slope, and two of three quadratic coefficients, on every sphere path
+def test_square_dpsi_information_loads_no_scipy():
+    # a square D_psi at degree 1 and 2, on every sphere path
     code = """
 import sys
 
@@ -85,9 +85,9 @@ from nonregdesign.design import Design, direction_free_info_psi
 
 design = Design([(-1.0, 0.2), (0.0, 0.6), (1.0, 0.2)], 1.0)
 for alpha in (0.5, 1.0, 1.5, 2.0):
-    assert direction_free_info_psi(design, [[0.0, 1.0]], alpha, 1.0, 1) > 0.0
-    for d_psi in ([[0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]):
-        assert direction_free_info_psi(design, d_psi, alpha, 1.0, 2) > 0.0
+    assert direction_free_info_psi(design, [[1.0, 0.5], [0.0, 2.0]], alpha, 1.0, 1) > 0.0
+    d_psi = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 2.0]]
+    assert direction_free_info_psi(design, d_psi, alpha, 1.0, 2) > 0.0
 """ + NO_SCIPY
     run_fresh(code)
 

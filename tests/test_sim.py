@@ -207,6 +207,17 @@ class TestSimPlan:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got"):
             small_plan(seed=seed)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 20.5), ("n", 20.0), ("n", "20"), ("n", True),
+        ("replicates", 5.5), ("replicates", True), ("replicates", np.bool_(True)),
+        ("replicates", None),
+    ])
+    def test_non_integral_size_rejected(self, field, value):
+        # replicates=True once ran 1 replicate; n=20.5 failed inside
+        # realize_design and replicates=5.5 inside range
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer, got"):
+            small_plan(**{"reps" if field == "replicates" else field: value})
+
     def test_numpy_integer_seed_gives_the_same_risk(self):
         want = mc_risk(small_plan(seed=5))
         assert mc_risk(small_plan(seed=np.int64(5))) == want
