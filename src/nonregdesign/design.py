@@ -31,6 +31,7 @@ E-optimality, which serves as the regular comparator.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -284,62 +285,93 @@ def _is_degenerate(eigvals: np.ndarray) -> bool:
     return bool(eigvals[0] <= _DEGENERATE_RTOL * max(1.0, eigvals[-1]))
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared lengths of the vectors whose d = 2 or 3 components run along
+    the first axis of v.
+
+    The squares are summed left to right.  That is NumPy's own order for a
+    reduction over so short an axis, so ``np.sqrt`` of the result has the
+    bits of ``np.linalg.norm(v, axis=0)``, without its slow short-axis pass.
+    """
+    sq = v * v
+    total = sq[0] + sq[1]
+    if len(v) == 3:
+        total += sq[2]
+    return total
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v scaled to unit length along its first axis, the components."""
+    return v / np.sqrt(_sq_norms(v))
 
 
 def _split_cells(cells: np.ndarray) -> np.ndarray:
     """Halve arcs (d = 2) or quarter spherical triangles (d = 3).
 
-    A cell is the array of its vertices; new vertices are the normalized
-    edge midpoints, so the children tile the parent.
+    Cells are stored component first: ``cells[:, j, n]`` is vertex j of cell
+    n, so every array pass runs along the cells.  New vertices are the
+    normalized edge midpoints, so the children tile the parent.  They come
+    in blocks of n, one per position, each in the parents' order: [v0, m]
+    and [m, v1] for an arc; [v0, m01, m02], [v1, m12, m01], [v2, m02, m12]
+    and [m01, m12, m02] for a triangle.
     """
-    if cells.shape[1] == 2:
-        v0, v1 = cells[:, 0], cells[:, 1]
-        m = _unit_rows(v0 + v1)
-        return np.concatenate([np.stack([v0, m], 1), np.stack([m, v1], 1)])
-    v0, v1, v2 = cells[:, 0], cells[:, 1], cells[:, 2]
-    m01, m12, m02 = _unit_rows(v0 + v1), _unit_rows(v1 + v2), _unit_rows(v0 + v2)
-    return np.concatenate([
-        np.stack([v0, m01, m02], 1),
-        np.stack([v1, m12, m01], 1),
-        np.stack([v2, m02, m12], 1),
-        np.stack([m01, m12, m02], 1),
-    ])
+    d, k, n = cells.shape
+    out = np.empty((d, k, 2 * (k - 1), n))  # component, vertex, block, parent
+    if k == 2:
+        m = _unit(cells[:, 0] + cells[:, 1])
+        out[:, 0, 0], out[:, 1, 0] = cells[:, 0], m
+        out[:, 0, 1], out[:, 1, 1] = m, cells[:, 1]
+    else:
+        mids = _unit(cells + cells[:, [1, 2, 0]])  # m01, m12, m02
+        out[:, 0, :3] = cells
+        out[:, 1, :3] = mids
+        out[:, 2, 0] = mids[:, 2]
+        out[:, 2, 1:3] = mids[:, :2]
+        out[:, :, 3] = mids
+    return out.reshape(d, k, -1)
 
 
+@functools.lru_cache(maxsize=None)
 def _initial_cells(d: int, mirror: bool) -> np.ndarray:
-    """Cells covering a hemisphere: 64 arcs of [0, pi) at d = 2, and the 4
-    upper octahedral faces, each split three times, at d = 3.
+    """Cells covering a hemisphere, laid out as ``_split_cells`` takes them:
+    64 arcs of [0, pi) at d = 2, and the 4 upper octahedral faces, each
+    split three times, at d = 3.
 
     With ``mirror`` the objective is unchanged by u_1 -> -u_1, and the cells
     cover the half u_1 >= 0 of the hemisphere only: up to sign every
     direction has a mirror image there.  That is 32 arcs of [0, pi/2] and
     the faces [e1, e2, e3] and [e2, -e1, e3], the first cells of the full
-    hemisphere.
+    hemisphere.  Built once per (d, mirror) and read-only.
     """
     if d == 2:
         t = np.arange(33 if mirror else 65) * (math.pi / 64)
-        v = np.stack([np.cos(t), np.sin(t)], axis=1)
-        return np.stack([v[:-1], v[1:]], axis=1)
-    e1, e2, e3 = np.eye(3)
-    cells = np.array([[e1, e2, e3], [e2, -e1, e3], [-e1, -e2, e3], [-e2, e1, e3]])
-    cells = cells[:2] if mirror else cells
-    for _ in range(3):
-        cells = _split_cells(cells)
+        v = np.stack([np.cos(t), np.sin(t)])
+        cells = np.stack([v[:, :-1], v[:, 1:]], axis=1)
+    else:
+        e1, e2, e3 = np.eye(3)
+        faces = np.array([[e1, e2, e3], [e2, -e1, e3], [-e1, -e2, e3], [-e2, e1, e3]])
+        cells = np.ascontiguousarray(faces[: 2 if mirror else 4].T)
+        for _ in range(3):
+            cells = _split_cells(cells)
+    cells.flags.writeable = False  # shared by every call through the cache
     return cells
 
 
 def _cell_caps(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and radius of a cap around each cell.
+    """Centre (a row per cell) and radius of a cap around each cell, for
+    cells laid out as ``_split_cells`` takes them.
 
     The radius comes from the longest centre-to-vertex chord as
     2 asin(chord / 2), which stays accurate for tiny cells where arccos of
     the dot product rounds to 0.
     """
-    centres = _unit_rows(cells.sum(axis=1))
-    chords = np.linalg.norm(cells - centres[:, None, :], axis=2).max(axis=1)
-    return centres, 2.0 * np.arcsin(np.minimum(0.5 * chords, 1.0))
+    total = cells[:, 0] + cells[:, 1]
+    if cells.shape[1] == 3:
+        total += cells[:, 2]
+    centres = _unit(total)
+    chords = np.sqrt(np.max(_sq_norms(cells - centres[:, None]), axis=0))
+    radii = 2.0 * np.arcsin(np.minimum(0.5 * chords, 1.0))
+    return np.ascontiguousarray(centres.T), radii
 
 
 def _min_linear_over_cap(
@@ -351,9 +383,12 @@ def _min_linear_over_cap(
     expanded as (b'c) cos r - |b_t| sin r with b_t the part of b tangent at c.
     """
     bc = np.einsum("ij,ij->i", b, c)
-    bt = np.linalg.norm(b - bc[:, None] * c, axis=1)
-    inside = np.arctan2(bt, bc) + r < math.pi
-    return np.where(inside, bc * cos_r - bt * sin_r, -np.hypot(bc, bt))
+    bt = np.sqrt(_sq_norms((b - bc[:, None] * c).T))
+    value = bc * cos_r - bt * sin_r
+    outside = ~(np.arctan2(bt, bc) + r < math.pi)
+    if outside.any():
+        value[outside] = -np.hypot(bc[outside], bt[outside])
+    return value
 
 
 def _cell_bounds(
@@ -381,7 +416,7 @@ def _cell_bounds(
     lower = _min_linear_over_cap(b, c, r, cos_r, sin_r) - (alpha - 1.0) * g
     cross = ap <= f_norm * sin_r[:, None]
     n_cross = cross.sum(axis=1)
-    for m in np.unique(n_cross[n_cross > 0]):
+    for m in np.flatnonzero(np.bincount(n_cross)[1:]) + 1:
         rows = np.flatnonzero(n_cross == m)
         idx = np.nonzero(cross[rows])[1].reshape(rows.size, m)
         kink = _kink_bound(
@@ -543,9 +578,7 @@ def _inside_cap(
 ) -> np.ndarray:
     """True for each cap (centre, radius) that lies inside the cap of ``angle``
     around +-u.  Angles come from chords, accurate for tiny ones too."""
-    chord = np.minimum(
-        np.linalg.norm(centres - u, axis=1), np.linalg.norm(centres + u, axis=1)
-    )
+    chord = np.sqrt(np.minimum(_sq_norms((centres - u).T), _sq_norms((centres + u).T)))
     return 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0)) + radii <= angle
 
 
@@ -572,15 +605,15 @@ def _branch_and_bound(
     f, ws = f[keep], ws[keep]
     f_norm = np.linalg.norm(f, axis=1)
     cells = _initial_cells(f.shape[1], mirror)
-    best_u, best = cells[0, 0], math.inf
+    best_u, best = cells[:, 0, 0], math.inf
     caps: list[tuple[np.ndarray, float]] = []  # certified (u, angle); each stays valid
     for _ in range(_BB_MAX_LEVELS):
-        if len(cells) > _BB_MAX_CELLS:
+        if cells.shape[2] > _BB_MAX_CELLS:
             raise RuntimeError(f"sphere branch-and-bound exceeded {_BB_MAX_CELLS} live cells")
         centres, radii = _cell_caps(cells)
-        values = np.empty(len(cells))
-        lower = np.empty(len(cells))
-        for s in range(0, len(cells), _BB_CHUNK):
+        values = np.empty(len(centres))
+        lower = np.empty(len(centres))
+        for s in range(0, len(centres), _BB_CHUNK):
             part = slice(s, s + _BB_CHUNK)
             values[part], lower[part] = _cell_bounds(
                 f, f_norm, ws, alpha, centres[part], radii[part]
@@ -594,8 +627,8 @@ def _branch_and_bound(
         live = lower < best * (1.0 - _BB_RTOL)
         for u, angle in caps:
             live &= ~_inside_cap(centres, radii, u, angle)
-        cells = _split_cells(cells[live])
-        if not len(cells):
+        cells = _split_cells(cells[:, :, live])
+        if not cells.shape[2]:
             return best_u, best
     raise RuntimeError(f"sphere branch-and-bound did not finish in {_BB_MAX_LEVELS} levels")
 

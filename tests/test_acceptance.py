@@ -118,7 +118,7 @@ def test_criterion_01_closed_form_uniform_information():
     for variant, expected in cases:
         model = UniformModel(variant, 2.0)
         fit = estimate_alpha_and_J(uniform_h_fn(model), 2.0)
-        assert fit.J == pytest.approx(expected, rel=0.01), (
+        assert fit.J == pytest.approx(expected, rel=0.01, abs=0), (
             f"{variant.value}: limit fit J={fit.J:.6f}, closed form {expected}"
         )
     elapsed = time.perf_counter() - t0
@@ -308,7 +308,7 @@ def test_criterion_09_uniform_scale_mse():
     big_n = 10_000
     limit = 2.0 * theta * theta
     scaled = big_n**2 * unif_mle_mse(theta, big_n)
-    assert scaled == pytest.approx(limit, rel=0.01), (
+    assert scaled == pytest.approx(limit, rel=0.01, abs=0), (
         f"n^2 MSE = {scaled:.6f} vs limit {limit}"
     )
 
@@ -394,7 +394,7 @@ def test_criterion_11_alpha2_eigenvalue_consistency():
             info = dense_oracle(rows, np.full(d, 0.25), 2.0, starts=1)
             eig_path = fisher_lower_bound(fisher, np.eye(d))  # = 1 / lambda_min
             product = 4.0 * info * eig_path
-            assert product == pytest.approx(1.0, rel=1e-6), (
+            assert product == pytest.approx(1.0, rel=1e-6, abs=0), (
                 f"d={d}: sphere path {info:.10f} vs eigenvalue path "
                 f"{eig_path:.10f} (product {product:.10f})"
             )

@@ -148,13 +148,13 @@ class TestDirectional:
     def test_two_point_diagonal_direction(self):
         u = np.array([1.0, 1.0]) / math.sqrt(2.0)
         val = design_info_directional(TWO_POINT, u, 1.0, 1.0, 1)
-        assert val == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-14)
+        assert val == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-14, abs=0)
 
     def test_j_tilde_scales_linearly(self):
         u = np.array([0.6, 0.8])
         v1 = design_info_directional(TWO_POINT, u, 1.5, 1.0, 1)
         v2 = design_info_directional(TWO_POINT, u, 1.5, 3.25, 1)
-        assert v2 == pytest.approx(3.25 * v1, rel=1e-14)
+        assert v2 == pytest.approx(3.25 * v1, rel=1e-14, abs=0)
 
     def test_requires_unit_direction(self):
         with pytest.raises(ValueError, match="unit"):
@@ -190,7 +190,7 @@ class TestDesignInfo:
     def test_two_point_formula_and_monotonicity(self, a):
         d = Design(A=a, points=((-a, 0.5), (a, 0.5)))
         res = design_info(d, 1.0, 1.0, 1)
-        assert res.J == pytest.approx(a / math.sqrt(1.0 + a * a), rel=1e-10)
+        assert res.J == pytest.approx(a / math.sqrt(1.0 + a * a), rel=1e-10, abs=0)
 
     def test_increasing_in_a(self):
         vals = [
@@ -226,7 +226,7 @@ class TestDesignInfo:
     def test_minimizing_direction_attains_value(self):
         res = design_info(TWO_POINT, 1.0, 1.0, 1)
         attained = design_info_directional(TWO_POINT, np.asarray(res.direction), 1.0, 1.0, 1)
-        assert attained == pytest.approx(res.J, rel=1e-12)
+        assert attained == pytest.approx(res.J, rel=1e-12, abs=0)
 
 
 class TestExactSphereOracle:
@@ -239,7 +239,7 @@ class TestExactSphereOracle:
             f = np.vander(d.xs, degree + 1, increasing=True)
             res = design_info(d, alpha, 1.0, degree)
             assert res.method is InfoMethod.KINK_ENUMERATION
-            assert res.J == pytest.approx(kink_oracle(f, d.ws, alpha), rel=1e-12)
+            assert res.J == pytest.approx(kink_oracle(f, d.ws, alpha), rel=1e-12, abs=0)
             assert res.J <= grid_oracle(f, d.ws, alpha) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("degree", [1, 2])
@@ -251,7 +251,7 @@ class TestExactSphereOracle:
             res = design_info(d, 2.0, 1.0, degree)
             assert res.method is InfoMethod.EIGENVALUE
             lam = np.linalg.eigvalsh(f.T @ (d.ws[:, None] * f))[0]
-            assert res.J == pytest.approx(lam, rel=1e-12)
+            assert res.J == pytest.approx(lam, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "alpha,degree,method",
@@ -292,7 +292,7 @@ class TestExactSphereOracle:
         # whose slopes straddle 0 (pi is the maximizer of the concave f), so
         # the smallest slope must be <= 0 whichever minimizer comes first.
         f_val, slope = _three_point_inner(a, alpha)(pi)
-        assert f_val == pytest.approx(value, rel=1e-12)
+        assert f_val == pytest.approx(value, rel=1e-12, abs=0)
         assert slope <= 0.0
 
 
@@ -431,10 +431,10 @@ class TestBranchAndBound:
             # certificate: at most 1e-10 above the minimum, which the
             # oracle's evaluated points cannot undercut
             assert res.J <= oracle * (1.0 + 1e-10)
-            assert res.J == pytest.approx(oracle, rel=1e-9)
+            assert res.J == pytest.approx(oracle, rel=1e-9, abs=0)
             u = np.asarray(res.direction)
             attained = design_info_directional(d, u, alpha, 1.0, degree)
-            assert attained == pytest.approx(res.J, rel=1e-14)
+            assert attained == pytest.approx(res.J, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize(
         "a,alpha,pi",
@@ -447,7 +447,7 @@ class TestBranchAndBound:
         value = _three_point_inner(a, alpha)(pi)[0]
         oracle = dense_oracle(f, ws, alpha)
         assert value <= oracle * (1.0 + 1e-10)
-        assert value == pytest.approx(oracle, rel=1e-9)
+        assert value == pytest.approx(oracle, rel=1e-9, abs=0)
 
     def test_near_tie_pin(self):
         # two local minima within 3.1e-6 of each other: the grid plus
@@ -466,7 +466,7 @@ class TestBranchAndBound:
         seen = {0: 0, 1: 0, 2: 0}
         for n in range(150):
             cell = _random_cell(rng, f, degree + 1, n % 3)
-            centres, radii = design_module._cell_caps(cell[None])
+            centres, radii = design_module._cell_caps(cell.T[..., None])
             _, lower = design_module._cell_bounds(f, f_norm, ws, alpha, centres, radii)
             dense = np.abs(_cell_samples(cell) @ f.T) ** alpha @ ws
             assert lower[0] <= dense.min() * (1.0 + 1e-13) + 1e-15
@@ -563,8 +563,140 @@ class TestBranchAndBound:
         # design, above the 1e-5 gap it certified
         sol = _solve(2, 2.0, 1.2)
         f = regressor_matrix(sol.design.xs, 2)
-        assert sol.info == pytest.approx(dense_oracle(f, sol.design.ws, 1.2), rel=1e-9)
+        assert sol.info == pytest.approx(dense_oracle(f, sol.design.ws, 1.2), rel=1e-9, abs=0)
         assert sol.gap <= CuttingPlaneConfig().gap_tol * (sol.info + sol.gap)
+
+
+def _ref_unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _ref_split_cells(cells):
+    """The split as a stack of rows: cells[n] holds the vertices of cell n."""
+    if cells.shape[1] == 2:
+        v0, v1 = cells[:, 0], cells[:, 1]
+        m = _ref_unit_rows(v0 + v1)
+        return np.concatenate([np.stack([v0, m], 1), np.stack([m, v1], 1)])
+    v0, v1, v2 = cells[:, 0], cells[:, 1], cells[:, 2]
+    m01, m12, m02 = _ref_unit_rows(v0 + v1), _ref_unit_rows(v1 + v2), _ref_unit_rows(v0 + v2)
+    return np.concatenate([
+        np.stack([v0, m01, m02], 1),
+        np.stack([v1, m12, m01], 1),
+        np.stack([v2, m02, m12], 1),
+        np.stack([m01, m12, m02], 1),
+    ])
+
+
+def _ref_cell_caps(cells):
+    centres = _ref_unit_rows(cells.sum(axis=1))
+    chords = np.linalg.norm(cells - centres[:, None, :], axis=2).max(axis=1)
+    return centres, 2.0 * np.arcsin(np.minimum(0.5 * chords, 1.0))
+
+
+def _ref_min_linear_over_cap(b, c, r, cos_r, sin_r):
+    bc = np.einsum("ij,ij->i", b, c)
+    bt = np.linalg.norm(b - bc[:, None] * c, axis=1)
+    inside = np.arctan2(bt, bc) + r < math.pi
+    return np.where(inside, bc * cos_r - bt * sin_r, -np.hypot(bc, bt))
+
+
+def _ref_inside_cap(centres, radii, u, angle):
+    chord = np.minimum(np.linalg.norm(centres - u, axis=1), np.linalg.norm(centres + u, axis=1))
+    return 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0)) + radii <= angle
+
+
+def _ref_initial_cells(d, mirror):
+    if d == 2:
+        t = np.arange(33 if mirror else 65) * (math.pi / 64)
+        v = np.stack([np.cos(t), np.sin(t)], axis=1)
+        return np.stack([v[:-1], v[1:]], axis=1)
+    e1, e2, e3 = np.eye(3)
+    cells = np.array([[e1, e2, e3], [e2, -e1, e3], [-e1, -e2, e3], [-e2, e1, e3]])
+    cells = cells[:2] if mirror else cells
+    for _ in range(3):
+        cells = _ref_split_cells(cells)
+    return cells
+
+
+def _as_rows(cells):
+    """Component-first cells (component, vertex, cell) as rows of vertices."""
+    return cells.transpose(2, 1, 0)
+
+
+def _random_cells(rng, d, n):
+    """n random arcs (d = 2) or spherical triangles (d = 3), component first."""
+    v = rng.normal(size=(d, d, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(1, 1, n))
+    return v / np.linalg.norm(v, axis=0)
+
+
+class TestBranchAndBoundKernels:
+    """The level loop's array kernels give the same bits as the row-by-row
+    formulas, with np.linalg.norm and np.stack, that they replaced."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_split_and_caps_match_row_formulas(self, d):
+        rng = np.random.default_rng(40 + d)
+        cells = _random_cells(rng, d, 300)
+        children = design_module._split_cells(cells)
+        assert np.array_equal(_as_rows(children), _ref_split_cells(_as_rows(cells)))
+        centres, radii = design_module._cell_caps(cells)
+        ref_centres, ref_radii = _ref_cell_caps(_as_rows(cells))
+        assert np.array_equal(centres, ref_centres) and np.array_equal(radii, ref_radii)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_deep_splits_match_row_formulas(self, d, mirror):
+        # 36 levels below the start cells the chords are near 1e-12, where
+        # the arcsin of the chord, not arccos, keeps the radius
+        rng = np.random.default_rng(50 + 2 * d + mirror)
+        cells = design_module._initial_cells(d, mirror)
+        assert np.array_equal(_as_rows(cells), _ref_initial_cells(d, mirror))
+        for _ in range(36):
+            children = design_module._split_cells(cells)
+            assert np.array_equal(_as_rows(children), _ref_split_cells(_as_rows(cells)))
+            centres, radii = design_module._cell_caps(children)
+            ref_centres, ref_radii = _ref_cell_caps(_as_rows(children))
+            assert np.array_equal(centres, ref_centres) and np.array_equal(radii, ref_radii)
+            cells = children[:, :, rng.choice(children.shape[2], size=8, replace=False)]
+        assert 1e-14 < radii.max() < 1e-11
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_unit_and_cap_tests_match_row_formulas(self, d):
+        rng = np.random.default_rng(60 + d)
+        v = rng.normal(size=(500, d)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(500, 1))
+        assert np.array_equal(design_module._unit(v.T).T, _ref_unit_rows(v))
+        c = _ref_unit_rows(rng.normal(size=(500, d)))
+        r = rng.uniform(0.0, math.pi, size=500)
+        args = (v, c, r, np.cos(r), np.sin(r))
+        lin = design_module._min_linear_over_cap(*args)
+        assert np.array_equal(lin, _ref_min_linear_over_cap(*args))
+        # both branches ran: caps that reach -b / |b| and caps that do not
+        wide = np.arctan2(np.linalg.norm(v - np.einsum("ij,ij->i", v, c)[:, None] * c, axis=1),
+                          np.einsum("ij,ij->i", v, c)) + r >= math.pi
+        assert 50 < wide.sum() < 450
+        centres = _ref_unit_rows(rng.normal(size=(500, d)))
+        radii = 10.0 ** rng.uniform(-12.0, -0.5, size=500)
+        for _ in range(5):
+            u = _ref_unit_rows(rng.normal(size=d))
+            angle = rng.uniform(0.2, 1.5)
+            inside = design_module._inside_cap(centres, radii, u, angle)
+            assert np.array_equal(inside, _ref_inside_cap(centres, radii, u, angle))
+            assert 0 < inside.sum() < 500
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_start_cells_are_shared_and_read_only(self, d, mirror):
+        cells = design_module._initial_cells(d, mirror)
+        assert cells is design_module._initial_cells(d, mirror)
+        assert not cells.flags.writeable
+        with pytest.raises(ValueError):
+            cells[0, 0, 0] = 0.0
+        before = cells.copy()
+        f = regressor_matrix(np.array([-1.3, -0.4, 0.4, 1.3]), d - 1)
+        ws = np.array([0.3, 0.2, 0.2, 0.3]) if mirror else np.array([0.4, 0.1, 0.2, 0.3])
+        assert design_module._is_mirror_symmetric(f, ws) is mirror
+        design_module._branch_and_bound(f, ws, 1.4, mirror)
+        assert np.array_equal(cells, before)
 
 
 def _mirrored(u):
@@ -596,13 +728,13 @@ class TestMirrorHalf:
             res = design_info(d, alpha, 1.0, degree)
             oracle = dense_oracle(f, ws, alpha)
             assert res.J <= oracle * (1.0 + 1e-10)
-            assert res.J == pytest.approx(oracle, rel=1e-9)
+            assert res.J == pytest.approx(oracle, rel=1e-9, abs=0)
             # one weight 1 ulp up breaks the exact symmetry: full hemisphere
             nudged = ws.copy()
             nudged[0] = np.nextafter(nudged[0], 1.0)
             assert not design_module._is_mirror_symmetric(f, nudged)
             full = design_module._sphere_min(f, nudged, alpha, 1.0)[1]
-            assert res.J == pytest.approx(full, rel=1e-10)
+            assert res.J == pytest.approx(full, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
@@ -640,7 +772,7 @@ class TestDirectionFreePsi:
             d = random_balanced_design(rng, a=1.0, k=degree + 3)
             base = design_info(d, 1.5, 1.3, degree).J
             via_psi = direction_free_info_psi(d, np.eye(degree + 1), 1.5, 1.3, degree)
-            assert via_psi == pytest.approx(base, rel=1e-9)
+            assert via_psi == pytest.approx(base, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("shape,degree", [((1, 2), 1), ((2, 3), 2)])
     def test_wide_dpsi_rejected(self, shape, degree):
@@ -655,7 +787,7 @@ class TestDirectionFreePsi:
             via_psi = direction_free_info_psi(d, np.eye(3), 2.0, 2.1, 2)
             f = regressor_matrix(d.xs, 2)
             lam = np.linalg.eigvalsh((f * d.ws[:, None]).T @ f)[0]
-            assert via_psi == pytest.approx(2.1 * lam, rel=1e-8)
+            assert via_psi == pytest.approx(2.1 * lam, rel=1e-8, abs=0)
 
     def test_near_tie_identity_is_certified(self):
         # grid plus Nelder-Mead stopped in the higher of the two near-tied
@@ -683,7 +815,7 @@ class TestDirectionFreePsi:
             mapped = Design(list(zip(xs, d.ws)), float(np.max(np.abs(xs))), require_balance=False)
             ref = design_info(mapped, alpha, 1.3, degree).J
             via_psi = direction_free_info_psi(d, d_psi, alpha, 1.3, degree)
-            assert via_psi == pytest.approx(ref, rel=1e-9)
+            assert via_psi == pytest.approx(ref, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("degree", [1, 2])
@@ -698,7 +830,7 @@ class TestDirectionFreePsi:
             value = direction_free_info_psi(d, d_psi, alpha, 1.0, degree)
             oracle = dense_oracle(f @ np.linalg.inv(d_psi), d.ws, alpha, starts=4)
             assert value <= oracle * (1.0 + 1e-10)
-            assert value == pytest.approx(oracle, rel=1e-8)
+            assert value == pytest.approx(oracle, rel=1e-8, abs=0)
             us = rng.normal(size=(2000, degree + 1))
             ratios = np.abs(us @ f.T) ** alpha @ d.ws / np.linalg.norm(us @ d_psi.T, axis=1) ** alpha
             assert float(np.min(ratios)) >= value * (1.0 - 1e-10)
@@ -710,7 +842,7 @@ class TestDirectionFreePsi:
         base = direction_free_info_psi(THREE_POINT_06, np.eye(3), alpha, 1.0, 2)
         for c in (1e-6, 1e7):
             scaled = direction_free_info_psi(THREE_POINT_06, c * np.eye(3), alpha, 1.0, 2)
-            assert scaled * c**alpha == pytest.approx(base, rel=1e-12)
+            assert scaled * c**alpha == pytest.approx(base, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
     def test_degenerate_design_answers_zero(self, alpha):
@@ -814,9 +946,9 @@ class TestCuttingPlaneSolver:
     def test_linear_information_values(self):
         # closed forms: alpha=1 -> A/sqrt(1+A^2); alpha=1.4, A=1 -> 2^(alpha/2-1)
         sol = optimize_design_cutting_plane(default_grid(1.0), 1.0, 1.0, 1)
-        assert sol.info == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-9)
+        assert sol.info == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-9, abs=0)
         sol = optimize_design_cutting_plane(default_grid(1.0), 1.4, 1.0, 1)
-        assert sol.info == pytest.approx(2.0 ** (1.4 / 2.0 - 1.0), rel=1e-9)
+        assert sol.info == pytest.approx(2.0 ** (1.4 / 2.0 - 1.0), rel=1e-9, abs=0)
 
     def test_quadratic_alpha2_a1(self):
         sol = optimize_design_cutting_plane(default_grid(1.0), 2.0, 1.0, 2)
@@ -844,7 +976,7 @@ class TestCuttingPlaneSolver:
         assert len(sol.design.points) > 3
         assert sol.info > three_point_best + 0.02
         recomputed = design_info(sol.design, 1.0, 1.0, 2)
-        assert recomputed.J == pytest.approx(sol.info, rel=1e-9)
+        assert recomputed.J == pytest.approx(sol.info, rel=1e-9, abs=0)
 
     def test_quadratic_alpha15_matches_pi_scan(self):
         sol = optimize_design_cutting_plane(default_grid(1.0), 1.5, 1.0, 2)
@@ -860,7 +992,7 @@ class TestCuttingPlaneSolver:
         sol2 = optimize_design_cutting_plane(grid, 1.3, 3.7, 2)
         assert sol1.design.xs.tolist() == sol2.design.xs.tolist()
         np.testing.assert_allclose(sol1.design.ws, sol2.design.ws, atol=1e-9)
-        assert sol2.info == pytest.approx(3.7 * sol1.info, rel=1e-9)
+        assert sol2.info == pytest.approx(3.7 * sol1.info, rel=1e-9, abs=0)
 
     def test_soundness_gap_and_recomputation(self):
         sol = optimize_design_cutting_plane(default_grid(1.0, 41), 1.5, 1.0, 2)
@@ -1022,7 +1154,8 @@ class TestSymmetricFormulation:
         np.testing.assert_array_equal(sol.design.ws, sol.design.ws[::-1])
         assert sol.stop is StopReason.CONVERGED
         assert sol.gap <= 1e-5 * (sol.info + sol.gap)
-        assert design_info(sol.design, alpha, 1.0, degree).J == pytest.approx(sol.info, rel=1e-12)
+        recomputed = design_info(sol.design, alpha, 1.0, degree).J
+        assert recomputed == pytest.approx(sol.info, rel=1e-12, abs=0)
 
     # info and stop at grid 101; supports are not pinned, since they still
     # depend on the master LP's vertex path
@@ -1038,7 +1171,7 @@ class TestSymmetricFormulation:
     @pytest.mark.parametrize("degree,a,alpha", sorted(PINNED))
     def test_pinned_solutions(self, degree, a, alpha):
         sol = _solve(degree, a, alpha)
-        assert sol.info == pytest.approx(self.PINNED[degree, a, alpha], rel=1e-10)
+        assert sol.info == pytest.approx(self.PINNED[degree, a, alpha], rel=1e-10, abs=0)
         assert sol.stop is StopReason.CONVERGED
 
     @pytest.mark.parametrize("a", [1.5, 2.0])
@@ -1051,7 +1184,7 @@ class TestSymmetricFormulation:
         assert sol.gap <= 1e-5 * (sol.info + sol.gap)
         recomputed = design_info(sol.design, 0.5, 1.0, 2)
         assert recomputed.method is InfoMethod.KINK_ENUMERATION
-        assert recomputed.J == pytest.approx(sol.info, rel=1e-12)
+        assert recomputed.J == pytest.approx(sol.info, rel=1e-12, abs=0)
         (_, _, f_three) = pi_curve(a, [0.5])[0]
         assert sol.info >= f_three
 
@@ -1189,7 +1322,7 @@ class TestLiveMaster:
         _, _, masters, _, _ = _record_kelley(monkeypatch, degree, a, alpha, 101)
         for lp, sol in masters:
             assert sol.status is LpStatus.OPTIMAL
-            assert sol.objective == pytest.approx(_highs_max(lp), rel=1e-10)
+            assert sol.objective == pytest.approx(_highs_max(lp), rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("degree,a,alpha", CASES)
     def test_every_master_matches_vertex_enumeration(self, monkeypatch, degree, a, alpha):
@@ -1198,7 +1331,7 @@ class TestLiveMaster:
         for lp, sol in masters:
             status, value = oracle_solve(lp)
             assert status == "optimal"
-            assert sol.objective == pytest.approx(value, rel=1e-10)
+            assert sol.objective == pytest.approx(value, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("degree,a,alpha", CASES)
     def test_duplicate_and_mirror_rows_change_nothing(self, monkeypatch, degree, a, alpha):
@@ -1218,7 +1351,7 @@ class TestLiveMaster:
         for block in (rows, mirrored):
             sol = master.add_row(block, np.zeros(n_cuts))
             assert sol.status is LpStatus.OPTIMAL
-            assert sol.objective == pytest.approx(last.objective, rel=1e-12)
+            assert sol.objective == pytest.approx(last.objective, rel=1e-12, abs=0)
             np.testing.assert_allclose(sol.x, last.x, rtol=0.0, atol=1e-12)
         assert len(master.lp.b) == 1 + 3 * n_cuts
 
@@ -1268,7 +1401,7 @@ class TestExactKinkSolve:
                       bounds=[(0.0, None)] * g + [(None, None)], method="highs")
         assert ref.status == 0
         sol = _solve(degree, a, alpha)
-        assert sol.info == pytest.approx(-ref.fun, rel=1e-9)
+        assert sol.info == pytest.approx(-ref.fun, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("degree,a,alpha", [(2, 1.0, 1.0), (2, 0.5, 0.5), (1, 2.0, 1.0)])
     def test_info_matches_vertex_enumeration_on_11_points(self, degree, a, alpha):
@@ -1289,7 +1422,7 @@ class TestExactKinkSolve:
         status, value = oracle_solve(lp)
         assert status == "optimal"
         sol = optimize_design_cutting_plane(default_grid(a, 11), alpha, 1.0, degree)
-        assert sol.info == pytest.approx(value, rel=1e-9)
+        assert sol.info == pytest.approx(value, rel=1e-9, abs=0)
 
     def test_oracle_calls_stay_few(self, monkeypatch):
         # each oracle call at alpha <= 1 enumerates the incumbent's kink rays
@@ -1364,7 +1497,7 @@ class TestPiCurve:
         for (alpha, pi, f), pinned in zip(rows, self.PINNED[a]):
             assert alpha == pinned[0]
             assert pi == pytest.approx(pinned[1], abs=1e-12)
-            assert f == pytest.approx(pinned[2], rel=1e-10)
+            assert f == pytest.approx(pinned[2], rel=1e-10, abs=0)
 
     # (1, 1) and (2, 1) have kinks at alpha = 1, (1, 1.5) and (1, 1.9) sit
     # on the pitchfork plateau, (2, 2) has a double lambda_min
@@ -1427,19 +1560,20 @@ class TestPiCurve:
 
     @pytest.mark.parametrize("a, bound", [(2.0, 70), (1.0, 150)])
     def test_branch_and_bound_levels_stay_few(self, monkeypatch, a, bound):
-        # each _split_cells call is one level (three more build the d = 3
-        # starting cells of each call).  At alpha = 1.5, 53 at A = 2 and 128
-        # at the plateau A = 1 over the cut-model search's 6 and 10 calls;
-        # 138 and 262 over bisection's 18, 357 at A = 2 before the certified
-        # cap and the mirror half
+        # each _cell_caps call is one level.  At alpha = 1.5, 35 at A = 2 and
+        # 98 at the plateau A = 1 over the cut-model search's 6 and 10 calls.
+        # Counted by _split_cells calls, which also built the d = 3 start
+        # cells on every call before they were cached, these read 53 and
+        # 128; 138 and 262 over bisection's 18, 357 at A = 2 before the
+        # certified cap and the mirror half
         calls = []
-        split = design_module._split_cells
+        caps = design_module._cell_caps
 
         def counted(cells):
-            calls.append(len(cells))
-            return split(cells)
+            calls.append(cells.shape[2])
+            return caps(cells)
 
-        monkeypatch.setattr(design_module, "_split_cells", counted)
+        monkeypatch.setattr(design_module, "_cell_caps", counted)
         pi_curve(a, [1.5])
         assert len(calls) <= bound
 
@@ -1485,13 +1619,13 @@ class TestEOptimal:
         pts = dict(sol.design.points)
         assert set(pts) == {-1.0, 1.0}
         assert pts[1.0] == pytest.approx(0.5, abs=1e-6)
-        assert sol.info == pytest.approx(1.0, rel=1e-9)
+        assert sol.info == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_info_is_lambda_min(self):
         sol = e_optimal_design(1.5, 2)
         f = regressor_matrix(sol.design.xs, 2)
         lam = np.linalg.eigvalsh((f * sol.design.ws[:, None]).T @ f)[0]
-        assert sol.info == pytest.approx(lam, rel=1e-6)
+        assert sol.info == pytest.approx(lam, rel=1e-6, abs=0)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):
