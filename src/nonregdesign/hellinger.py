@@ -35,18 +35,18 @@ import numpy as np
 
 from .models import ErrorModel, UniformModel, UniformVariant, uniform_support
 
-# location_hellinger_sq raises once its summed quadrature error estimate
+# the location h raises once a rung's summed quadrature error estimate
 # exceeds max(_LOCATION_ATOL, _LOCATION_RTOL * h)
 _LOCATION_ATOL = 1e-12
 _LOCATION_RTOL = 1e-6
 # Both quadratures of h use nested double-exponential rules of step
-# 2**-level on |t| <= _DE_T_MAX (see _de_panels).  location_hellinger_sq,
-# which takes one NumPy pass per level, starts at _DE_FIRST_LEVEL;
-# hellinger_sq_numeric, which calls the pdfs once per node, starts at
-# _DE_NUMERIC_FIRST_LEVEL.  A panel is accepted once two consecutive levels
-# agree to _DE_PANEL_RTOL of its own value (location_hellinger_sq) or of the
-# whole integral (hellinger_sq_numeric); no agreement by _DE_MAX_LEVEL
-# raises QuadratureError.
+# 2**-level on |t| <= _DE_T_MAX (see _de_panels).  The location h, which
+# takes one NumPy pass per level for a whole ladder, starts at
+# _DE_FIRST_LEVEL; hellinger_sq_numeric, which calls the pdfs once per node,
+# starts at _DE_NUMERIC_FIRST_LEVEL.  A panel is accepted once two
+# consecutive levels agree to _DE_PANEL_RTOL of its own value (location h)
+# or of the whole integral (hellinger_sq_numeric); no agreement by
+# _DE_MAX_LEVEL raises QuadratureError.
 _DE_T_MAX = 4.0
 _DE_FIRST_LEVEL = 4
 _DE_NUMERIC_FIRST_LEVEL = 2
@@ -63,6 +63,7 @@ _GN_MAX_STEPS = 100
 _GN_DAMPING_START = 1e-3
 _GN_DAMPING_MAX = 1e10
 _GN_XTOL = 1e-12
+_GN_DIAG = np.diag_indices(3)  # the diagonal of the 3x3 J'J the damping scales
 
 __all__ = [
     "DensitySpec",
@@ -205,7 +206,7 @@ def _de_rule(level: int, odd_only: bool) -> tuple[np.ndarray, ...]:
 
 
 def _de_panels(
-    integrand: Callable[[np.ndarray], np.ndarray],
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
     width: np.ndarray,
     tail: np.ndarray,
@@ -217,14 +218,15 @@ def _de_panels(
     Panel ``i`` is ``[lo[i], lo[i] + width[i]]`` (tanh-sinh) or, where
     ``tail[i]``, the half-line from ``lo[i]`` (exp-sinh on the offset
     ``width[i] * exp(s)``; a negative width mirrors it onto
-    ``(-inf, lo[i]]``).  ``integrand`` maps a 2-D array of abscissae, one
-    row per panel, to values of the same shape.  Every panel refines from
+    ``(-inf, lo[i]]``).  ``integrand(x, rows)`` maps a 2-D array of
+    abscissae, one row per panel, to values of the same shape; ``rows``
+    holds the panel index of each row.  Every panel refines from
     ``first_level`` and is accepted once two consecutive levels agree to
     ``_DE_PANEL_RTOL`` of its own value or, given ``pooled_floor``, of the
     larger of ``pooled_floor`` and the sum over all panels; the finer value
-    is kept and the difference is its error estimate.  Raises
-    :class:`QuadratureError` when a panel is still unsettled at
-    ``_DE_MAX_LEVEL``.
+    is kept and the difference is its error estimate.  A panel still
+    unsettled at ``_DE_MAX_LEVEL`` gets a NaN error estimate (see
+    :func:`_check_settled`).
     """
     span = np.abs(width)
 
@@ -233,7 +235,7 @@ def _de_panels(
         on_tail = tail[rows, None]
         x = np.where(on_tail, es_x, ts_u)
         w = np.where(on_tail, es_w, ts_w)
-        f = integrand(lo[rows, None] + width[rows, None] * x)
+        f = integrand(lo[rows, None] + width[rows, None] * x, rows)
         return (w * f).sum(axis=1) * (span[rows] / 2.0**level)
 
     vals = np.zeros(lo.size)
@@ -243,9 +245,8 @@ def _de_panels(
     coarse = level_sums(active, level, False)
     while active.size:
         if level >= _DE_MAX_LEVEL:
-            raise QuadratureError(
-                f"{active.size} quadrature panel(s) unsettled at level {level}"
-            )
+            errs[active] = np.nan
+            break
         level += 1
         fine = 0.5 * coarse + level_sums(active, level, True)
         diff = np.abs(fine - coarse)
@@ -258,6 +259,15 @@ def _de_panels(
         active = active[~done]
         coarse = fine[~done]
     return vals, errs
+
+
+def _check_settled(errs: np.ndarray, context: str = "") -> None:
+    """Raise :class:`QuadratureError` if ``_de_panels`` left a panel unsettled."""
+    unsettled = int(np.isnan(errs).sum())
+    if unsettled:
+        raise QuadratureError(
+            f"{unsettled} quadrature panel(s) unsettled at level {_DE_MAX_LEVEL}{context}"
+        )
 
 
 def hellinger_sq_numeric(
@@ -315,12 +325,13 @@ def hellinger_sq_numeric(
         fq = max(q_pdf(y), 0.0) if q_lo < y < q_hi else 0.0
         return (sqrt(fp) - sqrt(fq)) ** 2
 
-    def integrand(y: np.ndarray) -> np.ndarray:
+    def integrand(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.array([point(v) for v in y.ravel().tolist()]).reshape(y.shape)
 
     # panels settle against h, not their own values: where p and q nearly
     # cancel, a panel's roundoff can exceed _DE_PANEL_RTOL of its value
     vals, errs = _de_panels(integrand, starts, widths, tail, _DE_NUMERIC_FIRST_LEVEL, atol)
+    _check_settled(errs)
     total = sum(vals.tolist())
     total_err = float(errs.sum())
     if total_err > max(atol, rtol * abs(total)):
@@ -399,10 +410,11 @@ def uniform_info(model: UniformModel, direction=None) -> InfoResult:
 # ---------------------------------------------------------------------------
 
 
-def _overlap_integrand(model: ErrorModel, z: np.ndarray, e: float) -> np.ndarray:
+def _overlap_integrand(model: ErrorModel, z: np.ndarray, e) -> np.ndarray:
     """``(sqrt(p0(z + e)) - sqrt(p0(z)))**2`` at ``z > 0``, vectorised.
 
-    When the two densities are close the difference goes through the
+    ``e`` is a shift or an array of shifts broadcast against ``z``.  When
+    the two densities are close the difference goes through the
     log-density increment, ``p0(z) * expm1(dlog / 2)**2``, which avoids
     catastrophic cancellation at small ``e``.
     """
@@ -411,29 +423,65 @@ def _overlap_integrand(model: ErrorModel, z: np.ndarray, e: float) -> np.ndarray
     out = p * np.expm1(0.5 * dlog) ** 2
     far = np.abs(dlog) > 2.0
     if far.any():
-        out[far] = (np.sqrt(model.density(z[far] + e)) - np.sqrt(p[far])) ** 2
+        out[far] = (np.sqrt(model.density((z + e)[far])) - np.sqrt(p[far])) ** 2
     return out
 
 
-def _overlap_panels(model: ErrorModel, e: float) -> tuple[np.ndarray, np.ndarray]:
-    """Values and error estimates of the overlap integral's panels.
+def _location_h_many(model: ErrorModel, shifts: Sequence[float]) -> list[float]:
+    """``h(theta, theta + d)`` of the location family for each shift ``d``.
 
-    The panels are ``[0, e]`` and geometric decades out to the first knot
-    at or above ``10 sigma`` (tanh-sinh), and the tail past it (exp-sinh on
-    the offset ``sigma * exp(s)``), all refined by ``_de_panels``.
+    Each rung's overlap integral runs on the panels ``[0, e]`` and
+    geometric decades out to the first knot at or above ``10 sigma``
+    (tanh-sinh), and the tail past it (exp-sinh on the offset
+    ``sigma * exp(s)``), with ``e = |d|``.  The panels of every rung go
+    through one ``_de_panels`` run, each panel carrying its own shift into
+    the integrand; a panel settles on its own value alone, so every rung
+    gets the values a run of its own panels would.  The rungs are then
+    checked in order, and the first that fails raises what
+    :func:`location_hellinger_sq` raises on it alone.
     """
-    knots = [0.0, e]
-    while knots[-1] < 10.0 * model.sigma:
-        knots.append(knots[-1] * 10.0)
-    lo = np.array(knots)
-    width = np.append(np.diff(lo), model.sigma)
-    tail = np.arange(lo.size) == lo.size - 1
-    try:
-        return _de_panels(
-            lambda z: _overlap_integrand(model, z, e), lo, width, tail, _DE_FIRST_LEVEL
+    es = [abs(float(d)) for d in shifts]
+    first_bad = next((k for k, e in enumerate(es) if not math.isfinite(e)), len(es))
+    rungs = [e for e in es[:first_bad] if e != 0.0]
+    lo: list[float] = []
+    width: list[float] = []
+    tail: list[bool] = []
+    shift: list[float] = []
+    panels = []
+    for e in rungs:
+        knots = [0.0, e]
+        while knots[-1] < 10.0 * model.sigma:
+            knots.append(knots[-1] * 10.0)
+        panels.append(slice(len(lo), len(lo) + len(knots)))
+        lo += knots
+        width += [b - a for a, b in zip(knots[:-1], knots[1:])] + [model.sigma]
+        tail += [False] * (len(knots) - 1) + [True]
+        shift += [e] * len(knots)
+    if rungs:
+        rung_shift = np.array(shift)[:, None]
+        vals, errs = _de_panels(
+            lambda z, rows: _overlap_integrand(model, z, rung_shift[rows]),
+            np.array(lo), np.array(width), np.array(tail), _DE_FIRST_LEVEL,
         )
-    except QuadratureError as err:
-        raise QuadratureError(f"{err} for eps = {e:.6e}") from None
+
+    out = []
+    rung_panels = iter(panels)
+    for d, e in zip(shifts, es):
+        if not math.isfinite(e):
+            raise ValueError(f"shift eps={d} must be finite")
+        if e == 0.0:
+            out.append(0.0)
+            continue
+        rung = next(rung_panels)
+        _check_settled(errs[rung], f" for eps = {e:.6e}")
+        total = sum(vals[rung].tolist(), float(model.cdf(e)))
+        total_err = float(errs[rung].sum())
+        if total_err > max(_LOCATION_ATOL, _LOCATION_RTOL * abs(total)):
+            raise QuadratureError(
+                f"quadrature error {total_err:.3e} too large for h = {total:.6e}"
+            )
+        out.append(float(min(max(total, 0.0), 2.0)))
+    return out
 
 
 def location_hellinger_sq(model: ErrorModel, eps: float) -> float:
@@ -442,33 +490,29 @@ def location_hellinger_sq(model: ErrorModel, eps: float) -> float:
     By shift invariance the distance depends only on ``|eps|``, which must
     be finite.  The non-overlap mass is the exact error CDF at ``|eps|``.
     The overlap part is integrated on arrays with nested double-exponential
-    rules (see ``_overlap_panels``) over panels graded around the moving
+    rules (see ``_location_h_many``) over panels graded around the moving
     support endpoint, where the integrand has a ``z**(beta-1)`` kink.
     Raises :class:`QuadratureError` when the summed error estimate exceeds
     ``max(_LOCATION_ATOL, _LOCATION_RTOL * h)``.
     """
-    e = abs(float(eps))
-    if not math.isfinite(e):
-        raise ValueError(f"shift eps={eps} must be finite")
-    if e == 0.0:
-        return 0.0
-    vals, errs = _overlap_panels(model, e)
-    total = sum(vals.tolist(), float(model.cdf(e)))
-    total_err = float(errs.sum())
-    if total_err > max(_LOCATION_ATOL, _LOCATION_RTOL * abs(total)):
-        raise QuadratureError(
-            f"quadrature error {total_err:.3e} too large for h = {total:.6e}"
-        )
-    return float(min(max(total, 0.0), 2.0))
+    return _location_h_many(model, [eps])[0]
 
 
 def location_h_fn(model: ErrorModel) -> Callable[[np.ndarray, np.ndarray], float]:
-    """h(theta, vartheta) callable for the scalar location family."""
+    """h(theta, vartheta) callable for the scalar location family.
+
+    Its ``ladder(theta, points)`` attribute returns ``[h(theta, p) for p in
+    points]`` from one quadrature pass over all the points (see
+    :func:`estimate_alpha_and_J`).
+    """
+
+    def shift(t1, t2) -> float:
+        return float(np.atleast_1d(t2)[0] - np.atleast_1d(t1)[0])
 
     def h(t1, t2) -> float:
-        d = float(np.atleast_1d(t2)[0] - np.atleast_1d(t1)[0])
-        return location_hellinger_sq(model, d)
+        return location_hellinger_sq(model, shift(t1, t2))
 
+    h.ladder = lambda t1, points: _location_h_many(model, [shift(t1, t2) for t2 in points])
     return h
 
 
@@ -556,8 +600,8 @@ def _corrected_ladder_fit(
     damping = _GN_DAMPING_START
     lowered = False
     for _ in range(_GN_MAX_STEPS):
-        jtj = jac.T @ jac
-        lhs = jtj + np.diag(damping * np.diag(jtj))
+        lhs = jac.T @ jac
+        lhs[_GN_DIAG] += damping * lhs[_GN_DIAG]
         try:
             step = np.linalg.solve(lhs, -(jac.T @ resid))
         except np.linalg.LinAlgError:  # no damping repairs a singular J'J
@@ -571,8 +615,9 @@ def _corrected_ladder_fit(
             damping *= 0.5
         else:
             damping *= 10.0
+        # math.sqrt(v @ v) is np.linalg.norm(v) of a 1-D v, bit for bit
         if damping > _GN_DAMPING_MAX or (
-            np.linalg.norm(step) <= _GN_XTOL * (_GN_XTOL + np.linalg.norm(x))
+            math.sqrt(step @ step) <= _GN_XTOL * (_GN_XTOL + math.sqrt(x @ x))
         ):
             break
     if not lowered:
@@ -609,6 +654,11 @@ def estimate_alpha_and_J(
     rung is positive but below ``1e-12`` the result is returned with
     ``degenerate=True`` (indistinguishable from a non-identifiable
     direction unless h is relative-accurate).
+
+    An ``h_fn`` with a ``ladder`` attribute, as :func:`location_h_fn`
+    returns, is called once as ``h_fn.ladder(theta, points)``, which must
+    return ``[h_fn(theta, p) for p in points]``; any other ``h_fn`` is
+    called once per rung.
     """
     if ladder is None:
         ladder = EpsilonLadder()
@@ -624,7 +674,12 @@ def estimate_alpha_and_J(
         _check_unit(u)
 
     eps = ladder.epsilons()
-    h = np.array([float(h_fn(theta, theta + e * u)) for e in eps])
+    points = [theta + e * u for e in eps]
+    h_ladder = getattr(h_fn, "ladder", None)
+    if h_ladder is not None:
+        h = np.array([float(v) for v in h_ladder(theta, points)])
+    else:
+        h = np.array([float(h_fn(theta, p)) for p in points])
     bad = np.flatnonzero(~np.isfinite(h))
     if bad.size:
         k = int(bad[0])

@@ -172,11 +172,13 @@ class ErrorModel:
             return math.nan
         return _gamma_p(self.beta, min(max(y, 0.0), self.sigma * _Z_CAP) / self.sigma)
 
-    def log_density_diff(self, z, e: float) -> float | np.ndarray:
+    def log_density_diff(self, z, e: float | np.ndarray) -> float | np.ndarray:
         """``log p0(z + e) - log p0(z)`` for ``z > 0``, cancellation-free.
 
-        Vectorised over ``z``; a scalar ``z`` gives a float.  Used by
-        Hellinger quadrature at tiny shifts ``e``, where forming the two
+        Vectorised over ``z``; a scalar ``z`` gives a float.  ``e`` is a
+        shift or an array of shifts broadcast against ``z`` (one per row,
+        say), computed element by element as a scalar ``e`` would be.  Used
+        by Hellinger quadrature at tiny shifts ``e``, where forming the two
         densities and subtracting would lose all significant digits.
         """
         z = np.asarray(z, dtype=float)
@@ -184,7 +186,7 @@ class ErrorModel:
             raise ValueError("z must be positive")
         ratio = np.log1p(e / z)
         if self.beta == 1.0:
-            vals = np.full_like(z, -e / self.sigma)
+            vals = np.full(ratio.shape, -e / self.sigma)
         elif self.family is ErrorFamily.GAMMA:
             vals = (self.beta - 1.0) * ratio - e / self.sigma
         elif z.max() <= self.sigma * _Z_CAP and self.beta * ratio.max() <= _EXPM1_CAP:

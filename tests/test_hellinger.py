@@ -124,13 +124,13 @@ class TestLocationHellinger:
         m = ErrorModel(ErrorFamily.EXPONENTIAL, 1.0, 1.0)
         for e in [0.1, 0.02]:
             assert location_hellinger_sq(m, e) == pytest.approx(
-                2.0 - 2.0 * math.exp(-e / 2.0), rel=1e-10
+                2.0 - 2.0 * math.exp(-e / 2.0), rel=1e-10, abs=0
             )
 
     def test_shift_sign_irrelevant(self):
         m = ErrorModel(ErrorFamily.GAMMA, 1.5, 1.0)
         assert location_hellinger_sq(m, 0.05) == pytest.approx(
-            location_hellinger_sq(m, -0.05), rel=1e-12
+            location_hellinger_sq(m, -0.05), rel=1e-12, abs=0
         )
 
     def test_matches_generic_quadrature(self):
@@ -141,7 +141,7 @@ class TestLocationHellinger:
             pdf=lambda y: float(m.density(y - e)), support=(e, np.inf)
         )
         assert location_hellinger_sq(m, e) == pytest.approx(
-            hellinger_sq_numeric(p, q), rel=1e-7
+            hellinger_sq_numeric(p, q), rel=1e-7, abs=0
         )
 
     def test_tiny_shift_relative_accuracy(self):
@@ -176,6 +176,10 @@ class TestLocationHellinger:
                     rules.clear()
                     assert location_hellinger_sq(m, e) > 0.0
                     assert rules == [(first, False), (first + 1, True)]
+                # a whole ladder fit is one quadrature: the same two passes
+                rules.clear()
+                estimate_alpha_and_J(location_h_fn(m), 0.7)
+                assert rules == [(first, False), (first + 1, True)]
 
     def test_unsettled_levels_raise(self, monkeypatch):
         # two coarse levels cannot agree to 1e-11 on the z**(beta-1) panel
@@ -192,6 +196,101 @@ class TestLocationHellinger:
         m = ErrorModel(ErrorFamily.WEIBULL, 1.9, 1.0)
         with pytest.raises(QuadratureError, match="too large"):
             location_hellinger_sq(m, 7.8125e-5)
+
+
+def _per_rung(h):
+    """``h`` without its ladder call: estimate_alpha_and_J calls it per rung."""
+    return lambda t1, t2: h(t1, t2)
+
+
+class TestLocationLadderCall:
+    """``location_h_fn(m).ladder`` against the same h called rung by rung."""
+
+    LADDERS = (None, EpsilonLadder(eps0=0.05, ratio=0.6, count=10))
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.2])
+    @pytest.mark.parametrize("beta", [1.0, 1.3, 1.6, 1.9])
+    @pytest.mark.parametrize("family", [ErrorFamily.GAMMA, ErrorFamily.WEIBULL])
+    def test_fits_match_the_per_rung_path_bit_for_bit(self, family, beta, sigma):
+        h = location_h_fn(ErrorModel(family, beta, sigma))
+        for theta in (0.0, 0.7, -3.3):
+            for direction in (None, [-1.0]):
+                for ladder in self.LADDERS:
+                    fast = estimate_alpha_and_J(h, theta, direction, ladder)
+                    slow = estimate_alpha_and_J(_per_rung(h), theta, direction, ladder)
+                    assert repr(fast) == repr(slow)
+
+    @pytest.mark.parametrize("theta", [0.7, -3.3, 1e3])
+    def test_each_rung_uses_its_own_rounded_shift(self, theta):
+        # the shift is (theta + e) - theta, which differs from e here
+        m = ErrorModel(ErrorFamily.WEIBULL, 1.6, 1.2)
+        h = location_h_fn(m)
+        eps = EpsilonLadder().epsilons()
+        points = [np.array([theta]) + e * np.array([-1.0]) for e in eps]
+        shifts = [float(p[0] - theta) for p in points]
+        assert any(abs(d) != e for d, e in zip(shifts, eps))
+        values = h.ladder(np.array([theta]), points)
+        assert [v.hex() for v in values] == [
+            location_hellinger_sq(m, d).hex() for d in shifts
+        ]
+        assert [v.hex() for v in values] == [
+            h(np.array([theta]), p).hex() for p in points
+        ]
+
+    def test_shifts_that_round_to_zero(self):
+        # at theta = 4e12 an ulp is 4.9e-4, so the two smallest rungs vanish
+        m = ErrorModel(ErrorFamily.GAMMA, 1.3)
+        h = location_h_fn(m)
+        theta = np.array([4e12])
+        points = [theta + e for e in EpsilonLadder().epsilons()]
+        values = h.ladder(theta, points)
+        assert 0.0 in values and any(v > 0.0 for v in values)
+        assert values == [h(theta, p) for p in points]
+        for ladder, match in ((None, "part"), (EpsilonLadder(eps0=1e-5), "identically")):
+            with pytest.raises(NonIdentifiableError, match=match) as fast:
+                estimate_alpha_and_J(h, 4e12, ladder=ladder)
+            with pytest.raises(NonIdentifiableError) as slow:
+                estimate_alpha_and_J(_per_rung(h), 4e12, ladder=ladder)
+            assert str(fast.value) == str(slow.value)
+
+    @pytest.mark.parametrize(
+        "consts,family,beta,expected",
+        [
+            # rung 1 (eps = 5e-3) is the first whose panel cannot settle
+            ({"_DE_FIRST_LEVEL": 3, "_DE_MAX_LEVEL": 4}, ErrorFamily.WEIBULL, 1.3,
+             r"1 quadrature panel\(s\) unsettled at level 4 for eps = 5\.000000e-03"),
+            # every rung unsettled: rung 0 is named
+            ({"_DE_FIRST_LEVEL": 0, "_DE_MAX_LEVEL": 1}, ErrorFamily.GAMMA, 1.6,
+             r"unsettled at level 1 for eps = 1\.000000e-02"),
+            # rung 0's error estimate is exactly 0; a later rung's is not
+            ({"_LOCATION_ATOL": 0.0, "_LOCATION_RTOL": 0.0}, ErrorFamily.GAMMA, 1.9,
+             r"too large for h = 2\.021800e-04"),
+        ],
+    )
+    def test_failures_name_the_per_rung_path_first_rung(
+        self, monkeypatch, consts, family, beta, expected
+    ):
+        for name, value in consts.items():
+            monkeypatch.setattr(hellinger_module, name, value)
+        h = location_h_fn(ErrorModel(family, beta))
+        with pytest.raises(QuadratureError, match=expected) as fast:
+            estimate_alpha_and_J(h, 0.4)
+        with pytest.raises(QuadratureError) as slow:
+            estimate_alpha_and_J(_per_rung(h), 0.4)
+        assert str(fast.value) == str(slow.value)
+
+    def test_points_in_any_order(self):
+        h = location_h_fn(ErrorModel(ErrorFamily.WEIBULL, 1.3))
+        theta = np.array([0.2])
+        points = [theta + d for d in (0.1, 0.0, -0.02, 0.0, 0.05, 3.0)]
+        assert h.ladder(theta, points) == [h(theta, p) for p in points]
+
+    def test_non_finite_shift_is_rejected_at_its_rung(self):
+        m = ErrorModel(ErrorFamily.GAMMA, 1.5)
+        h = location_h_fn(m)
+        with pytest.raises(ValueError, match="finite"):
+            h.ladder(np.array([0.0]), [np.array([0.1]), np.array([math.inf])])
+        assert h.ladder(np.array([0.0]), []) == []
 
 
 def _mp_location_h(family: ErrorFamily, beta: float, sigma: float, eps: float):
@@ -343,13 +442,13 @@ class TestRBeta:
         assert r_beta(1.0) == 0.0
 
     def test_r_half_frozen_oracle(self):
-        assert r_beta(1.5) == pytest.approx(R_HALF, rel=1e-10)
+        assert r_beta(1.5) == pytest.approx(R_HALF, rel=1e-10, abs=0)
 
     def test_r_one_two_frozen_oracle(self):
-        assert r_beta(1.2) == pytest.approx(R_ONE_TWO, rel=1e-10)
+        assert r_beta(1.2) == pytest.approx(R_ONE_TWO, rel=1e-10, abs=0)
 
     def test_r_one_eight_frozen_oracle(self):
-        assert r_beta(1.8) == pytest.approx(R_ONE_EIGHT, rel=1e-7)
+        assert r_beta(1.8) == pytest.approx(R_ONE_EIGHT, rel=1e-7, abs=0)
 
     def test_two_mesh_simpson_agreement(self):
         # independent oracle: composite Simpson after the smoothing
@@ -412,16 +511,16 @@ class TestLocationInfo:
         m = ErrorModel(ErrorFamily.EXPONENTIAL, 1.0, 1.0)
         res = location_info(m)
         assert res.alpha == 1.0
-        assert res.J == pytest.approx(1.0, rel=1e-14)
+        assert res.J == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_gamma_beta_one(self):
         m = ErrorModel(ErrorFamily.GAMMA, 1.0, 1.0)
-        assert location_info(m).J == pytest.approx(1.0, rel=1e-14)
+        assert location_info(m).J == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_gamma_three_halves_formula(self):
         m = ErrorModel(ErrorFamily.GAMMA, 1.5, 1.0)
         expected = (1.0 + 1.5 * R_HALF) / (1.5 * special.gamma(1.5))
-        assert location_info(m).J == pytest.approx(expected, rel=1e-9)
+        assert location_info(m).J == pytest.approx(expected, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("family", [ErrorFamily.GAMMA, ErrorFamily.WEIBULL])
     def test_limit_fit_agreement_mid_beta(self, family):
@@ -431,8 +530,8 @@ class TestLocationInfo:
         fit = estimate_alpha_and_J(
             location_h_fn(m), 0.0, ladder=EpsilonLadder(eps0=1e-5)
         )
-        assert fit.J == pytest.approx(ref.J, rel=0.02)
-        assert fit.alpha == pytest.approx(1.5, rel=0.01)
+        assert fit.J == pytest.approx(ref.J, rel=0.02, abs=0)
+        assert fit.alpha == pytest.approx(1.5, rel=0.01, abs=0)
 
 
 class TestEstimateAlphaJ:
@@ -448,7 +547,7 @@ class TestEstimateAlphaJ:
         model = UniformModel(variant, theta)
         fit = estimate_alpha_and_J(uniform_h_fn(model), theta)
         assert fit.alpha == pytest.approx(1.0, abs=0.01)
-        assert fit.J == pytest.approx(expected, rel=0.01)
+        assert fit.J == pytest.approx(expected, rel=0.01, abs=0)
         assert fit.method is InfoMethod.LIMIT_FIT
         assert fit.direction is None
 
@@ -458,7 +557,7 @@ class TestEstimateAlphaJ:
         fit = estimate_alpha_and_J(
             uniform_h_fn(model), (0.0, 2.0), (1.0, 0.0)
         )
-        assert fit.J == pytest.approx(closed.J, rel=0.01)
+        assert fit.J == pytest.approx(closed.J, rel=0.01, abs=0)
         assert fit.direction == (1.0, 0.0)
 
     def test_direction_symmetry(self):
@@ -468,11 +567,11 @@ class TestEstimateAlphaJ:
         f2 = estimate_alpha_and_J(uniform_h_fn(model), (0.0, 2.0), -u)
         # the two fits see h at +eps and -eps, which differ at O(eps); they
         # agree only to fit tolerance, and both sit within 2% of the limit
-        assert f1.J == pytest.approx(f2.J, rel=0.02)
+        assert f1.J == pytest.approx(f2.J, rel=0.02, abs=0)
         assert f1.alpha == pytest.approx(f2.alpha, abs=0.01)
         closed = uniform_info(model, u / np.linalg.norm(u))
-        assert f1.J == pytest.approx(closed.J, rel=0.02)
-        assert f2.J == pytest.approx(closed.J, rel=0.02)
+        assert f1.J == pytest.approx(closed.J, rel=0.02, abs=0)
+        assert f2.J == pytest.approx(closed.J, rel=0.02, abs=0)
 
     def test_non_unit_direction_rejected(self):
         model = UniformModel(UniformVariant.LOC_SCALE, (0.0, 2.0))
@@ -579,8 +678,8 @@ class TestCorrectedRefit:
         )
         assert fit is not None
         (a, lj, _), _ = _least_squares_refit(log_eps, log_h, slope, intercept)
-        assert fit[0] == pytest.approx(a, rel=1e-8)
-        assert math.exp(fit[1]) == pytest.approx(math.exp(lj), rel=1e-8)
+        assert fit[0] == pytest.approx(a, rel=1e-8, abs=0)
+        assert math.exp(fit[1]) == pytest.approx(math.exp(lj), rel=1e-8, abs=0)
 
     def test_no_lower_max_residual_returns_none(self):
         # the enriched model lowers the sum of squares on this ladder but
@@ -602,12 +701,12 @@ class TestFisherQuadraticCheck:
         res, quarter = fisher_quadratic_check((0.0, 1.0), (1.0, 0.0))
         assert quarter == 0.25
         assert res.alpha == pytest.approx(2.0, abs=1e-3)
-        assert res.J == pytest.approx(0.25, rel=1e-4)
+        assert res.J == pytest.approx(0.25, rel=1e-4, abs=0)
 
     def test_diagonal_ratio(self):
         loc, qloc = fisher_quadratic_check((0.0, 1.0), (1.0, 0.0))
         scl, qscl = fisher_quadratic_check((0.0, 1.0), (0.0, 1.0))
-        assert loc.J / scl.J == pytest.approx(qloc / qscl, rel=0.02)
+        assert loc.J / scl.J == pytest.approx(qloc / qscl, rel=0.02, abs=0)
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
@@ -616,7 +715,7 @@ class TestFisherQuadraticCheck:
     def test_closed_form_route_agrees(self):
         res_num, _ = fisher_quadratic_check((0.0, 1.0), (1.0, 0.0))
         res_cls = estimate_alpha_and_J(normal_ls_hellinger_closed, (0.0, 1.0), (1.0, 0.0))
-        assert res_num.J == pytest.approx(res_cls.J, rel=1e-6)
+        assert res_num.J == pytest.approx(res_cls.J, rel=1e-6, abs=0)
 
 
 class TestReparamInfo:
@@ -626,7 +725,7 @@ class TestReparamInfo:
 
     def test_scaling_power(self):
         res = reparam_info(1.5, 2.0, (1.0, 2.0), (0.0, 1.0))
-        assert res.J == pytest.approx(2.0**1.5 * 2.0, rel=1e-14)
+        assert res.J == pytest.approx(2.0**1.5 * 2.0, rel=1e-14, abs=0)
 
     def test_orthogonal_direction_degenerate(self):
         u = np.array([2.0, -1.0]) / math.sqrt(5.0)
@@ -656,7 +755,7 @@ class TestReparamInfo:
         u = np.array([0.6, 0.8])
         fit = estimate_alpha_and_J(h_fn, (1.0, 1.0), u, EpsilonLadder(1e-3))
         expected = reparam_info(1.0, location_info(err).J, (1.0, x), u)
-        assert fit.J == pytest.approx(expected.J, rel=0.01)
+        assert fit.J == pytest.approx(expected.J, rel=0.01, abs=0)
 
 
 class TestProductRule:

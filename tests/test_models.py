@@ -137,6 +137,19 @@ class TestDensity:
         with pytest.raises(ValueError, match="positive"):
             m.log_density_diff(np.array([0.5, 0.0]), 1e-3)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_log_density_diff_with_a_shift_per_row(self, family):
+        # each row gets the bits of its own scalar-shift call, also where
+        # another row's 1e300 sends the Weibull array down its overflow branch
+        beta = 1.0 if family is ErrorFamily.EXPONENTIAL else 1.6
+        m = ErrorModel(family, beta, 0.9)
+        zs = np.array([[1e-12, 0.05, 0.7], [3.0, 40.0, 1e3], [0.2, 5.0, 1e300]])
+        shifts = np.array([[1e-3], [0.25], [1.0]])
+        vals = m.log_density_diff(zs, shifts)
+        for row, z, e in zip(vals, zs, shifts[:, 0]):
+            assert np.array_equal(row, m.log_density_diff(z, float(e)))
+        assert np.array_equal(vals[:2], m.log_density_diff(zs[:2], shifts[:2]))
+
     @pytest.mark.parametrize("beta", [1.3, 1.9])
     def test_weibull_log_density_diff_past_power_overflow(self, beta):
         # (z / sigma)**beta overflows here; the value itself is representable
