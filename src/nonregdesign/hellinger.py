@@ -146,13 +146,14 @@ class DensitySpec:
     :meth:`nonregdesign.models.ErrorModel.density` does so for Python
     numbers.
 
-    ``pdf`` may be infinite at a support endpoint, as it is never called
-    there.  An integrable singularity is resolved in full at an endpoint
-    ``0``.  At any other endpoint ``a`` the nodes next to it are only known
-    to the roundoff of ``a``: a singularity like ``(y - a)**-0.5`` then
-    loses about ``sqrt(1e-16 * |a|)`` of its mass, and
-    :func:`hellinger_sq_numeric` raises :class:`QuadratureError` rather
-    than return that value.
+    A negative ``pdf`` value counts as 0, and an ``inf`` or NaN one raises
+    :class:`QuadratureError`.  ``pdf`` may be infinite at a support
+    endpoint, as it is never called there.  An integrable singularity is
+    resolved in full at an endpoint ``0``.  At any other endpoint ``a`` the
+    nodes next to it are only known to the roundoff of ``a``: a singularity
+    like ``(y - a)**-0.5`` then loses about ``sqrt(1e-16 * |a|)`` of its
+    mass, and :func:`hellinger_sq_numeric` raises :class:`QuadratureError`
+    rather than return that value.
     """
 
     pdf: Callable[[float], float]
@@ -284,8 +285,9 @@ def hellinger_sq_numeric(
     tanh-sinh rules and an infinite side takes an exp-sinh tail from one
     unit past its outermost knot; each panel settles to ``_DE_PANEL_RTOL``
     of ``max(h, atol)`` (see ``_de_panels``).  Raises
-    :class:`QuadratureError` when a panel does not settle or the summed
-    error estimate exceeds ``max(atol, rtol * h)``.
+    :class:`QuadratureError` when a pdf value inside its support is inf or
+    NaN, when a panel does not settle, or when the summed error estimate
+    exceeds ``max(atol, rtol * h)``.
 
     The integrand is formed directly, so it cancels where ``p`` and ``q``
     are close: where they differ by a relative ``d``, it carries a relative
@@ -320,13 +322,22 @@ def hellinger_sq_numeric(
 
     def point(y: float) -> float:
         # a node that rounds onto a support endpoint is skipped: the pdf may
-        # be singular there, and such nodes lie within half an ulp of it
-        fp = max(p_pdf(y), 0.0) if p_lo < y < p_hi else 0.0
-        fq = max(q_pdf(y), 0.0) if q_lo < y < q_hi else 0.0
-        return (sqrt(fp) - sqrt(fq)) ** 2
+        # be singular there, and such nodes lie within half an ulp of it.
+        # "0.0 if v < 0.0 else v" is max(v, 0.0), NaN and -0.0 included; the
+        # square stays ** 2, as libm's pow and x * x can differ in the last bit
+        fp = p_pdf(y) if p_lo < y < p_hi else 0.0
+        fq = q_pdf(y) if q_lo < y < q_hi else 0.0
+        return (sqrt(0.0 if fp < 0.0 else fp) - sqrt(0.0 if fq < 0.0 else fq)) ** 2
 
     def integrand(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.array([point(v) for v in y.ravel().tolist()]).reshape(y.shape)
+        f = np.fromiter(map(point, y.ravel().tolist()), float, y.size)
+        # a node is finite unless a pdf value is inf or NaN there; one test
+        # per level pass stops the refinement at the first one
+        finite = np.isfinite(f)
+        if not finite.all():
+            node = float(y.ravel()[finite.argmin()])
+            raise QuadratureError(f"a pdf value is inf or NaN at y = {node!r}")
+        return f.reshape(y.shape)
 
     # panels settle against h, not their own values: where p and q nearly
     # cancel, a panel's roundoff can exceed _DE_PANEL_RTOL of its value
@@ -581,21 +592,29 @@ def _corrected_ladder_fit(
     if not 0.05 < slope0 < 1.95 or log_eps.size < 4:
         return None
 
-    def residuals_and_jacobian(params: np.ndarray):
-        a, lj, c = params
+    def residuals(params: np.ndarray):
+        """The residuals at ``params`` with ``eps**(2-a)`` and ``1 + c eps**(2-a)``."""
+        a, lj, c = params.tolist()
         expo = 2.0 - a
         if not 1e-3 < expo < 2.5:
             return None
         power = np.exp(expo * log_eps)
         arg = 1.0 + c * power
-        if np.any(arg <= 1e-9):
+        if (arg <= 1e-9).any():  # the method, not np.any: half the call overhead
             return None
-        resid = lj + a * log_eps + np.log(arg) - log_h
-        jac = np.column_stack([log_eps / arg, np.ones_like(arg), power / arg])
-        return resid, jac
+        return lj + a * log_eps + np.log(arg) - log_h, power, arg
+
+    # the Jacobian is formed only at accepted steps, in place; its middle
+    # column, the derivative in log J, is 1
+    jac = np.ones((log_eps.size, 3))
+
+    def set_jacobian(power: np.ndarray, arg: np.ndarray) -> None:
+        jac[:, 0] = log_eps / arg
+        jac[:, 2] = power / arg
 
     x = np.array([slope0, intercept0, 0.0])
-    resid, jac = residuals_and_jacobian(x)
+    resid, power, arg = residuals(x)
+    set_jacobian(power, arg)
     cost = float(resid @ resid)
     damping = _GN_DAMPING_START
     lowered = False
@@ -606,10 +625,11 @@ def _corrected_ladder_fit(
             step = np.linalg.solve(lhs, -(jac.T @ resid))
         except np.linalg.LinAlgError:  # no damping repairs a singular J'J
             break
-        trial = residuals_and_jacobian(x + step)
+        trial = residuals(x + step)
         if trial is not None and float(trial[0] @ trial[0]) < cost:
             x = x + step
-            resid, jac = trial
+            resid, power, arg = trial
+            set_jacobian(power, arg)
             cost = float(resid @ resid)
             lowered = True
             damping *= 0.5

@@ -71,6 +71,11 @@ class ErrorFamily(enum.Enum):
     EXPONENTIAL = "exponential"
 
 
+# the density formula an ErrorModel uses: every family's beta = 1 member is
+# the exponential
+_EXPONENTIAL_KIND, _GAMMA_KIND, _WEIBULL_KIND = 0, 1, 2
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """Non-negative error distribution with a power-law density at the origin.
@@ -100,6 +105,22 @@ class ErrorModel:
             raise ValueError(f"sigma={self.sigma} must be positive and finite")
         if self.family is ErrorFamily.EXPONENTIAL and self.beta != 1.0:
             raise ValueError("exponential errors require beta = 1")
+        # the density's constants, bound once; plain attributes, not fields,
+        # so equality, hashing, repr and replace() see only the three fields
+        if self.beta == 1.0:
+            kind = _EXPONENTIAL_KIND
+        elif self.family is ErrorFamily.GAMMA:
+            kind = _GAMMA_KIND
+        else:
+            kind = _WEIBULL_KIND
+        object.__setattr__(self, "_kind", kind)
+        object.__setattr__(self, "_beta_m1", self.beta - 1.0)
+        object.__setattr__(self, "_gamma_scale", math.gamma(self.beta) * self.sigma)
+        object.__setattr__(self, "_weibull_scale", self.beta / self.sigma)
+
+    def __reduce__(self):
+        # pickle the fields alone: unpickling rebuilds the constants above
+        return type(self), (self.family, self.beta, self.sigma)
 
     def density(self, y):
         """Density p0(y), vectorised over ``y``; zero for ``y < 0``.
@@ -108,9 +129,13 @@ class ErrorModel:
         (``np.float64`` included) is computed with :mod:`math` and gives a
         ``float``: quadrature calls the density one node at a time, and
         NumPy on a 0-d array costs about ten times as much per call.  The
-        two paths agree to roundoff.  Arrays, 0-d ones included, go
-        through NumPy.
+        constants of the formula (``beta - 1``, ``Gamma(beta) * sigma``,
+        ``beta / sigma``) are bound once per model, when it is built, and
+        both paths read them.  The two paths agree to roundoff.  Arrays,
+        0-d ones included, go through NumPy.
         """
+        if type(y) is float:
+            return self._scalar_density(y)
         if isinstance(y, (int, float)):
             return self._scalar_density(float(y))
         y = np.asarray(y, dtype=float)
@@ -118,12 +143,12 @@ class ErrorModel:
         out[np.isnan(y)] = np.nan
         pos = (y >= 0.0) & (y < self.sigma * _Z_CAP)
         z = np.where(pos, y, 1.0) / self.sigma
-        if self.beta == 1.0:  # every family's beta = 1 member is the exponential
+        if self._kind == _EXPONENTIAL_KIND:
             vals = np.exp(-z) / self.sigma
-        elif self.family is ErrorFamily.GAMMA:
-            vals = z ** (self.beta - 1.0) * np.exp(-z) / (math.gamma(self.beta) * self.sigma)
+        elif self._kind == _GAMMA_KIND:
+            vals = z**self._beta_m1 * np.exp(-z) / self._gamma_scale
         else:
-            vals = (self.beta / self.sigma) * z ** (self.beta - 1.0) * np.exp(-(z**self.beta))
+            vals = self._weibull_scale * z**self._beta_m1 * np.exp(-(z**self.beta))
         out[pos] = vals[pos] if vals.ndim else vals
         if out.ndim == 0:
             return float(out)
@@ -134,15 +159,16 @@ class ErrorModel:
         if not 0.0 <= y < math.inf:
             return math.nan if math.isnan(y) else 0.0
         z = y / self.sigma
-        if self.beta == 1.0:  # every family's beta = 1 member is the exponential
+        kind = self._kind
+        if kind == _EXPONENTIAL_KIND:
             return math.exp(-z) / self.sigma
-        if self.family is ErrorFamily.GAMMA:
-            return z ** (self.beta - 1.0) * math.exp(-z) / (math.gamma(self.beta) * self.sigma)
+        if kind == _GAMMA_KIND:
+            return z**self._beta_m1 * math.exp(-z) / self._gamma_scale
         try:
             zb = z**self.beta
         except OverflowError:  # exp(-zb) underflows to 0 long before this
             return 0.0
-        return (self.beta / self.sigma) * z ** (self.beta - 1.0) * math.exp(-zb)
+        return self._weibull_scale * z**self._beta_m1 * math.exp(-zb)
 
     def cdf(self, y):
         """Distribution function, exact (no quadrature); zero for ``y < 0``.

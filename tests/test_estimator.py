@@ -323,7 +323,7 @@ class TestCertifiedFits:
             want = least_slope_optimum(support, minima, c, degree)
             assert want is not None
             assert residuals(Dataset(xs, ys[i], degree), fits[i]).min() >= -1e-8
-            assert float(c @ fits[i]) == pytest.approx(float(c @ want), rel=1e-9)
+            assert float(c @ fits[i]) == pytest.approx(float(c @ want), rel=1e-9, abs=0)
             np.testing.assert_allclose(
                 fits[i], want, rtol=1e-9, atol=1e-9 * np.abs(want).max()
             )

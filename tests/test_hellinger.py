@@ -391,6 +391,71 @@ class TestHellingerNumericShifted:
         with pytest.raises(QuadratureError, match="unsettled"):
             hellinger_sq_numeric(*pair(1.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_pdf_value_raises_at_the_first_level(self, bad):
+        # an inf used to settle its panel at inf and come back as h = 2.0; a
+        # NaN ran every level to 8 and then blamed the panel, not the pdf
+        calls = []
+
+        def pdf(y):
+            calls.append(y)
+            return bad if 0.5 < y < 0.6 else math.exp(-y)
+
+        p = DensitySpec(pdf, (0.0, math.inf))
+        q = DensitySpec(lambda y: math.exp(-(y - 0.1)), (0.1, math.inf))
+        with pytest.raises(QuadratureError, match=r"pdf value is inf or NaN at y = 0\.5"):
+            hellinger_sq_numeric(p, q)
+        # p's nodes on the three panels up to the first level with one in
+        # (0.5, 0.6), the level after the first
+        first = hellinger_module._DE_NUMERIC_FIRST_LEVEL
+        rule = hellinger_module._de_rule
+        assert len(calls) == 3 * (rule(first, False)[0].size + rule(first + 1, True)[0].size)
+
+    def test_nodes_keep_the_reference_loops_bits(self, monkeypatch):
+        # every node value, and so h, has the bits of the loop that clipped
+        # with max(v, 0.0), squared with ** 2 and filled a list
+        def reference_point(p, q, y):
+            fp = max(p.pdf(y), 0.0) if p.support[0] < y < p.support[1] else 0.0
+            fq = max(q.pdf(y), 0.0) if q.support[0] < y < q.support[1] else 0.0
+            return (math.sqrt(fp) - math.sqrt(fq)) ** 2
+
+        pairs = [
+            shifted_specs(ErrorModel(family, beta), eps, loc=loc)
+            for family in (ErrorFamily.GAMMA, ErrorFamily.WEIBULL)
+            for beta in (1.0, 1.3, 1.6, 1.9)
+            for eps, loc in ((1e-2, -3.3), (7.8125e-5, 2.1), (0.3, 0.0))
+        ]
+        pairs += [
+            (normal_density(0.0, 1.0), normal_density(*other))
+            for other in ((0.01, 1.0), (0.0, 1.01), (1e-4, 1.0001))
+        ]
+        pairs.append((normal_density(0.3, 2.0), normal_density(0.5, 2.5)))
+        # negative values, -0.0 among them, count as 0
+        pairs.append((
+            DensitySpec(
+                lambda y: math.cos(y) if y < 2.0 else -0.0, (0.0, 3.0), (math.pi / 2.0, 2.0)
+            ),
+            DensitySpec(lambda y: 0.5 - y / 4.0, (0.0, 3.0), (2.0,)),
+        ))
+        real_de_panels = hellinger_module._de_panels
+        checked = []
+        for p, q in pairs:
+
+            def de_panels(integrand, *args, p=p, q=q):
+                def checked_integrand(y, rows):
+                    f = integrand(y, rows)
+                    ref = [reference_point(p, q, v) for v in y.ravel().tolist()]
+                    assert f.shape == y.shape
+                    assert [v.hex() for v in f.ravel().tolist()] == [v.hex() for v in ref]
+                    checked.append(y.size)
+                    return f
+
+                return real_de_panels(checked_integrand, *args)
+
+            monkeypatch.setattr(hellinger_module, "_de_panels", de_panels)
+            hellinger_sq_numeric(p, q)
+        assert sum(checked) > 10_000
+
     def test_normal_pdf_call_count(self):
         # about 1,700 calls today (SciPy's QUADPACK made about 800)
         seen = []
@@ -639,6 +704,46 @@ def _least_squares_refit(log_eps, log_h, slope0, intercept0):
     return res.x, float(np.max(np.abs(residuals(res.x))))
 
 
+def _reference_corrected_fit(log_eps, log_h, slope0, intercept0, resid0):
+    """_corrected_ladder_fit as a plain loop that forms a Jacobian at every trial."""
+    if not 0.05 < slope0 < 1.95 or log_eps.size < 4:
+        return None
+
+    def residuals_and_jacobian(params):
+        a, lj, c = params
+        if not 1e-3 < 2.0 - a < 2.5:
+            return None
+        power = np.exp((2.0 - a) * log_eps)
+        arg = 1.0 + c * power
+        if np.any(arg <= 1e-9):
+            return None
+        jac = np.column_stack([log_eps / arg, np.ones_like(arg), power / arg])
+        return lj + a * log_eps + np.log(arg) - log_h, jac
+
+    x = np.array([slope0, intercept0, 0.0])
+    resid, jac = residuals_and_jacobian(x)
+    cost, damping, lowered = float(resid @ resid), 1e-3, False
+    for _ in range(100):
+        lhs = jac.T @ jac
+        lhs += np.diag(damping * np.diag(lhs))
+        try:
+            step = np.linalg.solve(lhs, -(jac.T @ resid))
+        except np.linalg.LinAlgError:
+            break
+        trial = residuals_and_jacobian(x + step)
+        if trial is not None and float(trial[0] @ trial[0]) < cost:
+            x, (resid, jac) = x + step, trial
+            cost, lowered, damping = float(resid @ resid), True, damping * 0.5
+        else:
+            damping *= 10.0
+        if damping > 1e10 or np.linalg.norm(step) <= 1e-12 * (1e-12 + np.linalg.norm(x)):
+            break
+    new_resid = float(np.max(np.abs(resid)))
+    if not (lowered and np.isfinite(new_resid) and new_resid < resid0 and 0.02 < x[0] < 1.98):
+        return None
+    return float(x[0]), float(x[1]), new_resid
+
+
 def _oracle_ladders():
     eps = EpsilonLadder().epsilons()
     for family in (ErrorFamily.GAMMA, ErrorFamily.WEIBULL):
@@ -680,6 +785,27 @@ class TestCorrectedRefit:
         (a, lj, _), _ = _least_squares_refit(log_eps, log_h, slope, intercept)
         assert fit[0] == pytest.approx(a, rel=1e-8, abs=0)
         assert math.exp(fit[1]) == pytest.approx(math.exp(lj), rel=1e-8, abs=0)
+
+    def test_keeps_the_reference_loops_bits(self):
+        log_eps = np.log(EpsilonLadder().epsilons())
+        ladders = [np.log(h) for _, h in _oracle_ladders()]
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            a, c = rng.uniform(0.1, 1.95), rng.normal(0.0, 3.0)
+            noise = rng.normal(0.0, 10.0 ** rng.uniform(-12, -2), log_eps.size)
+            correction = np.abs(1.0 + c * np.exp((2.0 - a) * log_eps))
+            ladders.append(a * log_eps + np.log(correction) + noise)
+
+        def hexes(fit):
+            return None if fit is None else [v.hex() for v in fit]
+
+        refined = 0
+        for log_h in ladders:
+            start = tuple(float(v) for v in _linear_fit(log_eps, log_h))
+            fit = hellinger_module._corrected_ladder_fit(log_eps, log_h, *start)
+            assert hexes(fit) == hexes(_reference_corrected_fit(log_eps, log_h, *start))
+            refined += fit is not None
+        assert 100 < refined < len(ladders)
 
     def test_no_lower_max_residual_returns_none(self):
         # the enriched model lowers the sum of squares on this ladder but

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import sys
 import warnings
 
@@ -56,12 +58,12 @@ class TestDensity:
         # c = 1 / (beta * Gamma(beta) * sigma**beta)
         m = ErrorModel(ErrorFamily.GAMMA, 1.5, 1.0)
         assert m.small_y_constant() == pytest.approx(
-            1.0 / (1.5 * special.gamma(1.5)), rel=1e-14
+            1.0 / (1.5 * special.gamma(1.5)), rel=1e-14, abs=0
         )
 
     def test_weibull_small_y_constant(self):
         m = ErrorModel(ErrorFamily.WEIBULL, 1.5, 2.0)
-        assert m.small_y_constant() == pytest.approx(2.0**-1.5, rel=1e-14)
+        assert m.small_y_constant() == pytest.approx(2.0**-1.5, rel=1e-14, abs=0)
 
     def test_gamma_beta_one_matches_exponential(self):
         g = ErrorModel(ErrorFamily.GAMMA, 1.0, 2.0)
@@ -109,7 +111,7 @@ class TestDensity:
         for z in [0.05, 0.7, 3.0]:
             for e in [1e-3, 0.2]:
                 direct = math.log(m.density(z + e)) - math.log(m.density(z))
-                assert m.log_density_diff(z, e) == pytest.approx(direct, rel=1e-10)
+                assert m.log_density_diff(z, e) == pytest.approx(direct, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("family", [ErrorFamily.GAMMA, ErrorFamily.WEIBULL])
     def test_log_density_diff_at_tiny_z(self, family):
@@ -120,8 +122,8 @@ class TestDensity:
         vals = m.log_density_diff(z, 1e-3)
         for zi, v in zip(z, vals):
             direct = math.log(m.density(zi + 1e-3)) - math.log(m.density(zi))
-            assert v == pytest.approx(direct, rel=1e-12)
-            assert m.log_density_diff(float(zi), 1e-3) == pytest.approx(v, rel=1e-15)
+            assert v == pytest.approx(direct, rel=1e-12, abs=0)
+            assert m.log_density_diff(float(zi), 1e-3) == pytest.approx(v, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_log_density_diff_on_arrays(self, family):
@@ -157,15 +159,15 @@ class TestDensity:
         m = ErrorModel(ErrorFamily.WEIBULL, beta, 1.0)
         z = np.array([1e300, 0.7])
         vals = m.log_density_diff(z, 1.0)
-        assert vals[0] == pytest.approx(-beta * 1e300 ** (beta - 1.0), rel=1e-12)
-        assert vals[1] == pytest.approx(m.log_density_diff(0.7, 1.0), rel=1e-15)
+        assert vals[0] == pytest.approx(-beta * 1e300 ** (beta - 1.0), rel=1e-12, abs=0)
+        assert vals[1] == pytest.approx(m.log_density_diff(0.7, 1.0), rel=1e-15, abs=0)
 
 
-def _models_over_grid():
+def _models_over_grid(sigmas=(0.5, 1.0, 2.0)):
     for family in ALL_FAMILIES:
         betas = (1.0,) if family is ErrorFamily.EXPONENTIAL else (1.0, 1.3, 1.6, 1.9)
         for beta in betas:
-            for sigma in (0.5, 1.0, 2.0):
+            for sigma in sigmas:
                 yield ErrorModel(family, beta, sigma)
 
 
@@ -223,6 +225,84 @@ class TestScalarDensity:
             assert math.isnan(vals[1])
             assert vals[2] > 0.0 and vals[3] == 0.0
             assert math.isnan(m.cdf(math.nan))
+
+
+def _reference_scalar_density(m: ErrorModel, y: float) -> float:
+    """The scalar density with its constants formed at every call."""
+    if not 0.0 <= y < math.inf:
+        return math.nan if math.isnan(y) else 0.0
+    z = y / m.sigma
+    if m.beta == 1.0:
+        return math.exp(-z) / m.sigma
+    if m.family is ErrorFamily.GAMMA:
+        return z ** (m.beta - 1.0) * math.exp(-z) / (math.gamma(m.beta) * m.sigma)
+    try:
+        zb = z**m.beta
+    except OverflowError:
+        return 0.0
+    return (m.beta / m.sigma) * z ** (m.beta - 1.0) * math.exp(-zb)
+
+
+def _reference_array_density(m: ErrorModel, y: np.ndarray) -> np.ndarray:
+    """The array density with its constants formed at every call."""
+    out = np.zeros_like(y)
+    out[np.isnan(y)] = np.nan
+    pos = (y >= 0.0) & (y < m.sigma * 1e154)
+    z = np.where(pos, y, 1.0) / m.sigma
+    if m.beta == 1.0:
+        vals = np.exp(-z) / m.sigma
+    elif m.family is ErrorFamily.GAMMA:
+        vals = z ** (m.beta - 1.0) * np.exp(-z) / (math.gamma(m.beta) * m.sigma)
+    else:
+        vals = (m.beta / m.sigma) * z ** (m.beta - 1.0) * np.exp(-(z**m.beta))
+    out[pos] = vals[pos]
+    return out
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestBoundDensityConstants:
+    """The density's constants are bound per model, with the same bits."""
+
+    YS = (
+        0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.3, 0.7, 1.0, 2.5, 30.0, 700.0, 1e300,
+        math.inf, -math.inf, math.nan, -1.0, -5e-324, -1e300,
+    )
+
+    def test_scalar_and_array_paths_keep_their_bits(self):
+        rng = np.random.default_rng(3)
+        random_ys = np.concatenate([rng.exponential(2.0, 200), 10.0 ** rng.uniform(-300, 300, 50)])
+        for m in _models_over_grid(sigmas=(0.5, 1.0, 2.5)):
+            near_cap = 1e154 * m.sigma
+            ys = [*self.YS, near_cap, math.nextafter(near_cap, 0.0), *random_ys.tolist()]
+            scalar = [m.density(y) for y in ys]
+            assert all(type(v) is float for v in scalar)
+            assert _hex(scalar) == _hex(_reference_scalar_density(m, y) for y in ys), m
+            array = m.density(np.array(ys))
+            assert _hex(array) == _hex(_reference_array_density(m, np.array(ys))), m
+
+    def test_only_the_fields_define_the_model(self):
+        m = ErrorModel(ErrorFamily.GAMMA, 1.3, 2.5)
+        twin = ErrorModel(ErrorFamily.GAMMA, 1.3, 2.5)
+        assert m == twin and hash(m) == hash(twin)
+        assert repr(m) == "ErrorModel(family=<ErrorFamily.GAMMA: 'gamma'>, beta=1.3, sigma=2.5)"
+        assert [f.name for f in dataclasses.fields(m)] == ["family", "beta", "sigma"]
+        assert dataclasses.astuple(m) == (ErrorFamily.GAMMA, 1.3, 2.5)
+        # replace() and unpickling rebuild the constants from the new fields
+        moved = dataclasses.replace(m, family=ErrorFamily.WEIBULL, beta=1.6)
+        fresh = ErrorModel(ErrorFamily.WEIBULL, 1.6, 2.5)
+        assert moved == fresh and moved.density(0.7) == fresh.density(0.7)
+        data = pickle.dumps(m)
+        assert b"_gamma_scale" not in data and b"_kind" not in data
+        back = pickle.loads(data)
+        assert back == m and hash(back) == hash(m)
+        assert _hex([back.density(0.7), *back.density(np.array([0.7, 3.0]))]) == _hex(
+            [m.density(0.7), *m.density(np.array([0.7, 3.0]))]
+        )
+        with pytest.raises(ValueError, match="regular"):
+            dataclasses.replace(m, beta=2.0)
 
 
 class TestGammaCdf:

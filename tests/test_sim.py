@@ -432,16 +432,16 @@ class TestMcRisk:
 class TestUnifMleMse:
     def test_exact_formula_n10(self):
         expected = 10.0 / 1452.0 + (10.0 / 11.0 - 1.0) ** 2
-        assert unif_mle_mse(1.0, 10) == pytest.approx(expected, rel=1e-15)
+        assert unif_mle_mse(1.0, 10) == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_single_observation(self):
         # var = 1/12 at theta=1, n=1; bias = -1/2
-        assert unif_mle_mse(1.0, 1) == pytest.approx(1.0 / 12.0 + 0.25, rel=1e-15)
+        assert unif_mle_mse(1.0, 1) == pytest.approx(1.0 / 12.0 + 0.25, rel=1e-15, abs=0)
 
     def test_squared_rate_asymptote(self):
         n, theta = 10_000, 2.0
         assert n * n * unif_mle_mse(theta, n) == pytest.approx(
-            2.0 * theta * theta, rel=0.01
+            2.0 * theta * theta, rel=0.01, abs=0
         )
 
     def test_matches_monte_carlo(self):
