@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hellinger import InfoMethod, InfoResult, _check_unit
+from .hellinger import InfoMethod, InfoResult
 from .lp import Domain, LinearProgram, LpStatus, Sense, Tableau, solve_lp
 
 _WEIGHT_TOL = 1e-10
@@ -171,18 +171,6 @@ def regressor_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
         raise ValueError(f"degree must be 1 or 2, got {degree}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     return np.vander(xs, degree + 1, increasing=True)
-
-
-def design_info_directional(
-    design: Design, u, alpha: float, j_tilde: float, degree: int
-) -> float:
-    """J_tilde * sum_i w_i |f(x_i)'u|^alpha."""
-    u = _check_unit(u)
-    _check_criterion(alpha, j_tilde)
-    f = regressor_matrix(design.xs, degree)
-    if f.shape[1] != u.shape[0]:
-        raise ValueError(f"direction has dimension {u.shape[0]}, expected {f.shape[1]}")
-    return float(j_tilde * (design.ws @ np.abs(f @ u) ** alpha))
 
 
 def _canonical_sign(u: np.ndarray) -> np.ndarray:
@@ -712,37 +700,6 @@ def design_info(design: Design, alpha: float, j_tilde: float, degree: int) -> In
         method=method,
         degenerate=method is InfoMethod.SPHERE_SEARCH,
     )
-
-
-def direction_free_info_psi(
-    design: Design, d_psi, alpha: float, j_tilde: float, degree: int
-) -> float:
-    """inf_u J_xi(u) / ||D_psi u||^alpha, the information about psi = D_psi theta.
-
-    ``D_psi`` must be square (d x d, d = degree + 1) and invertible.  It
-    maps the ratio onto the sphere minimum of the rows ``F D_psi^-1``: with
-    ``v = D_psi u / ||D_psi u||`` it is ``j_tilde * sum_i w_i
-    |f_i' D_psi^-1 v|^alpha``, which ``_sphere_min`` evaluates exactly or
-    certifies, as in ``design_info``.  The mapped rows keep the design's null
-    directions, so a degenerate design gives exactly 0.
-    """
-    _check_criterion(alpha, j_tilde)
-    f = regressor_matrix(design.xs, degree)
-    d = degree + 1
-    d_psi = np.atleast_2d(np.asarray(d_psi, dtype=float))
-    if d_psi.shape[1] != d:
-        raise ValueError(f"d_psi has {d_psi.shape[1]} columns, expected {d}")
-    if not np.isfinite(d_psi).all():
-        raise ValueError("d_psi must be finite")
-    if d_psi.shape[0] != d:
-        raise ValueError(f"d_psi must be square ({d} x {d}), got {d_psi.shape[0]} rows")
-    if np.linalg.matrix_rank(d_psi) < d:
-        raise ValueError("d_psi must have full row rank")
-    # the criterion is alpha-homogeneous in the rows: unit-scale them so
-    # the degeneracy test inside _sphere_min does not depend on |D_psi|
-    g = f @ np.linalg.inv(d_psi)
-    scale = float(np.max(np.linalg.norm(g, axis=1)))
-    return scale**alpha * _sphere_min(g / scale, design.ws, alpha, j_tilde)[1]
 
 
 def _merge_points(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -27,33 +27,32 @@ lambda >= 0, with m the point minima and c = sum_k n_k f(x_k).  Its feasible
 set depends only on the covariates, and it is bounded (the intercept column
 gives sum_k lambda_k = n), so the optimum is the best of finitely many dual
 vertices: d-row bases B with lambda_B = F_B^{-T} c >= 0.  ``_envelope``
-enumerates them once per set of covariates, and ``_certified_fits`` fits a
-whole batch of responses with array arithmetic: per-point minima, the basis
-with the smallest dual objective m_B'lambda_B, and theta = F_B^{-1} m_B.  A
-nondegenerate optimal dual vertex pins the primal optimum uniquely, so that
-theta is the one the simplex would find.  A fit is certified only if its best
-basis is nondegenerate, every other basis is worse by a clear margin, and the
-envelope check passes.
+enumerates them once per set of covariates, and ``_vertex_fits`` fits a
+whole batch of responses from one array pass: per-point minima, every
+basis's dual objective m_B'lambda_B, and theta_B = F_B^{-1} m_B.  A fit is
+certified, at theta_B of the best basis, when that basis beats every other by
+a clear margin and passes the envelope check.
 
-Otherwise the optimal face may be an edge: a degenerate optimal dual vertex
-(c in the cone of fewer than d rows), or two bases whose objectives tie.
-``_tied_fits`` resolves such a fit in arrays too.  Every optimal vertex is
-the point theta_B of some dual-feasible basis, so the face is spanned by the
-points theta_B whose objective is within the tie margin of the best and that
-pass the envelope check.  When those are one or two distinct points, the fit
-is the point of the face with the smallest |theta_1|: the crossing
-theta_1 = 0 when the edge spans zero, else the end nearer zero.  The rule
-commutes with the mirror x -> -x, which maps theta_j to (-1)^j theta_j.  The
-dense simplex (``_envelope_fit``) remains for every other fit: a face the
-rule cannot order (more than two distinct points, or theta_1 constant along
-the edge), non-finite responses (which it rejects), and any fit of a design
-whose bases are not enumerated (more than ``_MAX_BASES``, or one
-ill-conditioned).  On a tie the simplex reports the optimal point where it
-stops, which need not be a vertex: it splits each free coefficient into two
-non-negative columns and can stop with both at zero, inside the edge.  With
-a true slope that is mostly the rule's point; with none it often is not.
-``fit_batch`` owns that policy; ``smith_fit`` runs it on a batch of one and
-``sim`` on chunks of replicates, so both report the same theta.
+Otherwise the optimal face may be an edge: two bases whose objectives tie,
+for instance at a degenerate dual vertex (c in the cone of fewer than d
+rows), which belongs to several bases.  Every optimal vertex is the point
+theta_B of some dual-feasible basis, so the face is spanned by the points
+theta_B whose objective is within the tie margin of the best and that pass
+the envelope check.  From the same arrays, ``_vertex_fits`` resolves a face
+of one or two distinct points at its point with the smallest |theta_1|: the
+crossing theta_1 = 0 when the edge spans zero, else the end nearer zero.
+The rule commutes with the mirror x -> -x, which maps theta_j to (-1)^j
+theta_j.  The dense simplex (``_envelope_fit``) remains for every other fit:
+a face the rule cannot order (more than two distinct points, or theta_1
+constant along the edge), non-finite responses (which it rejects), and any
+fit of a design whose bases are not enumerated (more than ``_MAX_BASES``, or
+one ill-conditioned).  On a tie the simplex reports the optimal point where
+it stops, which need not be a vertex: it splits each free coefficient into
+two non-negative columns and can stop with both at zero, inside the edge.
+With a true slope that is mostly the rule's point; with none it often is
+not.  ``fit_batch`` is that kernel plus the simplex; ``smith_fit`` runs it
+on a batch of one and ``sim`` on chunks of replicates, so both report the
+same theta.
 """
 
 from __future__ import annotations
@@ -71,9 +70,10 @@ ENVELOPE_TOL = 1e-8
 # Dual vertices are enumerated only while C(K, d) is at most this; fits of a
 # design with more bases run the simplex alone.
 _MAX_BASES = 512
-# A dual multiplier below this times n counts as zero (a degenerate vertex),
-# and a best dual objective must be below every other one by more than this
-# times n * max_k |m_k|, which bounds every vertex's objective.
+# A basis is dual feasible when no multiplier is below -this times n.  A
+# best dual objective must be below every other one by more than this times
+# n * max_k |m_k|, which bounds every vertex's objective; the objectives
+# within that margin of the best span the optimal face of a tie.
 _TIE_RTOL = 1e-9
 # A design with a basis worse conditioned than this (in the infinity norm)
 # runs the simplex alone.
@@ -146,9 +146,8 @@ class _Envelope:
     ``f``, ``which`` and ``counts`` are as in ``_envelope_rows``; ``order``
     sorts the observations by row and ``starts`` marks where each row's run
     begins.  The dual vertices are the d-row ``bases`` (row indices), their
-    multipliers ``lam``, the inverses ``inv`` of their rows and whether each
-    multiplier vector has a zero entry (``degenerate``); ``bases`` is None when
-    there are more than ``_MAX_BASES`` or one is ill-conditioned.
+    multipliers ``lam`` and the inverses ``inv`` of their rows; ``bases`` is
+    None when there are more than ``_MAX_BASES`` or one is ill-conditioned.
     """
 
     f: np.ndarray
@@ -159,7 +158,6 @@ class _Envelope:
     bases: np.ndarray | None
     lam: np.ndarray | None
     inv: np.ndarray | None
-    degenerate: np.ndarray | None
 
 
 def _envelope(xs: np.ndarray, degree: int) -> _Envelope:
@@ -168,7 +166,7 @@ def _envelope(xs: np.ndarray, degree: int) -> _Envelope:
     k, d = f.shape
     order = np.argsort(which, kind="stable")
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    dual = (None,) * 4
+    dual = (None,) * 3
     if math.comb(k, d) <= _MAX_BASES:
         bases = np.array(list(itertools.combinations(range(k), d)))
         fb = f[bases]
@@ -181,25 +179,9 @@ def _envelope(xs: np.ndarray, degree: int) -> _Envelope:
             < _COND_MAX
         ):
             lam = np.einsum("bji,j->bi", inv, counts @ f)
-            tol = _TIE_RTOL * xs.size
-            keep = lam.min(axis=1) >= -tol
-            lam = lam[keep]
-            dual = (bases[keep], lam, inv[keep], lam.min(axis=1) <= tol)
+            keep = lam.min(axis=1) >= -_TIE_RTOL * xs.size
+            dual = (bases[keep], lam[keep], inv[keep])
     return _Envelope(f, which, counts, order, starts, *dual)
-
-
-def _point_minima(env: _Envelope, ys: np.ndarray) -> np.ndarray:
-    """The smallest response at each of the K points, per row of ys (R x K)."""
-    return np.minimum.reduceat(ys[:, env.order], env.starts, axis=1)
-
-
-def _dual_objectives(env: _Envelope, m: np.ndarray) -> np.ndarray:
-    """Every basis's dual objective m_B'lambda_B, which is c'theta_B, per row
-    of point minima m (R x bases)."""
-    obj = m[:, env.bases[:, 0]] * env.lam[:, 0]
-    for j in range(1, env.f.shape[1]):
-        obj += m[:, env.bases[:, j]] * env.lam[:, j]
-    return obj
 
 
 def _basis_points(
@@ -223,66 +205,57 @@ def _basis_points(
     return theta, fitted
 
 
-def _certified_fits(env: _Envelope, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_fits(env: _Envelope, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Envelope fits of the rows of ys (R x n) from the dual vertices.
 
-    Returns theta (R x d) and a mask of the rows it certifies: finite
-    responses, a nondegenerate best basis, every other basis's dual objective
-    above it by more than the tie margin, and no point minimum below the fit
-    by more than ENVELOPE_TOL.  The point minima bound every residual at
-    their x from below, so that is the envelope check on all n residuals.
-    Every step is elementwise per row, so a row's theta does not depend on
-    the batch it is fitted in.  Uncertified rows of theta are meaningless.
+    Forms each row's point minima m (the lowest response at each of the K
+    points) and every basis's dual objective m_B'lambda_B once.  A row is
+    certified when its responses are finite, every other basis's objective
+    is above the best by more than the tie margin _TIE_RTOL * n * max_k |m_k|,
+    and no point minimum is below the best basis point by more than
+    ENVELOPE_TOL; the point minima bound every residual at their x from
+    below, so that is the envelope check on all n residuals.
+
+    The other finite rows take the tie rule.  Their optimal face is spanned
+    by the basis points whose objective is within the tie margin of the best
+    and that pass the envelope check.  Its ends a and b are the points with
+    the smallest and the largest theta_1; every other point must coincide
+    with one of them (fitted values within _TIE_RTOL * max_k |m_k|).  The
+    fit is the point of the face with the smallest |theta_1|: the crossing
+    theta_1 = 0 when the face spans zero, else the end nearer zero.  A face
+    with more than two distinct points, or an edge along which theta_1 is
+    constant, is not resolved.  Those rows go in blocks whose temporaries
+    stay within _CHUNK_VALUES numbers.
+
+    Returns theta (R x d) and a mask of the rows resolved; the other rows of
+    theta are meaningless.  Every step is elementwise per row, so a row's
+    theta does not depend on the batch it is fitted in.
     """
-    r, d = ys.shape[0], env.f.shape[1]
+    r, (k, d) = ys.shape[0], env.f.shape
     if env.bases is None:
         return np.zeros((r, d)), np.zeros(r, dtype=bool)
     finite = np.isfinite(ys).all(axis=1)
-    m = _point_minima(env, ys)
+    m = np.minimum.reduceat(ys[:, env.order], env.starts, axis=1)
     m[~finite] = 0.0
-    obj = _dual_objectives(env, m)
+    obj = m[:, env.bases[:, 0]] * env.lam[:, 0]
+    for j in range(1, d):
+        obj += m[:, env.bases[:, j]] * env.lam[:, j]
+    scale = np.abs(m).max(axis=1)
+    margin = _TIE_RTOL * ys.shape[1] * scale
     rows = np.arange(r)
     best = obj.argmin(axis=1)
     low = obj[rows, best]
     obj[rows, best] = np.inf
     gap = obj.min(axis=1) - low
+    obj[rows, best] = low  # the tie rule below reads every objective
     theta, fitted = _basis_points(env, m, rows, best)
-    certified = (
-        finite
-        & ~env.degenerate[best]
-        & (gap > _TIE_RTOL * ys.shape[1] * np.abs(m).max(axis=1))
-        & ((m - fitted).min(axis=1) >= -ENVELOPE_TOL)
-    )
-    return theta, certified
-
-
-def _tied_fits(env: _Envelope, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope fits of the finite rows of ys (R x n) whose optimal face is
-    one point or an edge, from the dual vertices.
-
-    A row's optimal face is spanned by the basis points theta_B whose dual
-    objective is within the tie margin of the best and that pass the
-    envelope check.  Its ends a and b are the points with the smallest and
-    the largest theta_1; every other point must coincide with one of them
-    (fitted values within _TIE_RTOL * max_k |m_k|).  The fit is the point of
-    the face with the smallest |theta_1|: the crossing theta_1 = 0 when the
-    face spans zero, else the end nearer zero.  Returns theta (R x d) and a
-    mask of the rows resolved; a face with more than two distinct points,
-    or an edge along which theta_1 is constant, is not, and those rows of
-    theta are meaningless.  Rows go in blocks whose temporaries stay within
-    _CHUNK_VALUES numbers, and every step is elementwise per row, so a
-    row's theta does not depend on the batch.
-    """
-    r, (k, d) = ys.shape[0], env.f.shape
-    theta = np.zeros((r, d))
-    resolved = np.zeros(r, dtype=bool)
+    done = finite & (gap > margin) & ((m - fitted).min(axis=1) >= -ENVELOPE_TOL)
+    tied = np.flatnonzero(finite & ~done)
     block = max(1, _CHUNK_VALUES // (env.bases.shape[0] * max(k, d * d)))
-    for lo in range(0, r, block):
-        m = _point_minima(env, ys[lo : lo + block])
-        obj = _dual_objectives(env, m)
-        scale = np.abs(m).max(axis=1)
-        margin = _TIE_RTOL * ys.shape[1] * scale
-        rows, bases = np.nonzero(obj <= (obj.min(axis=1) + margin)[:, None])
+    for lo in range(0, tied.size, block):
+        sub = tied[lo : lo + block]
+        rows, bases = np.nonzero(obj[sub] <= (low[sub] + margin[sub])[:, None])
+        rows = sub[rows]
         points, fitted = _basis_points(env, m, rows, bases)
         keep = (m[rows] - fitted).min(axis=1) >= -ENVELOPE_TOL
         if not keep.any():
@@ -310,10 +283,10 @@ def _tied_fits(env: _Envelope, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             b1[cross] - a1[cross]
         )[:, None]
         fit[cross, 1] = 0.0
-        done = lo + rows[first[ok]]
-        theta[done] = fit[ok]
-        resolved[done] = True
-    return theta, resolved
+        resolved = rows[first[ok]]
+        theta[resolved] = fit[ok]
+        done[resolved] = True
+    return theta, done
 
 
 def _envelope_fit(env: _Envelope, y: np.ndarray) -> np.ndarray:
@@ -350,19 +323,13 @@ def _envelope_fit(env: _Envelope, y: np.ndarray) -> np.ndarray:
 def fit_batch(
     env: _Envelope, ys: np.ndarray
 ) -> tuple[np.ndarray, dict[int, EstimationError]]:
-    """Envelope fits of the rows of ys (R x n): the kernel for the batch,
-    the tie rule for the finite rows it does not certify, then the simplex
-    for each row neither resolves.
+    """Envelope fits of the rows of ys (R x n): ``_vertex_fits`` for the
+    batch, then the simplex for each row it does not resolve.
 
     Returns theta (R x d) and, by row index, the error of each row whose
     simplex fit failed; those rows of theta are meaningless.
     """
-    theta, done = _certified_fits(env, ys)
-    if env.bases is not None and not done.all():
-        tied = np.flatnonzero(~done & np.isfinite(ys).all(axis=1))
-        fits, resolved = _tied_fits(env, ys[tied])
-        theta[tied[resolved]] = fits[resolved]
-        done[tied[resolved]] = True
+    theta, done = _vertex_fits(env, ys)
     errors: dict[int, EstimationError] = {}
     for i in np.flatnonzero(~done).tolist():
         try:

@@ -227,7 +227,8 @@ def _de_panels(
     larger of ``pooled_floor`` and the sum over all panels; the finer value
     is kept and the difference is its error estimate.  A panel still
     unsettled at ``_DE_MAX_LEVEL`` gets a NaN error estimate (see
-    :func:`_check_settled`).
+    :func:`_check_settled`); a level sum that is not finite raises
+    :class:`QuadratureError`.
     """
     span = np.abs(width)
 
@@ -237,7 +238,10 @@ def _de_panels(
         x = np.where(on_tail, es_x, ts_u)
         w = np.where(on_tail, es_w, ts_w)
         f = integrand(lo[rows, None] + width[rows, None] * x, rows)
-        return (w * f).sum(axis=1) * (span[rows] / 2.0**level)
+        sums = (w * f).sum(axis=1) * (span[rows] / 2.0**level)
+        if not np.isfinite(sums).all():
+            raise QuadratureError(f"a quadrature panel sum is not finite at level {level}")
+        return sums
 
     vals = np.zeros(lo.size)
     errs = np.zeros(lo.size)
@@ -286,8 +290,9 @@ def hellinger_sq_numeric(
     unit past its outermost knot; each panel settles to ``_DE_PANEL_RTOL``
     of ``max(h, atol)`` (see ``_de_panels``).  Raises
     :class:`QuadratureError` when a pdf value inside its support is inf or
-    NaN, when a panel does not settle, or when the summed error estimate
-    exceeds ``max(atol, rtol * h)``.
+    NaN, when a panel's sum is not finite or does not settle, when the
+    summed error estimate exceeds ``max(atol, rtol * h)``, or when h exceeds
+    2 by more than that tolerance plus the estimate.
 
     The integrand is formed directly, so it cancels where ``p`` and ``q``
     are close: where they differ by a relative ``d``, it carries a relative
@@ -341,14 +346,27 @@ def hellinger_sq_numeric(
 
     # panels settle against h, not their own values: where p and q nearly
     # cancel, a panel's roundoff can exceed _DE_PANEL_RTOL of its value
-    vals, errs = _de_panels(integrand, starts, widths, tail, _DE_NUMERIC_FIRST_LEVEL, atol)
-    _check_settled(errs)
-    total = sum(vals.tolist())
-    total_err = float(errs.sum())
-    if total_err > max(atol, rtol * abs(total)):
+    # pdf values near the float limit overflow a level sum, which raises
+    # rather than warns
+    with np.errstate(over="ignore"):
+        vals, errs = _de_panels(
+            integrand, starts, widths, tail, _DE_NUMERIC_FIRST_LEVEL, atol
+        )
+        _check_settled(errs)
+        total = sum(vals.tolist())
+        total_err = float(errs.sum())
+    tol = max(atol, rtol * abs(total))
+    if total_err > tol:
         raise QuadratureError(
             f"quadrature error estimate {total_err:.3e} exceeds tolerance "
             f"for h = {total:.6e}"
+        )
+    # h <= 2 for any two densities; more than that, beyond the accepted
+    # error, means a pdf does not integrate to 1
+    if not total - 2.0 <= tol + total_err:
+        raise QuadratureError(
+            f"h = {total:.6e} exceeds 2 by more than its error: a pdf does not "
+            "integrate to 1"
         )
     return float(min(max(total, 0.0), 2.0))
 

@@ -7,10 +7,10 @@ reproducible optima, which rules out threaded or heuristically-perturbed
 backends.  A reported optimum is a basic solution of the split standard
 form below, not always a vertex of the original program: with both
 columns of a free variable nonbasic it can sit inside an optimal edge.
-The envelope estimator fits replicates from its LP's dual vertices, tied
-ones included (``estimator._certified_fits`` and ``_tied_fits``), and calls
-this solver only for an optimal face its tie rule cannot order and for
-designs with too many bases to enumerate.
+The envelope estimator fits replicates from its LP's dual vertices in one
+array pass, tied ones included (``estimator._vertex_fits``), and calls this
+solver only for an optimal face its tie rule cannot order and for designs
+with too many bases to enumerate.
 Scale target is a few hundred variables and a couple thousand rows, dense.
 
 Standard-form handling: free variables are split into positive and negative

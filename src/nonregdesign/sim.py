@@ -10,11 +10,11 @@ computed for a whole chunk of replicates in one array pass.  The design's
 envelope program -- its distinct rows, identifiability and dual vertices --
 is derived once per plan.  Replicates are drawn in order, a
 chunk at a time, and each chunk is fitted at once by
-``estimator.fit_batch``, tied replicates included: a tie on an optimal edge
-takes the edge's point of smallest |theta_1|.  Only a replicate whose optimal
-face the tie rule cannot order, or any replicate of a design with too many
-bases to enumerate, runs the dense simplex, on the same draw; one with
-non-finite responses fails.  So a replicate costs one error draw plus its
+``estimator.fit_batch``: one array pass over the dual vertices fits every
+replicate, and a tie on an optimal edge takes the edge's point of smallest
+|theta_1|.  Only a replicate whose optimal face the tie rule cannot order,
+or any replicate of a design with too many bases to enumerate, runs the
+dense simplex, on the same draw; one with non-finite responses fails.  So a replicate costs one error draw plus its
 share of a batched fit.  Risk is the vector of componentwise mean squared
 errors of the fitted coefficients; the total risk is their sum.
 """

@@ -16,8 +16,6 @@ from nonregdesign.design import (
     _three_point_inner,
     default_grid,
     design_info,
-    design_info_directional,
-    direction_free_info_psi,
     e_optimal_design,
     optimize_design_cutting_plane,
     pi_curve,
@@ -140,38 +138,6 @@ class TestGridsAndConfigs:
         assert CuttingPlaneConfig(gap_tol=0.5, max_cuts=np.int64(30)).max_cuts == 30
 
 
-class TestDirectional:
-    def test_two_point_axis_direction(self):
-        val = design_info_directional(TWO_POINT, np.array([1.0, 0.0]), 1.0, 1.0, 1)
-        assert val == pytest.approx(1.0, abs=1e-14)
-
-    def test_two_point_diagonal_direction(self):
-        u = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        val = design_info_directional(TWO_POINT, u, 1.0, 1.0, 1)
-        assert val == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-14, abs=0)
-
-    def test_j_tilde_scales_linearly(self):
-        u = np.array([0.6, 0.8])
-        v1 = design_info_directional(TWO_POINT, u, 1.5, 1.0, 1)
-        v2 = design_info_directional(TWO_POINT, u, 1.5, 3.25, 1)
-        assert v2 == pytest.approx(3.25 * v1, rel=1e-14, abs=0)
-
-    def test_requires_unit_direction(self):
-        with pytest.raises(ValueError, match="unit"):
-            design_info_directional(TWO_POINT, np.array([1.0, 1.0]), 1.0, 1.0, 1)
-
-    @given(
-        theta=st.floats(0.0, 2.0 * math.pi),
-        alpha=st.floats(0.25, 2.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_antipodal_directions_equal(self, theta, alpha):
-        u = np.array([math.cos(theta), math.sin(theta)])
-        v_pos = design_info_directional(TWO_POINT, u, alpha, 1.0, 1)
-        v_neg = design_info_directional(TWO_POINT, -u, alpha, 1.0, 1)
-        assert v_pos == v_neg
-
-
 class TestDesignInfo:
     def test_one_point_design_degenerate(self):
         d = Design(A=1.0, points=((0.0, 1.0),))
@@ -221,11 +187,11 @@ class TestDesignInfo:
         for _ in range(25):
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
-            assert res.J <= design_info_directional(d, u, 1.5, 1.0, 2) + 1e-12
+            assert res.J <= d.ws @ np.abs(regressor_matrix(d.xs, 2) @ u) ** 1.5 + 1e-12
 
     def test_minimizing_direction_attains_value(self):
         res = design_info(TWO_POINT, 1.0, 1.0, 1)
-        attained = design_info_directional(TWO_POINT, np.asarray(res.direction), 1.0, 1.0, 1)
+        attained = TWO_POINT.ws @ np.abs(regressor_matrix(TWO_POINT.xs, 1) @ res.direction)
         assert attained == pytest.approx(res.J, rel=1e-12, abs=0)
 
 
@@ -433,7 +399,7 @@ class TestBranchAndBound:
             assert res.J <= oracle * (1.0 + 1e-10)
             assert res.J == pytest.approx(oracle, rel=1e-9, abs=0)
             u = np.asarray(res.direction)
-            attained = design_info_directional(d, u, alpha, 1.0, degree)
+            attained = d.ws @ np.abs(f @ u) ** alpha
             assert attained == pytest.approx(res.J, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize(
@@ -766,115 +732,25 @@ class TestMirrorHalf:
 
 
 class TestDirectionFreePsi:
-    def test_identity_reduces_to_design_info(self):
-        rng = np.random.default_rng(11)
-        for degree in (1, 2):
-            d = random_balanced_design(rng, a=1.0, k=degree + 3)
-            base = design_info(d, 1.5, 1.3, degree).J
-            via_psi = direction_free_info_psi(d, np.eye(degree + 1), 1.5, 1.3, degree)
-            assert via_psi == pytest.approx(base, rel=1e-9, abs=0)
-
-    @pytest.mark.parametrize("shape,degree", [((1, 2), 1), ((2, 3), 2)])
-    def test_wide_dpsi_rejected(self, shape, degree):
-        d_psi = np.eye(*shape)
-        with pytest.raises(ValueError, match="d_psi must be square"):
-            direction_free_info_psi(THREE_POINT_06, d_psi, 1.0, 1.0, degree)
-
-    def test_alpha2_identity_matches_lambda_min(self):
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            d = random_balanced_design(rng, a=1.2)
-            via_psi = direction_free_info_psi(d, np.eye(3), 2.0, 2.1, 2)
-            f = regressor_matrix(d.xs, 2)
-            lam = np.linalg.eigvalsh((f * d.ws[:, None]).T @ f)[0]
-            assert via_psi == pytest.approx(2.1 * lam, rel=1e-8, abs=0)
-
-    def test_near_tie_identity_is_certified(self):
-        # grid plus Nelder-Mead stopped in the higher of the two near-tied
-        # minima here, 0.5611595471
-        d = Design([(-1.5, 0.187357), (0.0, 0.625286), (1.5, 0.187357)], 1.5)
-        value = direction_free_info_psi(d, np.eye(3), 1.2, 1.0, 2)
-        assert value == pytest.approx(0.5611564417, abs=1e-9)
-
-    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3, 1.8, 2.0])
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_square_dpsi_is_design_info_of_mapped_design(self, degree, alpha):
-        # x -> (x - c) / s maps f(x) to M f(x), so D_psi = M'^-1 turns
-        # F D_psi^-1 into the regressor rows of the mapped support points
-        rng = np.random.default_rng(5)
-        c, s = 0.3, 1.7
-        m = np.array([[1.0, 0.0], [-c / s, 1.0 / s]])
-        if degree == 2:
-            m = np.array(
-                [[1.0, 0.0, 0.0], [-c / s, 1.0 / s, 0.0], [c * c / s**2, -2.0 * c / s**2, 1.0 / s**2]]
-            )
-        d_psi = np.linalg.inv(m.T)
-        for _ in range(3):
-            d = random_balanced_design(rng, a=1.0, k=degree + 3)
-            xs = (d.xs - c) / s
-            mapped = Design(list(zip(xs, d.ws)), float(np.max(np.abs(xs))), require_balance=False)
-            ref = design_info(mapped, alpha, 1.3, degree).J
-            via_psi = direction_free_info_psi(d, d_psi, alpha, 1.3, degree)
-            assert via_psi == pytest.approx(ref, rel=1e-9, abs=0)
-
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("degree", [1, 2])
     def test_random_square_dpsi_agrees_with_dense_oracle(self, degree, alpha):
-        # the dense oracle on the mapped rows F D_psi^-1, and the ratio
-        # J(u) / |D_psi u|^alpha itself, never below the value, in random directions
+        # inf_u J(u) / |D_psi u|^alpha is the sphere minimum of the mapped
+        # rows F D_psi^-1: the dense oracle on those rows, and the ratio
+        # itself, never below the value, in random directions
         rng = np.random.default_rng(820 + 10 * degree + int(10 * alpha))
         for _ in range(2):
             d = random_balanced_design(rng, a=1.5)
             d_psi = rng.normal(size=(degree + 1, degree + 1))
             f = regressor_matrix(d.xs, degree)
-            value = direction_free_info_psi(d, d_psi, alpha, 1.0, degree)
-            oracle = dense_oracle(f @ np.linalg.inv(d_psi), d.ws, alpha, starts=4)
+            g = f @ np.linalg.inv(d_psi)
+            value = design_module._sphere_min(g, d.ws, alpha, 1.0)[1]
+            oracle = dense_oracle(g, d.ws, alpha, starts=4)
             assert value <= oracle * (1.0 + 1e-10)
             assert value == pytest.approx(oracle, rel=1e-8, abs=0)
             us = rng.normal(size=(2000, degree + 1))
             ratios = np.abs(us @ f.T) ** alpha @ d.ws / np.linalg.norm(us @ d_psi.T, axis=1) ** alpha
             assert float(np.min(ratios)) >= value * (1.0 - 1e-10)
-
-    @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
-    def test_scaled_dpsi_scales_the_value(self, alpha):
-        # J(u) / |c D u|^alpha = c^-alpha J(u) / |D u|^alpha, however small
-        # the mapped rows' moment matrix gets
-        base = direction_free_info_psi(THREE_POINT_06, np.eye(3), alpha, 1.0, 2)
-        for c in (1e-6, 1e7):
-            scaled = direction_free_info_psi(THREE_POINT_06, c * np.eye(3), alpha, 1.0, 2)
-            assert scaled * c**alpha == pytest.approx(base, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
-    def test_degenerate_design_answers_zero(self, alpha):
-        # two points cannot identify a quadratic: exactly 0, as design_info;
-        # lambda_min of the mapped rows alone is +-1e-17 at alpha = 2
-        skew = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 2.0]])
-        for d_psi in (np.eye(3), np.diag([1.0, 2.0, 3.0]), skew):
-            assert direction_free_info_psi(TWO_POINT, d_psi, alpha, 1.0, 2) == 0.0
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError, match="rank"):
-            direction_free_info_psi(TWO_POINT, np.zeros((2, 2)), 1.0, 1.0, 1)
-
-    def test_wrong_columns_rejected(self):
-        with pytest.raises(ValueError, match="columns"):
-            direction_free_info_psi(TWO_POINT, np.eye(3), 1.0, 1.0, 1)
-
-    @pytest.mark.parametrize("alpha,j_tilde", [(3.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
-                                               (1.5, -1.0), (1.5, math.nan)])
-    def test_criterion_domain(self, alpha, j_tilde):
-        # alpha = 3 once ran a branch-and-bound whose cell bound needs alpha <= 2
-        match = "alpha must lie" if j_tilde == 1.0 else "j_tilde must be positive"
-        with pytest.raises(ValueError, match=match):
-            direction_free_info_psi(TWO_POINT, np.eye(2), alpha, j_tilde, 1)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_dpsi_named(self, bad):
-        # NaN once failed inside the SVD ("did not converge") and inf as "must
-        # have full row rank"
-        for d_psi in (np.array([[bad, 1.0]]), np.array([[bad, 1.0], [0.0, 1.0]])):
-            with pytest.raises(ValueError, match="d_psi must be finite"):
-                direction_free_info_psi(TWO_POINT, d_psi, 1.0, 1.0, 1)
 
 
 class TestSymmetrize:
@@ -1093,7 +969,7 @@ class TestCuttingPlaneSolver:
         with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):
             optimize_design_cutting_plane(default_grid(1.0, 11), 1.0, 1.0, 3)
         with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):
-            direction_free_info_psi(TWO_POINT, np.eye(4), 1.0, 1.0, 3)
+            regressor_matrix(TWO_POINT.xs, 3)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="0"):

@@ -11,10 +11,9 @@ from nonregdesign.design import Design, uniform_design
 from nonregdesign.estimator import (
     Dataset,
     EstimationError,
-    _certified_fits,
     _envelope,
     _envelope_fit,
-    _tied_fits,
+    _vertex_fits,
     fit_batch,
     load_dataset_csv,
     residuals,
@@ -234,17 +233,22 @@ def replicate_responses(design, theta, reps, n=120, seed=3):
     return xs, mean + rng.exponential(1.0, (reps, xs.size))
 
 
-def least_slope_optimum(support, minima, c, degree):
-    """By vertex enumeration alone: the optimal face of max c'theta s.t.
-    f(x_k)'theta <= minima_k and its point with the smallest |theta_1|, or
-    None when the face has more than two vertices or theta_1 is constant on
-    it."""
+def optimal_face(support, minima, c, degree):
+    """By vertex enumeration alone: the distinct vertices of the optimal face
+    of max c'theta s.t. f(x_k)'theta <= minima_k."""
     vertices = enumerate_vertices(np.vander(support, degree + 1, increasing=True), minima)
     values = np.array([float(c @ v) for v in vertices])
     face = []
     for v in np.array(vertices)[values >= values.max() - 1e-9 * np.abs(values).max()]:
         if not any(np.allclose(v, u, rtol=1e-9, atol=1e-12) for u in face):
             face.append(v)
+    return face
+
+
+def least_slope_optimum(support, minima, c, degree):
+    """The point of the optimal face with the smallest |theta_1|, or None
+    when the face has more than two vertices or theta_1 is constant on it."""
+    face = optimal_face(support, minima, c, degree)
     if len(face) > 2:
         return None
     a, b = min(face, key=lambda v: v[1]), max(face, key=lambda v: v[1])
@@ -257,38 +261,47 @@ def least_slope_optimum(support, minima, c, degree):
     return a + a[1] / (a[1] - b[1]) * (b - a)
 
 
-class TestCertifiedFits:
+def point_minima(xs, ys):
+    """The distinct covariates and each row's smallest response at each."""
+    support = np.unique(xs)
+    return support, np.array([[y[xs == x].min() for x in support] for y in ys])
+
+
+class TestVertexFits:
     @pytest.mark.parametrize("design,theta", KERNEL_CASES)
-    def test_certified_fits_match_the_simplex(self, design, theta):
+    def test_vertex_fits_match_the_simplex(self, design, theta):
+        # a row whose optimal face is one vertex has one optimal theta
         xs, ys = replicate_responses(design, theta, 200)
-        env = _envelope(xs, len(theta) - 1)
-        fits, certified = _certified_fits(env, ys)
-        assert certified.sum() >= 40
-        for i in np.flatnonzero(certified):
+        degree = len(theta) - 1
+        env = _envelope(xs, degree)
+        fits, resolved = _vertex_fits(env, ys)
+        assert resolved.all()
+        support, minima = point_minima(xs, ys)
+        c = np.vander(xs, degree + 1, increasing=True).sum(axis=0)
+        unique = [len(optimal_face(support, mi, c, degree)) == 1 for mi in minima]
+        assert sum(unique) >= 40
+        for i in np.flatnonzero(unique):
             want = _envelope_fit(env, ys[i])
             np.testing.assert_allclose(
                 fits[i], want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
             )
 
     @pytest.mark.parametrize("design,theta", KERNEL_CASES)
-    def test_smith_fit_is_the_kernel_or_the_tie_rule(self, design, theta, envelope_solves):
+    def test_smith_fit_is_the_vertex_fit(self, design, theta, envelope_solves):
         xs, ys = replicate_responses(design, theta, 200)
         degree = len(theta) - 1
         env = _envelope(xs, degree)
         fits, errors = fit_batch(env, ys)
         assert not errors and not envelope_solves
-        kernel, certified = _certified_fits(env, ys)
-        np.testing.assert_array_equal(fits[certified], kernel[certified])
-        tied, resolved = _tied_fits(env, ys[~certified])
+        kernel, resolved = _vertex_fits(env, ys)
         assert resolved.all()
-        np.testing.assert_array_equal(fits[~certified], tied)
+        np.testing.assert_array_equal(fits, kernel)
         for i, y in enumerate(ys):
-            if not certified[i]:
-                # on these models the rule lands where the simplex stops
-                want = _envelope_fit(env, y)
-                np.testing.assert_allclose(
-                    fits[i], want, rtol=1e-9, atol=1e-9 * np.abs(want).max()
-                )
+            # on these models the tie rule lands where the simplex stops
+            want = _envelope_fit(env, y)
+            np.testing.assert_allclose(
+                fits[i], want, rtol=1e-9, atol=1e-9 * np.abs(want).max()
+            )
             np.testing.assert_array_equal(smith_fit(Dataset(xs, y, degree)), fits[i])
 
     def test_fit_batch_reports_each_failed_row(self, envelope_solves):
@@ -302,25 +315,26 @@ class TestCertifiedFits:
         for i in (0, 2, 3, 5):
             np.testing.assert_array_equal(fits[i], smith_fit(Dataset(xs, ys[i], 2)))
 
-    def test_ties_are_not_certified(self):
+    def test_quadratic_uniform5_ties_often(self):
         # c/24 = 5/3 f(-2) + 10/3 f(1): the degenerate dual vertex is often
         # optimal and the optimal face is then an edge
         xs, ys = replicate_responses(uniform_design(2.0, 5), (2.0, 4.0, 0.8), 200)
-        _, certified = _certified_fits(_envelope(xs, 2), ys)
-        assert 50 <= (~certified).sum() <= 180
+        support, minima = point_minima(xs, ys)
+        c = np.vander(xs, 3, increasing=True).sum(axis=0)
+        edges = sum(len(optimal_face(support, mi, c, 2)) == 2 for mi in minima)
+        assert 50 <= edges <= 180
 
     @pytest.mark.parametrize("design,theta", KERNEL_CASES + NO_SLOPE_CASES)
-    def test_tied_fits_are_the_least_slope_point_of_the_optimal_face(self, design, theta):
+    def test_fits_are_the_least_slope_point_of_the_optimal_face(self, design, theta):
         xs, ys = replicate_responses(design, theta, 60)
         degree = len(theta) - 1
         env = _envelope(xs, degree)
         fits, errors = fit_batch(env, ys)
         assert not errors
-        support = np.unique(xs)
+        support, minima = point_minima(xs, ys)
         c = np.vander(xs, degree + 1, increasing=True).sum(axis=0)
-        for i in np.flatnonzero(~_certified_fits(env, ys)[1]):
-            minima = np.array([ys[i][xs == x].min() for x in support])
-            want = least_slope_optimum(support, minima, c, degree)
+        for i in range(ys.shape[0]):
+            want = least_slope_optimum(support, minima[i], c, degree)
             assert want is not None
             assert residuals(Dataset(xs, ys[i], degree), fits[i]).min() >= -1e-8
             assert float(c @ fits[i]) == pytest.approx(float(c @ want), rel=1e-9, abs=0)
@@ -347,8 +361,7 @@ class TestCertifiedFits:
         xs = np.array([-2.0, -1, -1, 0, 0, 0, 0, 0, 0, 1, 1, 2])
         y = np.where(np.abs(xs) == 2.0, 10.0, 0.0)
         env = _envelope(xs, 2)
-        assert not _certified_fits(env, y[None])[1][0]
-        assert not _tied_fits(env, y[None])[1][0]
+        assert not _vertex_fits(env, y[None])[1][0]
         fits, errors = fit_batch(env, y[None])
         assert not errors and len(envelope_solves) == 1
         np.testing.assert_array_equal(fits[0], _envelope_fit(env, y))
@@ -360,13 +373,11 @@ class TestCertifiedFits:
         xs, ys = replicate_responses(uniform_design(1.0, 7), (0.3, 0.7), 20)
         ys = 0.3 + 0.7 * xs + 1e-8 * (ys - ys.min())
         env = _envelope(xs, 1)
-        certified = _certified_fits(env, ys)[1]
-        tied, resolved = _tied_fits(env, ys[~certified])
+        resolved = _vertex_fits(env, ys)[1]
         assert (~resolved).sum() >= 5
         fits, errors = fit_batch(env, ys)
         assert not errors and len(envelope_solves) == (~resolved).sum()
-        left = np.flatnonzero(~certified)[~resolved]
-        for i in left:
+        for i in np.flatnonzero(~resolved):
             np.testing.assert_array_equal(fits[i], _envelope_fit(env, ys[i]))
 
     def test_a_tie_can_stop_inside_the_optimal_edge(self):
@@ -388,43 +399,71 @@ class TestCertifiedFits:
         np.testing.assert_allclose(sorted(v[1] for v in optimal), [-1.0, 1.0])
         assert not any(np.allclose(theta, v) for v in vertices)
 
-    def test_degenerate_best_basis_is_not_certified(self):
-        # the degenerate dual vertex belongs to three bases, whose equal
-        # objectives already fail the tie margin; with one basis per vertex
-        # only the degeneracy check keeps its replicates from the kernel
+    def test_degenerate_best_basis_alone_in_the_margin_gives_its_point(self):
+        # The degenerate dual vertex belongs to three bases, whose equal
+        # objectives tie.  Kept once per vertex, a degenerate best basis is
+        # often alone within the tie margin; it is then the only point of
+        # the optimal face, and its basis point is the fit unless it fails
+        # the envelope check.
         xs, ys = replicate_responses(uniform_design(2.0, 5), (2.0, 4.0, 0.8), 200)
         env = _envelope(xs, 2)
         vertices = np.zeros((env.bases.shape[0], 5))
         np.put_along_axis(vertices, env.bases, env.lam, axis=1)
         _, first = np.unique(np.round(vertices, 6), axis=0, return_index=True)
         one = dataclasses.replace(
-            env,
-            bases=env.bases[first],
-            lam=env.lam[first],
-            inv=env.inv[first],
-            degenerate=env.degenerate[first],
+            env, bases=env.bases[first], lam=env.lam[first], inv=env.inv[first]
         )
-        assert one.bases.shape[0] < env.bases.shape[0] and one.degenerate.any()
-        np.testing.assert_array_equal(_certified_fits(one, ys)[1], _certified_fits(env, ys)[1])
+        assert one.bases.shape[0] < env.bases.shape[0]
+        fits, resolved = _vertex_fits(one, ys)
+        _, m = point_minima(xs, ys)
+        obj = (m[:, one.bases] * one.lam).sum(axis=2)
+        best = obj.argmin(axis=1)
+        margin = estimator._TIE_RTOL * xs.size * np.abs(m).max(axis=1)
+        alone = (obj <= (obj.min(axis=1) + margin)[:, None]).sum(axis=1) == 1
+        degenerate = one.lam[best].min(axis=1) <= estimator._TIE_RTOL * xs.size
+        rows = np.flatnonzero(alone & degenerate)
+        assert rows.size >= 20 and resolved[rows].sum() >= 20
+        for i in rows:
+            basis = one.bases[best[i]]
+            want = np.linalg.solve(one.f[basis], m[i, basis])
+            # three bases of seven: the best of them can miss the envelope
+            assert resolved[i] == ((m[i] - one.f @ want).min() >= -estimator.ENVELOPE_TOL)
+            if resolved[i]:
+                np.testing.assert_allclose(
+                    fits[i], want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+                )
 
-    def test_near_ties_within_the_margin_are_not_certified(self):
+    def test_near_ties_within_the_margin_take_the_least_slope_point(self):
         # points 1e-12 above a line: every dual objective is within roundoff
-        # of the others, and none of uniform7's dual vertices is degenerate
+        # of the others, and every basis point within the tie tolerance, so
+        # the optimal face is one point
         xs, ys = replicate_responses(uniform_design(1.0, 7), (0.3, 0.7), 20)
         ys = 0.3 + 0.7 * xs + 1e-12 * (ys - ys.min())
         env = _envelope(xs, 1)
-        assert not env.degenerate.any()
-        assert not _certified_fits(env, ys)[1].any()
+        fits, resolved = _vertex_fits(env, ys)
+        assert resolved.all()
+        support, minima = point_minima(xs, ys)
+        c = np.vander(xs, 2, increasing=True).sum(axis=0)
+        for i in range(ys.shape[0]):
+            want = least_slope_optimum(support, minima[i], c, 1)
+            np.testing.assert_allclose(fits[i], want, rtol=1e-9, atol=1e-9)
+            assert residuals(Dataset(xs, ys[i], 1), fits[i]).min() >= -1e-8
 
     @pytest.mark.parametrize("design,theta", KERNEL_CASES)
-    def test_noiseless_data_ties_every_vertex(self, design, theta):
-        # every point lies on the fit, so all dual objectives are equal and
-        # only a single dual vertex (K = d) can certify
+    def test_noiseless_data_ties_every_vertex_at_one_point(self, design, theta):
+        # every point lies on the fit, so all dual objectives are equal; with
+        # K > d every basis ties and all their points are the true theta
         xs, _ = replicate_responses(design, theta, 1)
         ys = np.tile(np.vander(xs, len(theta), increasing=True) @ np.asarray(theta), (3, 1))
         env = _envelope(xs, len(theta) - 1)
-        _, certified = _certified_fits(env, ys)
-        assert certified.all() == (len(design.points) == len(theta))
+        _, m = point_minima(xs, ys)
+        obj = (m[:, env.bases] * env.lam).sum(axis=2)
+        margin = estimator._TIE_RTOL * xs.size * np.abs(m).max(axis=1)
+        assert (np.ptp(obj, axis=1) <= margin).all()
+        assert (env.bases.shape[0] == 1) == (len(design.points) == len(theta))
+        fits, resolved = _vertex_fits(env, ys)
+        assert resolved.all()
+        np.testing.assert_allclose(fits, np.tile(theta, (3, 1)), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("design,theta", KERNEL_CASES)
     def test_objective_matches_vertex_enumeration(self, design, theta):
@@ -443,19 +482,18 @@ class TestCertifiedFits:
     def test_fit_does_not_depend_on_the_batch(self, design, theta, monkeypatch):
         xs, ys = replicate_responses(design, theta, 300)
         env = _envelope(xs, len(theta) - 1)
-        whole, cert_whole = _certified_fits(env, ys)
-        parts = [_certified_fits(env, ys[:256]), _certified_fits(env, ys[256:])]
-        np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), cert_whole)
+        whole, res_whole = _vertex_fits(env, ys)
+        parts = [_vertex_fits(env, ys[:256]), _vertex_fits(env, ys[256:])]
+        np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), res_whole)
         np.testing.assert_array_equal(
-            np.concatenate([p[0] for p in parts])[cert_whole], whole[cert_whole]
+            np.concatenate([p[0] for p in parts])[res_whole], whole[res_whole]
         )
         for i in (0, 255, 256, 299):
-            alone, cert = _certified_fits(env, ys[i : i + 1])
-            assert cert[0] == cert_whole[i]
-            if cert[0]:
+            alone, res = _vertex_fits(env, ys[i : i + 1])
+            assert res[0] == res_whole[i]
+            if res[0]:
                 np.testing.assert_array_equal(alone[0], whole[i])
-        # every row of fit_batch, tied ones included, and tied rows resolved
-        # one at a time
+        # every row of fit_batch, and every row with one tie row per block
         fits, _ = fit_batch(env, ys)
         np.testing.assert_array_equal(
             np.concatenate([fit_batch(env, ys[:256])[0], fit_batch(env, ys[256:])[0]]), fits
@@ -476,19 +514,19 @@ class TestCertifiedFits:
                 smith_fit(Dataset(xs, y, degree)),
             )
 
-    def test_non_finite_rows_are_not_certified(self):
+    def test_non_finite_rows_are_not_resolved(self):
         xs, ys = replicate_responses(uniform_design(1.0, 5), (6.0, 0.5), 3)
         ys[1, 7] = np.inf
         ys[2, 0] = np.nan
-        _, certified = _certified_fits(_envelope(xs, 1), ys)
-        assert certified.tolist() == [True, False, False]
+        _, resolved = _vertex_fits(_envelope(xs, 1), ys)
+        assert resolved.tolist() == [True, False, False]
 
     def test_design_above_the_basis_cap_has_no_dual_vertices(self):
         # C(60, 3) = 34,220 bases: every fit runs the simplex
         xs, ys = replicate_responses(uniform_design(2.0, 60), (2.0, 4.0, 0.8), 2)
         env = _envelope(xs, 2)
         assert env.bases is None
-        assert not _certified_fits(env, ys)[1].any()
+        assert not _vertex_fits(env, ys)[1].any()
         assert _envelope(xs, 1).bases is None  # C(60, 2) = 1,770
         assert _envelope(np.linspace(-2.0, 2.0, 15), 2).bases is not None  # 455
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -410,6 +411,37 @@ class TestHellingerNumericShifted:
         first = hellinger_module._DE_NUMERIC_FIRST_LEVEL
         rule = hellinger_module._de_rule
         assert len(calls) == 3 * (rule(first, False)[0].size + rule(first + 1, True)[0].size)
+
+    def test_total_above_two_raises(self):
+        # a constant pdf of 1e300 on (0, 1) used to come back clipped to 2.0
+        unit = DensitySpec(lambda y: 1.0, (0.0, 1.0))
+        huge = DensitySpec(lambda y: 1e300, (0.0, 1.0))
+        with pytest.raises(QuadratureError, match="exceeds 2 .* does not integrate to 1"):
+            hellinger_sq_numeric(huge, unit)
+
+    def test_overflowing_panel_sum_raises_without_a_warning(self):
+        # at 1e308 the level sums overflow; they used to warn twice and then
+        # run every level to 8 before blaming an unsettled panel
+        calls = []
+
+        def pdf(y):
+            calls.append(y)
+            return 1e308
+
+        unit = DensitySpec(lambda y: 1.0, (0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="panel sum is not finite at level 2"):
+                hellinger_sq_numeric(DensitySpec(pdf, (0.0, 1.0)), unit)
+        # the first level's nodes only (those that round onto 1.0 are skipped)
+        first = hellinger_module._DE_NUMERIC_FIRST_LEVEL
+        assert 0 < len(calls) <= hellinger_module._de_rule(first, False)[0].size
+
+    def test_disjoint_supports_still_give_two(self):
+        unit = DensitySpec(lambda y: 1.0, (0.0, 1.0))
+        assert hellinger_sq_numeric(unit, DensitySpec(lambda y: 1.0, (1.0, 2.0))) == 2.0
+        apart = hellinger_sq_numeric(unit, DensitySpec(lambda y: 0.5, (3.0, 5.0)))
+        assert apart == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
     def test_nodes_keep_the_reference_loops_bits(self, monkeypatch):
         # every node value, and so h, has the bits of the loop that clipped

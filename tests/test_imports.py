@@ -76,18 +76,20 @@ assert cli.main([
     assert (tmp_path / "risk.csv").is_file()
 
 
-def test_square_dpsi_information_loads_no_scipy():
-    # a square D_psi at degree 1 and 2, on every sphere path
+def test_design_information_loads_no_scipy():
+    # design_info at degree 1 and 2, on each of the four sphere paths
     code = """
 import sys
 
-from nonregdesign.design import Design, direction_free_info_psi
+from nonregdesign.design import Design, design_info
 
 design = Design([(-1.0, 0.2), (0.0, 0.6), (1.0, 0.2)], 1.0)
-for alpha in (0.5, 1.0, 1.5, 2.0):
-    assert direction_free_info_psi(design, [[1.0, 0.5], [0.0, 2.0]], alpha, 1.0, 1) > 0.0
-    d_psi = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 2.0]]
-    assert direction_free_info_psi(design, d_psi, alpha, 1.0, 2) > 0.0
+two = Design([(-1.0, 0.5), (1.0, 0.5)], 1.0)
+for degree in (1, 2):
+    methods = {design_info(design, alpha, 1.0, degree).method.value for alpha in (0.5, 1.5, 2.0)}
+    assert methods == {"kink_enumeration", "branch_and_bound", "eigenvalue"}, methods
+    assert design_info(design, 1.0, 1.0, degree).J > 0.0
+assert design_info(two, 1.5, 1.0, 2).method.value == "sphere_search"
 """ + NO_SCIPY
     run_fresh(code)
 
