@@ -180,6 +180,35 @@ class TestDesignInfo:
             with pytest.raises(ValueError, match="j_tilde must be positive"):
                 design_info(TWO_POINT, 1.0, j_tilde, 1)
 
+    @pytest.mark.parametrize("alpha,j_tilde", [(3.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                               (1.5, -1.0), (1.5, math.nan)])
+    def test_criterion_domain(self, alpha, j_tilde):
+        # alpha = 3 would reach a branch-and-bound whose cell bound needs alpha <= 2
+        match = "alpha must lie" if j_tilde == 1.0 else "j_tilde must be positive"
+        with pytest.raises(ValueError, match=match):
+            design_info(TWO_POINT, alpha, j_tilde, 1)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_j_tilde_scales_linearly(self, alpha):
+        d = random_balanced_design(np.random.default_rng(31), a=1.5)
+        v1 = design_info(d, alpha, 1.0, 2).J
+        v2 = design_info(d, alpha, 3.25, 2).J
+        assert v2 == pytest.approx(3.25 * v1, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_reflected_design_has_the_same_information(self, degree, alpha):
+        # x -> -x maps f(x) to diag(1, -1, 1) f(x), an orthogonal map of the
+        # sphere, so the minimum is the same; the branch-and-bound certifies
+        # each value to 1e-10 relative
+        rng = np.random.default_rng(40 + 10 * degree + int(10 * alpha))
+        for _ in range(3):
+            d = random_balanced_design(rng, a=1.5)
+            reflected = Design(list(zip(-d.xs, d.ws)), 1.5)
+            assert not design_module._is_mirror_symmetric(regressor_matrix(d.xs, degree), d.ws)
+            ref = design_info(d, alpha, 1.0, degree).J
+            assert design_info(reflected, alpha, 1.0, degree).J == pytest.approx(ref, rel=1e-9, abs=0)
+
     def test_info_below_any_direction(self):
         rng = np.random.default_rng(5)
         d = random_balanced_design(rng, a=1.5)
@@ -751,6 +780,49 @@ class TestDirectionFreePsi:
             us = rng.normal(size=(2000, degree + 1))
             ratios = np.abs(us @ f.T) ** alpha @ d.ws / np.linalg.norm(us @ d_psi.T, axis=1) ** alpha
             assert float(np.min(ratios)) >= value * (1.0 - 1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3, 1.8, 2.0])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_square_dpsi_is_design_info_of_mapped_design(self, degree, alpha):
+        # x -> (x - c) / s maps f(x) to M f(x), so D_psi = M'^-1 turns
+        # F D_psi^-1 into the regressor rows of the mapped support points
+        rng = np.random.default_rng(5)
+        c, s = 0.3, 1.7
+        m = np.array([[1.0, 0.0], [-c / s, 1.0 / s]])
+        if degree == 2:
+            m = np.array(
+                [[1.0, 0.0, 0.0], [-c / s, 1.0 / s, 0.0], [c * c / s**2, -2.0 * c / s**2, 1.0 / s**2]]
+            )
+        d_psi = np.linalg.inv(m.T)
+        for _ in range(3):
+            d = random_balanced_design(rng, a=1.0, k=degree + 3)
+            xs = (d.xs - c) / s
+            mapped = Design(list(zip(xs, d.ws)), float(np.max(np.abs(xs))), require_balance=False)
+            ref = design_info(mapped, alpha, 1.3, degree).J
+            g = regressor_matrix(d.xs, degree) @ np.linalg.inv(d_psi)
+            via_psi = design_module._sphere_min(g, d.ws, alpha, 1.3)[1]
+            assert via_psi == pytest.approx(ref, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
+    def test_scaled_rows_scale_the_value(self, alpha):
+        # D_psi = I / s maps F to s F, and the criterion is alpha-homogeneous
+        # in the rows
+        f = regressor_matrix(THREE_POINT_06.xs, 2)
+        ws = THREE_POINT_06.ws
+        base = design_module._sphere_min(f, ws, alpha, 1.0)[1]
+        for s in (1e-3, 1e3):
+            scaled = design_module._sphere_min(s * f, ws, alpha, 1.0)[1]
+            assert scaled == pytest.approx(s**alpha * base, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
+    def test_degenerate_design_answers_zero(self, alpha):
+        # two points cannot identify a quadratic: exactly 0 on the mapped rows
+        # too, although lambda_min of their moment matrix is +-1e-17 at alpha = 2
+        skew = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 2.0]])
+        f = regressor_matrix(TWO_POINT.xs, 2)
+        for d_psi in (np.eye(3), np.diag([1.0, 2.0, 3.0]), skew):
+            g = f @ np.linalg.inv(d_psi)
+            assert design_module._sphere_min(g, TWO_POINT.ws, alpha, 1.0)[1] == 0.0
 
 
 class TestSymmetrize:
